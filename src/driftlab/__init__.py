@@ -62,7 +62,6 @@ from .learners import (
     ConstantWindowLearner,
     Learner,
     SubsampledErmLearner,
-    baseline_step,
     best_window,
     constant_window_size,
     erm_step,

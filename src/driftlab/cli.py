@@ -25,6 +25,7 @@ from .harness import (
     run_config,
     run_sweep,
     run_verify,
+    write_text_atomic,
 )
 
 EXIT_OK = 0
@@ -100,8 +101,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     report, ok = run_verify(args.kind, options)
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        write_text_atomic(args.out, text + "\n")
         print(f"verify {args.kind}: {'ok' if ok else 'FAILED'} -> {args.out}")
     else:
         print(text)

@@ -143,39 +143,34 @@ def run_single(
     seed: int,
     checkpoint: Callable[[int, np.ndarray, np.ndarray, np.ndarray], None] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One replicate: exact risk(f_t, P_t) for t = 1..horizon plus window diagnostics.
+    """One replicate: exact risk(f_t, P_t) for t = 1..horizon plus the learner's plan.
+
+    Returns ``(risks, gaps, windows)``; the last two are the learner's shared,
+    read-only ``plan(horizon)`` arrays.
 
     ``checkpoint(t, risks, gaps, windows)`` is invoked after each power-of-two
     step with the output arrays filled through index t-1, so callers can flush
     partial results.
     """
     path = sample_path(model, horizon, seed)
+    gaps, windows = learner.plan(horizon)
     marginals = model.marginals
-    fast = isinstance(marginals, ConceptPath) and isinstance(
-        learner.function_class, ThresholdClass
-    )
-    risks = np.empty(horizon)
-    gaps = np.zeros(horizon, dtype=np.int64)
-    windows = np.zeros(horizon, dtype=np.int64)
-    if fast:
-        thetas = marginals.thetas
-        eta = marginals.eta
-        scale = 1.0 - 2.0 * eta
-        for t in range(1, horizon + 1):
-            hypothesis, gap, window = learner.step_with_windows(path, t)
-            gaps[t - 1] = gap
-            windows[t - 1] = window
-            risks[t - 1] = eta + scale * abs(hypothesis.theta - thetas[t - 1])
-            if checkpoint is not None and (t & (t - 1)) == 0:
-                checkpoint(t, risks, gaps, windows)
+    if isinstance(marginals, ConceptPath) and isinstance(learner.function_class, ThresholdClass):
+        thetas, eta, scale = marginals.thetas, marginals.eta, 1.0 - 2.0 * marginals.eta
+
+        def step_risk(hypothesis, t: int) -> float:
+            return eta + scale * abs(hypothesis.theta - thetas[t - 1])
+
     else:
-        for t in range(1, horizon + 1):
-            hypothesis, gap, window = learner.step_with_windows(path, t)
-            gaps[t - 1] = gap
-            windows[t - 1] = window
-            risks[t - 1] = risk(hypothesis, marginals[t - 1])
-            if checkpoint is not None and (t & (t - 1)) == 0:
-                checkpoint(t, risks, gaps, windows)
+
+        def step_risk(hypothesis, t: int) -> float:
+            return risk(hypothesis, marginals[t - 1])
+
+    risks = np.empty(horizon)
+    for t, (gap, window) in enumerate(zip(gaps.tolist(), windows.tolist()), start=1):
+        risks[t - 1] = step_risk(learner.fit(path, t, gap, window), t)
+        if checkpoint is not None and (t & (t - 1)) == 0:
+            checkpoint(t, risks, gaps, windows)
     return risks, gaps, windows
 
 

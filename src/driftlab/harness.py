@@ -19,10 +19,13 @@ interruption.
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 import itertools
 import json
 import math
+import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -45,7 +48,10 @@ from .evaluation import (
     DegenerateCurveError,
     RateFit,
     RegretCurve,
+    _inf_risk_path,
+    default_checkpoints,
     fit_growth_exponent,
+    geometric_checkpoints,
     run_single,
     theoretical_exponent,
     verify_blocking,
@@ -58,6 +64,7 @@ from .learners import (
     ConstantWindowLearner,
     Learner,
     SubsampledErmLearner,
+    constant_window_size,
 )
 from .processes import (
     MarkovModulatedProcess,
@@ -95,8 +102,8 @@ LEARNER_KINDS = (
     "last_point",
 )
 
+# horizons below the first default checkpoint are sampled at T only
 DEFAULT_CHECKPOINT_MIN = 256
-DEFAULT_CHECKPOINT_MAX = 32768
 
 
 class ConfigError(ValueError):
@@ -119,7 +126,14 @@ def _check_keys(section: dict, allowed: Sequence[str], prefix: str) -> None:
 
 
 def _as_float(value: Any, key: str) -> float:
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool), key, "must be a number")
+    # exact comparisons: NaN fails both, and ints beyond the float range fail one
+    _require(
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and -sys.float_info.max <= value <= sys.float_info.max,
+        key,
+        "must be a finite number",
+    )
     return float(value)
 
 
@@ -238,7 +252,11 @@ def resolve_config(raw: dict) -> dict:
 
     checkpoints_raw = raw.get("checkpoints")
     if checkpoints_raw is None:
-        checkpoints = _default_checkpoint_list(horizon)
+        checkpoints = (
+            list(default_checkpoints(horizon, DEFAULT_CHECKPOINT_MIN))
+            if horizon >= DEFAULT_CHECKPOINT_MIN
+            else [horizon]
+        )
     elif isinstance(checkpoints_raw, list):
         checkpoints = [_as_int(v, "checkpoints") for v in checkpoints_raw]
         _require(len(checkpoints) > 0, "checkpoints", "must be non-empty")
@@ -255,8 +273,6 @@ def resolve_config(raw: dict) -> dict:
         ratio = _as_float(checkpoints_raw.get("ratio", math.sqrt(2.0)), "checkpoints.ratio")
         _require(1 <= t_min < t_max <= horizon, "checkpoints.t_min", "need 1 <= t_min < t_max <= horizon")
         _require(ratio > 1.0, "checkpoints.ratio", "must exceed 1")
-        from .evaluation import geometric_checkpoints
-
         checkpoints = list(geometric_checkpoints(t_min, t_max, ratio))
     else:
         raise ConfigError("checkpoints", "must be a list or an object")
@@ -295,20 +311,6 @@ def resolve_config(raw: dict) -> dict:
     return resolved
 
 
-def _default_checkpoint_list(horizon: int) -> list[int]:
-    top = min(horizon, DEFAULT_CHECKPOINT_MAX)
-    points = []
-    value = DEFAULT_CHECKPOINT_MIN
-    while value <= top:
-        points.append(value)
-        value *= 2
-    if not points:
-        points = [horizon]
-    elif points[-1] != top:
-        points.append(top)
-    return points
-
-
 def canonical_json(resolved: dict) -> str:
     return json.dumps(resolved, sort_keys=True, separators=(",", ":"))
 
@@ -316,6 +318,23 @@ def canonical_json(resolved: dict) -> str:
 def config_hash(resolved: dict) -> str:
     payload = {k: v for k, v in resolved.items() if k != "sweep"}
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()[:12]
+
+
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Replace ``path`` with ``text`` via a temp file in the same directory, so
+    readers see the old file or the new one, never half of it."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    write_text_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _build_schedule(resolved: dict) -> DriftSchedule:
@@ -373,9 +392,9 @@ def _run_seed_streaming(
     model: ProcessModel,
     learner: Learner,
     horizon: int,
-    seed: int,
-    curve_path: str | Path,
     inf_risks: np.ndarray,
+    seed: int,
+    curve_path: str,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One replicate with CSV rows flushed at every power-of-two step."""
     with open(curve_path, "w", encoding="utf-8", newline="") as fh:
@@ -404,14 +423,9 @@ def _run_seed_streaming(
     return risks, gaps, windows
 
 
-def _run_seed_task(args) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    model, learner, horizon, seed, curve_path, inf_risks = args
-    risks, gaps, windows = _run_seed_streaming(model, learner, horizon, seed, curve_path, inf_risks)
-    return seed, risks, gaps, windows
-
-
 def run_config(resolved: dict, out_root: str | Path, jobs: int = 1) -> tuple[RunRecord, RegretCurve]:
     """Execute one experiment config; writes the content-addressed output directory."""
+    _require(jobs >= 1, "--jobs", f"must be >= 1, got {jobs}")
     start = time.monotonic()
     digest = config_hash(resolved)
     out_dir = Path(out_root) / digest
@@ -422,41 +436,19 @@ def run_config(resolved: dict, out_root: str | Path, jobs: int = 1) -> tuple[Run
     horizon = resolved["horizon"]
     seeds = resolved["seeds"]
 
-    with open(out_dir / "config.json", "w", encoding="utf-8") as fh:
-        payload = {k: v for k, v in resolved.items() if k != "sweep"}
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "config.json", {k: v for k, v in resolved.items() if k != "sweep"})
 
-    if isinstance(model.marginals, ConceptPath):
-        inf_risks = np.full(horizon, model.marginals.eta)
-    else:
-        from .evaluation import _inf_risk_path
-
-        inf_risks = _inf_risk_path(learner.function_class, model.marginals, horizon)
-
-    curve_files = []
-    results: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    learner.plan(horizon)  # computed once here, then shared by every seed and worker
+    inf_risks = _inf_risk_path(learner.function_class, model.marginals, horizon)
+    curve_files = [str(out_dir / f"curve-{seed}.csv") for seed in seeds]
+    run_seed = functools.partial(_run_seed_streaming, model, learner, horizon, inf_risks)
     if jobs > 1 and len(seeds) > 1:
-        tasks = []
-        for seed in seeds:
-            curve_path = out_dir / f"curve-{seed}.csv"
-            curve_files.append(str(curve_path))
-            tasks.append((model, learner, horizon, seed, str(curve_path), inf_risks))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for seed, risks, gaps, windows in pool.map(_run_seed_task, tasks):
-                results[seed] = (risks, gaps, windows)
+            results = list(pool.map(run_seed, seeds, curve_files))
     else:
-        for seed in seeds:
-            curve_path = out_dir / f"curve-{seed}.csv"
-            curve_files.append(str(curve_path))
-            risks, gaps, windows = _run_seed_streaming(
-                model, learner, horizon, seed, curve_path, inf_risks
-            )
-            results[seed] = (risks, gaps, windows)
+        results = list(map(run_seed, seeds, curve_files))
 
-    risks = np.stack([results[s][0] for s in seeds])
-    gaps = np.stack([results[s][1] for s in seeds])
-    windows = np.stack([results[s][2] for s in seeds])
+    risks, gaps, windows = (np.stack(column) for column in zip(*results))
     curve = RegretCurve(
         risks=risks, inf_risks=inf_risks, seeds=tuple(seeds), gaps=gaps, windows=windows
     )
@@ -486,10 +478,7 @@ def run_config(resolved: dict, out_root: str | Path, jobs: int = 1) -> tuple[Run
     else:
         fit_payload["degenerate"] = True
         fit_payload["skipped"] = skip_reason
-    with open(out_dir / "fit.json", "w", encoding="utf-8") as fh:
-        json.dump(fit_payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
+    _write_json(out_dir / "fit.json", fit_payload)
     _write_summary(out_dir / "summary.txt", resolved, digest, curve, fit, skip_reason)
 
     wall = time.monotonic() - start
@@ -501,22 +490,18 @@ def run_config(resolved: dict, out_root: str | Path, jobs: int = 1) -> tuple[Run
         fit_skip_reason=skip_reason,
         wall_clock_seconds=wall,
     )
-    with open(out_dir / "run.json", "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "config_hash": digest,
-                "version": __version__,
-                "seeds": list(seeds),
-                "curve_files": [Path(p).name for p in curve_files],
-                "fit": fit_payload,
-                "wall_clock_seconds": wall,
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
+    _write_json(
+        out_dir / "run.json",
+        {
+            "schema_version": SCHEMA_VERSION,
+            "config_hash": digest,
+            "version": __version__,
+            "seeds": list(seeds),
+            "curve_files": [Path(p).name for p in curve_files],
+            "fit": fit_payload,
+            "wall_clock_seconds": wall,
+        },
+    )
     return record, curve
 
 
@@ -549,8 +534,7 @@ def _write_summary(
         )
     else:
         lines.append(f"fit: skipped ({skip_reason})")
-    with open(path_out, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text_atomic(path_out, "\n".join(lines) + "\n")
 
 
 def _set_by_dotted_key(config: dict, dotted: str, value: Any) -> None:
@@ -620,8 +604,6 @@ def run_sweep(raw: dict, out_root: str | Path, jobs: int = 1) -> SweepRecord:
             continue
         warmup = 0
         if cell_resolved["learner"]["kind"] == "constant_window":
-            from .learners import constant_window_size
-
             warmup = constant_window_size(1, cell_resolved["learner"]["gamma"])
         excess = curve.mean_risk - curve.inf_risks
         steady = excess[warmup:] if warmup < curve.horizon else excess
@@ -643,21 +625,19 @@ def run_sweep(raw: dict, out_root: str | Path, jobs: int = 1) -> SweepRecord:
 
     table_path = out_root / f"sweep-{sweep_digest}.csv"
     metric_cols = ["config_hash", "avg_excess", "final_cum_excess", "fit_exponent", "fit_theoretical"]
-    with open(table_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(swept_keys + metric_cols) + "\n")
-        for row in rows:
-            cells_txt = []
-            for key in swept_keys + metric_cols:
-                value = row.get(key)
-                cells_txt.append("" if value is None else (f"{value!r}" if isinstance(value, float) else str(value)))
-            fh.write(",".join(cells_txt) + "\n")
+    lines = [",".join(swept_keys + metric_cols)]
+    for row in rows:
+        cells_txt = []
+        for key in swept_keys + metric_cols:
+            value = row.get(key)
+            cells_txt.append("" if value is None else (f"{value!r}" if isinstance(value, float) else str(value)))
+        lines.append(",".join(cells_txt))
+    write_text_atomic(table_path, "\n".join(lines) + "\n")
 
     manifest_path: str | None = None
     if failures:
         manifest = out_root / f"sweep-{sweep_digest}.failures.json"
-        with open(manifest, "w", encoding="utf-8") as fh:
-            json.dump({"failures": failures}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(manifest, {"failures": failures})
         manifest_path = str(manifest)
     return SweepRecord(
         sweep_hash=sweep_digest,
@@ -825,17 +805,22 @@ def refit_rates(run_dir: str | Path, checkpoints: Sequence[int] | None = None) -
     with open(config_path, "r", encoding="utf-8") as fh:
         resolved = json.load(fh)
     seeds = resolved["seeds"]
-    risks = []
-    inf_risks = None
+    curves = {}
     for seed in seeds:
         curve_path = run_dir / f"curve-{seed}.csv"
         if not curve_path.exists():
             raise ConfigError("run_dir", f"missing curve file {curve_path.name}")
-        data = np.genfromtxt(curve_path, delimiter=",", skip_header=1)
-        risks.append(data[:, 1])
-        inf_risks = data[:, 2]
+        curves[curve_path.name] = np.genfromtxt(curve_path, delimiter=",", skip_header=1, ndmin=2)
+    rows = {name: data.shape[0] for name, data in curves.items()}
+    short = min(rows, key=rows.get)
+    _require(
+        rows[short] == max(rows.values()),
+        "run_dir",
+        f"{short} has {rows[short]} rows, fewer than the other curves (interrupted run?)",
+    )
+    data = list(curves.values())
     curve = RegretCurve(
-        risks=np.stack(risks), inf_risks=inf_risks, seeds=tuple(seeds)
+        risks=np.stack([d[:, 1] for d in data]), inf_risks=data[-1][:, 2], seeds=tuple(seeds)
     )
     cps = tuple(int(v) for v in (checkpoints or resolved["checkpoints"]))
     theoretical = None
@@ -843,7 +828,7 @@ def refit_rates(run_dir: str | Path, checkpoints: Sequence[int] | None = None) -
         theoretical = theoretical_exponent(resolved["learner"]["alpha"], resolved["learner"]["r"])
     fit_payload: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
-        "config_hash": resolved_hash(resolved),
+        "config_hash": config_hash(resolved),
         "checkpoints": list(cps),
     }
     try:
@@ -853,11 +838,5 @@ def refit_rates(run_dir: str | Path, checkpoints: Sequence[int] | None = None) -
     except (DegenerateCurveError, ValueError) as err:
         fit_payload["degenerate"] = True
         fit_payload["skipped"] = str(err)
-    with open(run_dir / "fit.json", "w", encoding="utf-8") as fh:
-        json.dump(fit_payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(run_dir / "fit.json", fit_payload)
     return fit_payload
-
-
-def resolved_hash(resolved: dict) -> str:
-    return config_hash(resolved)

@@ -1,15 +1,15 @@
 """Online learners: ERM over schedule-driven subsamples or trailing windows.
 
 All learners are pure functions of (parameters, observed history, t): at each
-step t they fit on points strictly before t and never mutate state, so runs
-are reproducible and steps can be recomputed in isolation.
+step t they fit on points strictly before t, and the only state they keep is
+their memoised window plan, which depends on no data.  Runs are reproducible
+and steps can be recomputed in isolation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -39,7 +39,6 @@ __all__ = [
     "ConstantWindowLearner",
     "BaselineLearner",
     "Learner",
-    "baseline_step",
 ]
 
 # floating-point guard: powers within this distance of an integer are treated
@@ -171,8 +170,63 @@ def erm_step(
     return FiniteHypothesis(function_class, idx)
 
 
+class Learner:
+    """ERM over {t - s*gap_t : s = 1..window_t // gap_t} with a data-independent plan.
+
+    Every learner kind differs only in its plan: ``plan(horizon)`` returns int64
+    arrays ``(gaps, windows)`` indexed by t-1, where a (0, 0) row deploys the
+    initial hypothesis.  The plan is computed on first use and memoised per
+    horizon, so every replicate of a run shares one plan.
+    """
+
+    function_class: FunctionClass
+    initial: Hypothesis | None
+
+    def __post_init__(self) -> None:
+        if self.initial is None:
+            self.initial = initial_hypothesis(self.function_class)
+        self._lookup = (
+            _finite_support_lookup(self.function_class)
+            if isinstance(self.function_class, FiniteExplicitClass)
+            else None
+        )
+        self._plans: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def _plan(self, gaps: np.ndarray, windows: np.ndarray) -> None:
+        """Fill the rows of the zero-initialised plan arrays at which ERM runs."""
+        raise NotImplementedError
+
+    def plan(self, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (gaps, windows) for steps 1..horizon, memoised per horizon."""
+        if horizon not in self._plans:
+            gaps = np.zeros(horizon, dtype=np.int64)
+            windows = np.zeros(horizon, dtype=np.int64)
+            self._plan(gaps, windows)
+            gaps.flags.writeable = windows.flags.writeable = False
+            self._plans[horizon] = (gaps, windows)
+        return self._plans[horizon]
+
+    def fit(self, path: SamplePath, t: int, gap: int, window: int) -> Hypothesis:
+        """The hypothesis deployed at step t under plan row (gap, window)."""
+        if window == 0:
+            return self.initial
+        return erm_step(self.function_class, path, t, gap, window, self._lookup)
+
+    def windows(self, t: int) -> tuple[int, int]:
+        """Plan row of step t; this and the step methods serve callers that step by hand."""
+        gaps, windows = self.plan(t)
+        return int(gaps[-1]), int(windows[-1])
+
+    def step_with_windows(self, path: SamplePath, t: int) -> tuple[Hypothesis, int, int]:
+        gap, window = self.windows(t)
+        return self.fit(path, t, gap, window), gap, window
+
+    def step(self, path: SamplePath, t: int) -> Hypothesis:
+        return self.step_with_windows(path, t)[0]
+
+
 @dataclass
-class SubsampledErmLearner:
+class SubsampledErmLearner(Learner):
     """ERM over a gap-spaced subsample whose gap and window follow the
     (alpha, r) schedule; the gap thins dependence, the window limits drift."""
 
@@ -183,70 +237,37 @@ class SubsampledErmLearner:
 
     def __post_init__(self) -> None:
         _validate_alpha_r(self.alpha, self.r)
-        if self.initial is None:
-            self.initial = initial_hypothesis(self.function_class)
-        self._lookup = (
-            _finite_support_lookup(self.function_class)
-            if isinstance(self.function_class, FiniteExplicitClass)
-            else None
-        )
+        super().__post_init__()
 
-    def windows(self, t: int) -> tuple[int, int]:
-        return subsample_schedule(t, self.alpha, self.r)
-
-    def step_with_windows(self, path: SamplePath, t: int) -> tuple[Hypothesis, int, int]:
-        if t == 1:
-            return self.initial, 0, 0
-        gap, window = subsample_schedule(t, self.alpha, self.r)
-        return erm_step(self.function_class, path, t, gap, window, self._lookup), gap, window
-
-    def step(self, path: SamplePath, t: int) -> Hypothesis:
-        return self.step_with_windows(path, t)[0]
+    def _plan(self, gaps: np.ndarray, windows: np.ndarray) -> None:
+        ts = np.arange(2, gaps.size + 1)
+        gaps[1:], windows[1:] = subsample_schedule(ts, self.alpha, self.r)
 
 
 @dataclass
-class AdaptiveWindowLearner:
+class AdaptiveWindowLearner(Learner):
     """ERM over the trailing window balancing known drift against sqrt(d/m)."""
 
     function_class: FunctionClass
     schedule: DriftSchedule
     initial: Hypothesis | None = None
 
-    def __post_init__(self) -> None:
-        if self.initial is None:
-            self.initial = initial_hypothesis(self.function_class)
-        self._cache = {
+    def _plan(self, gaps: np.ndarray, windows: np.ndarray) -> None:
+        d = self.function_class.d
+        cache = {
             "prefix": self.schedule.prefix_sums(),
-            "sqrt_dm": np.sqrt(
-                float(self.function_class.d)
-                / np.arange(1, self.schedule.horizon + 1, dtype=float)
-            ),
+            "sqrt_dm": np.sqrt(float(d) / np.arange(1, self.schedule.horizon + 1, dtype=float)),
         }
-        self._lookup = (
-            _finite_support_lookup(self.function_class)
-            if isinstance(self.function_class, FiniteExplicitClass)
-            else None
-        )
-
-    def window_size(self, t: int) -> int:
-        return best_window(t, self.schedule, self.function_class.d, _cache=self._cache)
-
-    def windows(self, t: int) -> tuple[int, int]:
-        return 1, self.window_size(t)
-
-    def step_with_windows(self, path: SamplePath, t: int) -> tuple[Hypothesis, int, int]:
-        if t == 1:
-            return self.initial, 0, 0
-        window = self.window_size(t)
-        return erm_step(self.function_class, path, t, 1, window, self._lookup), 1, window
-
-    def step(self, path: SamplePath, t: int) -> Hypothesis:
-        return self.step_with_windows(path, t)[0]
+        gaps[1:] = 1
+        windows[1:] = [
+            best_window(t, self.schedule, d, _cache=cache) for t in range(2, gaps.size + 1)
+        ]
 
 
 @dataclass
-class ConstantWindowLearner:
-    """ERM over a fixed trailing window sized from a constant per-step drift."""
+class ConstantWindowLearner(Learner):
+    """ERM over a fixed trailing window sized from a constant per-step drift;
+    the initial hypothesis stays deployed until that window has filled."""
 
     function_class: FunctionClass
     gamma: float
@@ -254,28 +275,15 @@ class ConstantWindowLearner:
 
     def __post_init__(self) -> None:
         self.window = constant_window_size(self.function_class.d, self.gamma)
-        if self.initial is None:
-            self.initial = initial_hypothesis(self.function_class)
-        self._lookup = (
-            _finite_support_lookup(self.function_class)
-            if isinstance(self.function_class, FiniteExplicitClass)
-            else None
-        )
+        super().__post_init__()
 
-    def windows(self, t: int) -> tuple[int, int]:
-        return 1, min(self.window, max(t - 1, 1))
-
-    def step_with_windows(self, path: SamplePath, t: int) -> tuple[Hypothesis, int, int]:
-        if t <= self.window:
-            return self.initial, 0, 0
-        return erm_step(self.function_class, path, t, 1, self.window, self._lookup), 1, self.window
-
-    def step(self, path: SamplePath, t: int) -> Hypothesis:
-        return self.step_with_windows(path, t)[0]
+    def _plan(self, gaps: np.ndarray, windows: np.ndarray) -> None:
+        gaps[self.window :] = 1
+        windows[self.window :] = self.window
 
 
 @dataclass
-class BaselineLearner:
+class BaselineLearner(Learner):
     """Reference strategies: ERM over the full history, or the last point only."""
 
     kind: str
@@ -285,30 +293,8 @@ class BaselineLearner:
     def __post_init__(self) -> None:
         if self.kind not in BASELINE_KINDS:
             raise ValueError(f"unknown baseline {self.kind!r}; choose from {BASELINE_KINDS}")
-        if self.initial is None:
-            self.initial = initial_hypothesis(self.function_class)
-        self._lookup = (
-            _finite_support_lookup(self.function_class)
-            if isinstance(self.function_class, FiniteExplicitClass)
-            else None
-        )
+        super().__post_init__()
 
-    def windows(self, t: int) -> tuple[int, int]:
-        return 1, (max(t - 1, 1) if self.kind == "full_history_erm" else 1)
-
-    def step_with_windows(self, path: SamplePath, t: int) -> tuple[Hypothesis, int, int]:
-        if t == 1:
-            return self.initial, 0, 0
-        window = t - 1 if self.kind == "full_history_erm" else 1
-        return erm_step(self.function_class, path, t, 1, window, self._lookup), 1, window
-
-    def step(self, path: SamplePath, t: int) -> Hypothesis:
-        return self.step_with_windows(path, t)[0]
-
-
-Learner = Union[SubsampledErmLearner, AdaptiveWindowLearner, ConstantWindowLearner, BaselineLearner]
-
-
-def baseline_step(kind: str, function_class: FunctionClass, path: SamplePath, t: int) -> Hypothesis:
-    """One-shot form of BaselineLearner.step."""
-    return BaselineLearner(kind=kind, function_class=function_class).step(path, t)
+    def _plan(self, gaps: np.ndarray, windows: np.ndarray) -> None:
+        gaps[1:] = 1
+        windows[1:] = np.arange(1, gaps.size) if self.kind == "full_history_erm" else 1

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import driftlab.harness as harness_mod
+import driftlab.learners as learners_mod
 from driftlab import (
     AdaptiveWindowLearner,
     BaselineLearner,
@@ -29,6 +30,7 @@ from driftlab import (
     run_verify,
 )
 from driftlab.cli import main
+from driftlab.harness import write_text_atomic
 
 
 def base_config(**overrides):
@@ -339,6 +341,80 @@ class TestRunConfig:
         assert payload["degenerate"] is True
         assert "at least 8" in payload["skipped"]
 
+    def test_plan_is_lazy_and_computed_once_per_run(self, tmp_path, monkeypatch):
+        calls = []
+        real = learners_mod.subsample_schedule
+
+        def counting(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(learners_mod, "subsample_schedule", counting)
+        resolved = resolve_config(base_config())
+        _, schedule = build_model(resolved)
+        build_learner(resolved, schedule)
+        assert calls == []
+        run_config(resolved, tmp_path)
+        assert len(calls) == 1  # one vectorised call shared by both seeds
+
+
+PLAN_LEARNERS = [
+    {"kind": "subsampled_erm", "r": 2.0},
+    {"kind": "adaptive_window"},
+    {"kind": "constant_window", "gamma": 0.1},
+    {"kind": "full_history_erm"},
+    {"kind": "last_point"},
+]
+
+
+class TestPlanConsistency:
+    @pytest.mark.parametrize("spec", PLAN_LEARNERS, ids=[s["kind"] for s in PLAN_LEARNERS])
+    def test_windows_plan_and_csv_agree(self, spec, tmp_path):
+        horizon = 200
+        resolved = resolve_config(
+            base_config(horizon=horizon, seeds=[0], checkpoints=[horizon], learner=spec)
+        )
+        record, _ = run_config(resolved, tmp_path)
+        data = np.genfromtxt(Path(record.out_dir) / "curve-0.csv", delimiter=",", skip_header=1)
+        recorded = data[:, 4:6].astype(np.int64)
+        _, schedule = build_model(resolved)
+        gaps, windows = build_learner(resolved, schedule).plan(horizon)
+        assert gaps.dtype == windows.dtype == np.int64
+        assert gaps.shape == windows.shape == (horizon,)
+        assert tuple(recorded[0]) == (0, 0)
+        shim = build_learner(resolved, schedule)
+        for t in range(1, horizon + 1):
+            row = (int(gaps[t - 1]), int(windows[t - 1]))
+            assert shim.windows(t) == row == tuple(recorded[t - 1]), t
+
+    def test_plan_is_memoised_and_read_only(self):
+        resolved = resolve_config(base_config())
+        _, schedule = build_model(resolved)
+        learner = build_learner(resolved, schedule)
+        gaps, windows = learner.plan(64)
+        assert learner.plan(64)[0] is gaps
+        with pytest.raises(ValueError):
+            gaps[1] = 5
+        with pytest.raises(ValueError):
+            windows[1] = 5
+
+
+class TestWriteTextAtomic:
+    def test_replaces_whole_file(self, tmp_path):
+        target = tmp_path / "fit.json"
+        target.write_text("old\n")
+        write_text_atomic(target, "new\n")
+        assert target.read_text() == "new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["fit.json"]
+
+    def test_failed_write_keeps_old_file_and_no_temp(self, tmp_path):
+        target = tmp_path / "fit.json"
+        target.write_text("old\n")
+        with pytest.raises(UnicodeEncodeError):
+            write_text_atomic(target, "half" + "\ud800")  # unencodable after the first bytes
+        assert target.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["fit.json"]
+
 
 class TestRunSweep:
     def _sweep_config(self):
@@ -491,6 +567,17 @@ class TestRefitRates:
         with pytest.raises(ConfigError, match="missing curve file"):
             refit_rates(stub)
 
+    def test_unequal_curves_name_the_short_file(self, tmp_path, mini_run):
+        _, record, _, _ = mini_run
+        stub = tmp_path / "stub"
+        stub.mkdir()
+        for name in ("config.json", "curve-0.csv"):
+            (stub / name).write_bytes((Path(record.out_dir) / name).read_bytes())
+        lines = (Path(record.out_dir) / "curve-1.csv").read_text().splitlines(keepends=True)
+        (stub / "curve-1.csv").write_text("".join(lines[:257]))  # header + 256 flushed rows
+        with pytest.raises(ConfigError, match="curve-1.csv has 256 rows"):
+            refit_rates(stub)
+
 
 class TestCli:
     def _write_config(self, tmp_path, **overrides):
@@ -556,6 +643,26 @@ class TestCli:
         assert main(["simulate", "--config", str(cfg), "--seeds", "a,b"]) == 2
         assert "config error: --seeds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "value",
+        [float("inf"), float("-inf"), float("nan"), 10**400],
+        ids=["inf", "-inf", "nan", "huge_int"],
+    )
+    def test_non_finite_number_exits_2_and_names_key(self, tmp_path, capsys, value):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(base_config(learner={"kind": "subsampled_erm", "r": value})))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "config error: learner.r: must be a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_non_positive_jobs_exits_2(self, tmp_path, capsys, jobs):
+        cfg = self._write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), "--jobs", jobs]) == 2
+        assert "config error: --jobs" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_usage_error_exits_2(self, capsys):
         assert main([]) == 2
         assert main(["verify", "--kind", "bogus"]) == 2
@@ -607,6 +714,29 @@ class TestCli:
         assert main(["rates", str(run_dir)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["degenerate"] is False
+
+    def test_rates_horizon_one_rewrites_same_fit(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(base_config(horizon=1, seeds=[0, 1], checkpoints=None)))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        run_dir = next(out.iterdir())
+        written = (run_dir / "fit.json").read_bytes()
+        assert main(["rates", str(run_dir)]) == 0
+        assert (run_dir / "fit.json").read_bytes() == written
+        capsys.readouterr()
+
+    def test_rates_unequal_curves_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(base_config(horizon=64, checkpoints=[8, 16, 32, 64])))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        run_dir = next(out.iterdir())
+        lines = (run_dir / "curve-0.csv").read_text().splitlines(keepends=True)
+        (run_dir / "curve-0.csv").write_text("".join(lines[:33]))
+        capsys.readouterr()
+        assert main(["rates", str(run_dir)]) == 2
+        assert "config error: run_dir: curve-0.csv has 32 rows" in capsys.readouterr().err
 
     def test_rates_missing_dir_exits_2(self, tmp_path, capsys):
         assert main(["rates", str(tmp_path / "nope")]) == 2

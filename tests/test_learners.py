@@ -15,7 +15,6 @@ from driftlab import (
     SubsampledErmLearner,
     ThresholdClass,
     ThresholdHypothesis,
-    baseline_step,
     best_window,
     concept_path,
     constant_window_size,
@@ -284,7 +283,7 @@ class TestLearnerEquivalences:
             expected_last = erm_step(ThresholdClass(), path, t, 1, 1)
             assert h_last.theta == expected_last.theta
 
-        assert baseline_step("last_point", ThresholdClass(), path, 5).theta == last.step(path, 5).theta
+        assert last.step(path, 5).theta == erm_step(ThresholdClass(), path, 5, 1, 1).theta
 
     def test_all_learners_deploy_initial_at_t1(self):
         sched, path = _random_product_path(50, 15)
