@@ -10,9 +10,12 @@ sqrt(d/m) uniform deviation envelope.
 
 from __future__ import annotations
 
+import contextlib
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+import os
+from dataclasses import asdict, dataclass
+from pathlib import Path
+from typing import Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -57,6 +60,40 @@ BLOCKING_MAX_STATES = 4
 BLOCKING_MAX_BLOCKS = 4
 BLOCKING_MAX_GAP = 8
 
+# curve rows are converted and written this many at a time, bounding the text held in memory
+CSV_CHUNK_ROWS = 4096
+
+
+@contextlib.contextmanager
+def _open_atomic(path: str | Path) -> Iterator[TextIO]:
+    """Text handle on a temp file in ``path``'s directory that replaces ``path``
+    only when the ``with`` block succeeds; on failure the temp file is removed."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Replace ``path`` with ``text``; readers see the old file or the new one, never half of it."""
+    with _open_atomic(path) as fh:
+        fh.write(text)
+
+
+def write_curve_rows(fh: TextIO, columns: Sequence[np.ndarray], start: int, stop: int) -> None:
+    """Write curve rows start..stop-1 as ``t,<column values>`` lines with t = row + 1.
+
+    Every value is written as its repr (shortest round-trip float, plain int).
+    """
+    for lo in range(start, stop, CSV_CHUNK_ROWS):
+        hi = min(lo + CSV_CHUNK_ROWS, stop)
+        values = [column[lo:hi].tolist() for column in columns]
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in zip(range(lo + 1, hi + 1), *values))
+
 
 class DegenerateCurveError(ValueError):
     """Raised when a curve has non-positive cumulative excess at a checkpoint."""
@@ -69,8 +106,6 @@ class RegretCurve:
     risks: np.ndarray  # (replicates, horizon)
     inf_risks: np.ndarray  # (horizon,)
     seeds: tuple[int, ...]
-    gaps: np.ndarray | None = None  # (replicates, horizon) subsample gap diagnostics
-    windows: np.ndarray | None = None  # (replicates, horizon) window diagnostics
 
     def __post_init__(self) -> None:
         if self.risks.ndim != 2:
@@ -117,17 +152,14 @@ class RegretCurve:
         return self.cum_excess[cps - 1]
 
     def to_csv(self, path_out: str) -> None:
-        """Replicate-aggregated curve: t, mean_risk, inf_risk, cum_excess, ci_lo, ci_hi."""
-        mean_risk = self.mean_risk
-        cum = self.cum_excess
+        """Replicate-aggregated curve: t, mean_risk, inf_risk, cum_excess, ci_lo, ci_hi.
+
+        Written atomically: a failed write leaves any previous file in place.
+        """
         lo, hi = self.ci_bounds()
-        with open(path_out, "w", encoding="utf-8", newline="") as fh:
+        with _open_atomic(path_out) as fh:
             fh.write("t,mean_risk,inf_risk,cum_excess,ci_lo,ci_hi\n")
-            for t in range(self.horizon):
-                fh.write(
-                    f"{t + 1},{float(mean_risk[t])!r},{float(self.inf_risks[t])!r},"
-                    f"{float(cum[t])!r},{float(lo[t])!r},{float(hi[t])!r}\n"
-                )
+            write_curve_rows(fh, (self.mean_risk, self.inf_risks, self.cum_excess, lo, hi), 0, self.horizon)
 
 
 def _inf_risk_path(function_class: FunctionClass, marginals: Sequence[Marginal], horizon: int) -> np.ndarray:
@@ -188,13 +220,9 @@ def run_experiment(
         raise ValueError("seeds must be distinct")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    risks = np.empty((len(seeds), horizon))
-    gaps = np.empty((len(seeds), horizon), dtype=np.int64)
-    windows = np.empty((len(seeds), horizon), dtype=np.int64)
-    for i, seed in enumerate(seeds):
-        risks[i], gaps[i], windows[i] = run_single(model, learner, horizon, seed)
+    risks = np.stack([run_single(model, learner, horizon, seed)[0] for seed in seeds])
     inf_risks = _inf_risk_path(learner.function_class, model.marginals, horizon)
-    return RegretCurve(risks=risks, inf_risks=inf_risks, seeds=seeds, gaps=gaps, windows=windows)
+    return RegretCurve(risks=risks, inf_risks=inf_risks, seeds=seeds)
 
 
 def theoretical_exponent(alpha: float, r: float) -> float:
@@ -218,14 +246,7 @@ class RateFit:
     theoretical: float | None = None
 
     def to_json(self) -> dict:
-        return {
-            "exponent": self.exponent,
-            "intercept": self.intercept,
-            "t_min": self.t_min,
-            "t_max": self.t_max,
-            "residual_norm": self.residual_norm,
-            "theoretical": self.theoretical,
-        }
+        return asdict(self)
 
 
 def geometric_checkpoints(t_min: int, t_max: int, ratio: float = math.sqrt(2.0)) -> tuple[int, ...]:
@@ -312,15 +333,7 @@ class BlockingReport:
         return self.bound - self.tv_gap
 
     def to_json(self) -> dict:
-        return {
-            "states": self.states,
-            "t": self.t,
-            "blocks": self.blocks,
-            "gap": self.gap,
-            "tv_gap": self.tv_gap,
-            "bound": self.bound,
-            "slack": self.slack,
-        }
+        return {**asdict(self), "slack": self.slack}
 
 
 def verify_blocking(model: ProcessModel, t: int, blocks: int, gap: int) -> BlockingReport:
@@ -371,14 +384,7 @@ class UniformDeviationReport:
         return np.asarray(self.estimates) / np.sqrt(self.d / ms)
 
     def to_json(self) -> dict:
-        return {
-            "d": self.d,
-            "m_grid": list(self.m_grid),
-            "trials": self.trials,
-            "estimates": list(self.estimates),
-            "fitted_exponent": self.fitted_exponent,
-            "envelope_constant": self.envelope_constant,
-        }
+        return asdict(self)
 
 
 def _abs_sum_to(sorted_values: np.ndarray, prefix: np.ndarray, queries: np.ndarray) -> np.ndarray:

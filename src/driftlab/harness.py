@@ -12,8 +12,8 @@ resolved form is hashed so outputs land in a content-addressed directory:
     out/<hash>/run.json           record incl. wall clock (the only non-reproducible field)
 
 Identical (config bytes, seeds, version) reproduce identical CSV/fit/summary
-bytes; curve files are flushed at power-of-two steps so partial curves survive
-interruption.
+bytes; per-seed curve files are flushed at power-of-two steps so partial curves
+survive interruption, and every other file is replaced atomically.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import hashlib
 import itertools
 import json
 import math
-import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -45,7 +44,6 @@ from .distributions import (
     tv_distance,
 )
 from .evaluation import (
-    DegenerateCurveError,
     RateFit,
     RegretCurve,
     _inf_risk_path,
@@ -56,6 +54,8 @@ from .evaluation import (
     theoretical_exponent,
     verify_blocking,
     verify_uniform_deviation,
+    write_curve_rows,
+    write_text_atomic,
 )
 from .hypotheses import ThresholdClass
 from .learners import (
@@ -91,6 +91,15 @@ __all__ = [
 ]
 
 VERIFY_KINDS = ("blocking", "uniform_deviation", "discrepancy", "mixing_rate")
+# the options each verify family reads; any other option is rejected
+VERIFY_OPTIONS = {
+    "blocking": ("states", "blocks", "gaps", "ts", "flips"),
+    "uniform_deviation": ("trials", "seed", "m_grid", "eta"),
+    "discrepancy": ("pairs", "grid_pairs", "seed"),
+    "mixing_rate": ("cap", "r", "states", "flips"),
+}
+# verify options set by a CLI flag are named by that flag in errors
+VERIFY_FLAGS = {"trials": "--trials", "pairs": "--pairs", "seed": "--seed", "m_grid": "--m-grid"}
 
 DRIFT_KINDS = ("power_step", "constant", "triangle_wave")
 PROCESS_KINDS = ("product", "markov_modulated")
@@ -142,6 +151,15 @@ def _as_int(value: Any, key: str) -> int:
     return int(value)
 
 
+def _checkpoint_list(values: Any, horizon: int, key: str) -> list[int]:
+    """Validate an explicit checkpoint list: non-empty, strictly increasing ints in [1, horizon]."""
+    checkpoints = [_as_int(v, key) for v in values]
+    _require(len(checkpoints) > 0, key, "must be non-empty")
+    _require(all(1 <= v <= horizon for v in checkpoints), key, "must lie in [1, horizon]")
+    _require(all(b > a for a, b in zip(checkpoints, checkpoints[1:])), key, "must be strictly increasing")
+    return checkpoints
+
+
 def resolve_config(raw: dict) -> dict:
     """Validate a raw config dict and return the canonical resolved form.
 
@@ -187,6 +205,7 @@ def resolve_config(raw: dict) -> dict:
     _require(0.0 <= alpha < 1.0, "drift.alpha", "must lie in [0,1)")
     drift["alpha"] = alpha
     drift["seed"] = _as_int(drift_raw.get("seed", 0), "drift.seed")
+    _require(drift["seed"] >= 0, "drift.seed", "must be >= 0")
 
     concept_raw = raw.get("concept", {})
     _require(isinstance(concept_raw, dict), "concept", "must be an object")
@@ -220,7 +239,7 @@ def resolve_config(raw: dict) -> dict:
 
     fc_raw = raw.get("function_class", {"kind": "threshold"})
     _require(isinstance(fc_raw, dict), "function_class", "must be an object")
-    _check_keys(fc_raw, ["kind", "path"], "function_class")
+    _check_keys(fc_raw, ["kind"], "function_class")
     fc_kind = fc_raw.get("kind", "threshold")
     _require(fc_kind in ("threshold", "finite_explicit"), "function_class.kind", "must be 'threshold' or 'finite_explicit'")
     _require(
@@ -258,14 +277,7 @@ def resolve_config(raw: dict) -> dict:
             else [horizon]
         )
     elif isinstance(checkpoints_raw, list):
-        checkpoints = [_as_int(v, "checkpoints") for v in checkpoints_raw]
-        _require(len(checkpoints) > 0, "checkpoints", "must be non-empty")
-        _require(all(1 <= v <= horizon for v in checkpoints), "checkpoints", "must lie in [1, horizon]")
-        _require(
-            all(b > a for a, b in zip(checkpoints, checkpoints[1:])),
-            "checkpoints",
-            "must be strictly increasing",
-        )
+        checkpoints = _checkpoint_list(checkpoints_raw, horizon, "checkpoints")
     elif isinstance(checkpoints_raw, dict):
         _check_keys(checkpoints_raw, ["t_min", "t_max", "ratio"], "checkpoints")
         t_min = _as_int(checkpoints_raw.get("t_min"), "checkpoints.t_min")
@@ -318,19 +330,6 @@ def canonical_json(resolved: dict) -> str:
 def config_hash(resolved: dict) -> str:
     payload = {k: v for k, v in resolved.items() if k != "sweep"}
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()[:12]
-
-
-def write_text_atomic(path: str | Path, text: str) -> None:
-    """Replace ``path`` with ``text`` via a temp file in the same directory, so
-    readers see the old file or the new one, never half of it."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -395,32 +394,23 @@ def _run_seed_streaming(
     inf_risks: np.ndarray,
     seed: int,
     curve_path: str,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """One replicate with CSV rows flushed at every power-of-two step."""
+    gaps, windows = learner.plan(horizon)
     with open(curve_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("t,risk,inf_risk,cum_excess,win_k,win_m\n")
         written = 0
-        cum = 0.0
 
-        def flush_rows(upto: int, risks: np.ndarray, gaps: np.ndarray, windows: np.ndarray) -> None:
-            nonlocal written, cum
-            rows = []
-            for t in range(written, upto):
-                cum += risks[t] - inf_risks[t]
-                rows.append(
-                    f"{t + 1},{float(risks[t])!r},{float(inf_risks[t])!r},"
-                    f"{float(cum)!r},{int(gaps[t])},{int(windows[t])}\n"
-                )
-            fh.writelines(rows)
-            written = upto
-
-        def checkpoint(t: int, risks: np.ndarray, gaps: np.ndarray, windows: np.ndarray) -> None:
-            flush_rows(t, risks, gaps, windows)
+        def checkpoint(t: int, risks: np.ndarray, *_plan: np.ndarray) -> None:
+            nonlocal written
+            cum_excess = np.cumsum(risks[:t] - inf_risks[:t])
+            write_curve_rows(fh, (risks, inf_risks, cum_excess, gaps, windows), written, t)
+            written = t
             fh.flush()
 
-        risks, gaps, windows = run_single(model, learner, horizon, seed, checkpoint=checkpoint)
-        flush_rows(horizon, risks, gaps, windows)
-    return risks, gaps, windows
+        risks, _, _ = run_single(model, learner, horizon, seed, checkpoint=checkpoint)
+        checkpoint(horizon, risks)
+    return risks
 
 
 def run_config(resolved: dict, out_root: str | Path, jobs: int = 1) -> tuple[RunRecord, RegretCurve]:
@@ -448,37 +438,11 @@ def run_config(resolved: dict, out_root: str | Path, jobs: int = 1) -> tuple[Run
     else:
         results = list(map(run_seed, seeds, curve_files))
 
-    risks, gaps, windows = (np.stack(column) for column in zip(*results))
-    curve = RegretCurve(
-        risks=risks, inf_risks=inf_risks, seeds=tuple(seeds), gaps=gaps, windows=windows
-    )
+    curve = RegretCurve(risks=np.stack(results), inf_risks=inf_risks, seeds=tuple(seeds))
     curve.to_csv(str(out_dir / "curve-mean.csv"))
 
-    checkpoints = build_checkpoints(resolved)
-    theoretical = None
-    if resolved["learner"]["kind"] == "subsampled_erm":
-        theoretical = theoretical_exponent(resolved["learner"]["alpha"], resolved["learner"]["r"])
-    fit: RateFit | None = None
-    skip_reason: str | None = None
-    try:
-        fit = fit_growth_exponent(
-            checkpoints, curve.checkpoint_values(checkpoints), theoretical=theoretical
-        )
-    except (DegenerateCurveError, ValueError) as err:
-        skip_reason = str(err)
-
-    fit_payload: dict[str, Any] = {
-        "schema_version": SCHEMA_VERSION,
-        "config_hash": digest,
-        "checkpoints": list(checkpoints),
-    }
-    if fit is not None:
-        fit_payload.update(fit.to_json())
-        fit_payload["degenerate"] = False
-    else:
-        fit_payload["degenerate"] = True
-        fit_payload["skipped"] = skip_reason
-    _write_json(out_dir / "fit.json", fit_payload)
+    fit_payload, fit = _write_fit(out_dir, resolved, digest, curve, build_checkpoints(resolved))
+    skip_reason = fit_payload.get("skipped")
     _write_summary(out_dir / "summary.txt", resolved, digest, curve, fit, skip_reason)
 
     wall = time.monotonic() - start
@@ -503,6 +467,33 @@ def run_config(resolved: dict, out_root: str | Path, jobs: int = 1) -> tuple[Run
         },
     )
     return record, curve
+
+
+def _write_fit(
+    out_dir: Path, resolved: dict, digest: str, curve: RegretCurve, checkpoints: Sequence[int]
+) -> tuple[dict, RateFit | None]:
+    """Fit the growth exponent at ``checkpoints`` and write ``fit.json``.
+
+    Returns the payload and the fit, or None when the fit was skipped (the
+    payload then has ``degenerate`` set and the reason under ``skipped``).
+    """
+    learner = resolved["learner"]
+    theoretical = None
+    if learner["kind"] == "subsampled_erm":
+        theoretical = theoretical_exponent(learner["alpha"], learner["r"])
+    payload: dict[str, Any] = {
+        "schema_version": SCHEMA_VERSION,
+        "config_hash": digest,
+        "checkpoints": list(checkpoints),
+    }
+    fit: RateFit | None = None
+    try:
+        fit = fit_growth_exponent(checkpoints, curve.checkpoint_values(checkpoints), theoretical=theoretical)
+        payload.update(fit.to_json(), degenerate=False)
+    except ValueError as err:  # DegenerateCurveError included
+        payload.update(degenerate=True, skipped=str(err))
+    _write_json(out_dir / "fit.json", payload)
+    return payload, fit
 
 
 def _write_summary(
@@ -684,12 +675,18 @@ def _verify_blocking_default(options: dict) -> tuple[dict, bool]:
     )
 
 
+def _verify_int(options: dict, name: str, default: int, minimum: int) -> int:
+    value = int(options.get(name, default))
+    _require(value >= minimum, VERIFY_FLAGS.get(name, name), f"must be >= {minimum}, got {value}")
+    return value
+
+
 def _verify_uniform_deviation_default(options: dict) -> tuple[dict, bool]:
-    trials = int(options.get("trials", 2000))
-    if trials < 2:
-        raise ConfigError("trials", f"insufficient trials for a deviation estimate, got {trials}")
-    seed = int(options.get("seed", 0))
-    m_grid = options.get("m_grid") or [2**j for j in range(4, 15)]
+    trials = _verify_int(options, "trials", 2000, 2)
+    seed = _verify_int(options, "seed", 0, 0)
+    m_grid = options.get("m_grid", [2**j for j in range(4, 15)])
+    _require(len(m_grid) > 0 and min(m_grid) >= 1, "--m-grid", "needs at least one size, every size >= 1")
+    _require(all(b > a for a, b in zip(m_grid, m_grid[1:])), "--m-grid", "must be strictly increasing")
     eta = float(options.get("eta", 0.1))
     horizon = max(m_grid)
     function_class = ThresholdClass()
@@ -711,9 +708,9 @@ def _verify_uniform_deviation_default(options: dict) -> tuple[dict, bool]:
 
 
 def _verify_discrepancy_default(options: dict) -> tuple[dict, bool]:
-    pairs = int(options.get("pairs", 10000))
-    grid_pairs = int(options.get("grid_pairs", 1000))
-    seed = int(options.get("seed", 0))
+    pairs = _verify_int(options, "pairs", 10000, 1)
+    grid_pairs = _verify_int(options, "grid_pairs", 1000, 1)
+    seed = _verify_int(options, "seed", 0, 0)
     rng = np.random.default_rng(seed)
     fclass = ThresholdClass()
     tol = 1e-9
@@ -785,15 +782,16 @@ def _verify_mixing_rate_default(options: dict) -> tuple[dict, bool]:
 def run_verify(kind: str, options: dict | None = None) -> tuple[dict, bool]:
     """Run one verification family; returns (JSON-compatible report, all-pass)."""
     options = options or {}
+    _require(kind in VERIFY_KINDS, "--kind", f"must be one of {VERIFY_KINDS}")
+    for name in options:
+        _require(name in VERIFY_OPTIONS[kind], VERIFY_FLAGS.get(name, name), f"not read by --kind {kind}")
     if kind == "blocking":
         return _verify_blocking_default(options)
     if kind == "uniform_deviation":
         return _verify_uniform_deviation_default(options)
     if kind == "discrepancy":
         return _verify_discrepancy_default(options)
-    if kind == "mixing_rate":
-        return _verify_mixing_rate_default(options)
-    raise ConfigError("--kind", f"must be one of {VERIFY_KINDS}")
+    return _verify_mixing_rate_default(options)
 
 
 def refit_rates(run_dir: str | Path, checkpoints: Sequence[int] | None = None) -> dict:
@@ -805,6 +803,9 @@ def refit_rates(run_dir: str | Path, checkpoints: Sequence[int] | None = None) -
     with open(config_path, "r", encoding="utf-8") as fh:
         resolved = json.load(fh)
     seeds = resolved["seeds"]
+    cps = resolved["checkpoints"]
+    if checkpoints is not None:
+        cps = _checkpoint_list(list(checkpoints), resolved["horizon"], "--checkpoints")
     curves = {}
     for seed in seeds:
         curve_path = run_dir / f"curve-{seed}.csv"
@@ -814,29 +815,12 @@ def refit_rates(run_dir: str | Path, checkpoints: Sequence[int] | None = None) -
     rows = {name: data.shape[0] for name, data in curves.items()}
     short = min(rows, key=rows.get)
     _require(
-        rows[short] == max(rows.values()),
+        rows[short] == resolved["horizon"],
         "run_dir",
-        f"{short} has {rows[short]} rows, fewer than the other curves (interrupted run?)",
+        f"{short} has {rows[short]} rows, fewer than the horizon {resolved['horizon']} (interrupted run?)",
     )
     data = list(curves.values())
     curve = RegretCurve(
         risks=np.stack([d[:, 1] for d in data]), inf_risks=data[-1][:, 2], seeds=tuple(seeds)
     )
-    cps = tuple(int(v) for v in (checkpoints or resolved["checkpoints"]))
-    theoretical = None
-    if resolved["learner"]["kind"] == "subsampled_erm":
-        theoretical = theoretical_exponent(resolved["learner"]["alpha"], resolved["learner"]["r"])
-    fit_payload: dict[str, Any] = {
-        "schema_version": SCHEMA_VERSION,
-        "config_hash": config_hash(resolved),
-        "checkpoints": list(cps),
-    }
-    try:
-        fit = fit_growth_exponent(cps, curve.checkpoint_values(cps), theoretical=theoretical)
-        fit_payload.update(fit.to_json())
-        fit_payload["degenerate"] = False
-    except (DegenerateCurveError, ValueError) as err:
-        fit_payload["degenerate"] = True
-        fit_payload["skipped"] = str(err)
-    _write_json(run_dir / "fit.json", fit_payload)
-    return fit_payload
+    return _write_fit(run_dir, resolved, config_hash(resolved), curve, cps)[0]

@@ -10,7 +10,7 @@ marginal exactly while making the sequence dependent.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence, Union
 
 import numpy as np
@@ -255,12 +255,7 @@ class MixingRateReport:
     violation: bool
 
     def to_json(self) -> dict:
-        return {
-            "r": self.r,
-            "bound_constant": self.bound_constant,
-            "worst_k": self.worst_k,
-            "violation": self.violation,
-        }
+        return asdict(self)
 
 
 def mixing_profile(model: ProcessModel, r: float, k_max: int = DEFAULT_K_MAX) -> MixingProfile:

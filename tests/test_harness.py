@@ -1,6 +1,7 @@
 """Config validation, deterministic run orchestration, sweeps, verify and CLI."""
 
 import copy
+import errno
 import json
 import subprocess
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import driftlab.evaluation as evaluation_mod
 import driftlab.harness as harness_mod
 import driftlab.learners as learners_mod
 from driftlab import (
@@ -111,6 +113,7 @@ ERROR_CASES = [
     ({"drift": {"kind": "constant", "gamma": 0.9}}, "concept.eta"),
     ({"drift": {"kind": "power_step", "alpha": 1.0}}, "drift.alpha"),
     ({"drift": {"kind": "power_step", "alpha": 0.25, "c0": 0.0}}, "drift.c0"),
+    ({"drift": {"kind": "triangle_wave", "alpha": 0.25, "seed": -1}}, "drift.seed"),
     ({"concept": {"eta": 0.5}}, "concept.eta"),
     ({"concept": {"theta0": 1.5}}, "concept.theta0"),
     (
@@ -124,6 +127,7 @@ ERROR_CASES = [
     ({"process": {"kind": "markov_modulated", "states": 4, "flip": 1.0}}, "process.flip"),
     ({"function_class": {"kind": "finite_explicit"}}, "function_class.kind"),
     ({"function_class": {"kind": "nope"}}, "function_class.kind"),
+    ({"function_class": {"kind": "threshold", "path": "classes.json"}}, "function_class.path"),
     ({"learner": {"kind": "nope"}}, "learner.kind"),
     ({"learner": {"kind": "subsampled_erm"}}, "learner.r"),
     ({"learner": {"kind": "subsampled_erm", "r": 0.0}}, "learner.r"),
@@ -285,6 +289,47 @@ class TestRunConfig:
         regenerated = tmp_path / "mean.csv"
         curve.to_csv(str(regenerated))
         assert regenerated.read_bytes() == (Path(record.out_dir) / "curve-mean.csv").read_bytes()
+
+    def test_failed_mean_csv_write_keeps_old_file_and_no_temp(self, mini_run, tmp_path, monkeypatch):
+        _, record, curve, _ = mini_run
+        target = tmp_path / "curve-mean.csv"
+        target.write_bytes((Path(record.out_dir) / "curve-mean.csv").read_bytes())
+        before = target.read_bytes()
+        real_open = open
+
+        class DiskFull:
+            """Write handle that fails with ENOSPC after its first 4 kB."""
+
+            def __init__(self, fh):
+                self.fh, self.room = fh, 4096
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                if len(text) > self.room:
+                    self.fh.write(text[: self.room])
+                    self.fh.flush()
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                self.room -= len(text)
+                return self.fh.write(text)
+
+            def writelines(self, lines):
+                for line in lines:
+                    self.write(line)
+
+        def opener(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            return DiskFull(fh) if "w" in mode else fh
+
+        monkeypatch.setattr(evaluation_mod, "open", opener, raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            curve.to_csv(str(target))  # 512 rows, far more than 4 kB
+        assert target.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["curve-mean.csv"]
 
     def test_fit_json(self, mini_run):
         _, record, curve, _ = mini_run
@@ -536,6 +581,11 @@ class TestRunVerify:
         with pytest.raises(ConfigError, match="trials"):
             run_verify("uniform_deviation", {"trials": 1})
 
+    def test_non_positive_grid_pairs(self):
+        with pytest.raises(ConfigError) as excinfo:
+            run_verify("discrepancy", {"pairs": 10, "grid_pairs": 0})
+        assert excinfo.value.key == "grid_pairs"
+
 
 class TestRefitRates:
     def test_refit_reproduces_fit(self, mini_run):
@@ -577,6 +627,17 @@ class TestRefitRates:
         (stub / "curve-1.csv").write_text("".join(lines[:257]))  # header + 256 flushed rows
         with pytest.raises(ConfigError, match="curve-1.csv has 256 rows"):
             refit_rates(stub)
+
+    def test_curves_shorter_than_horizon_keep_fit(self, tmp_path):
+        resolved = resolve_config(base_config(seeds=[0]))
+        record, _ = run_config(resolved, tmp_path)
+        run_dir = Path(record.out_dir)
+        written = (run_dir / "fit.json").read_bytes()
+        lines = (run_dir / "curve-0.csv").read_text().splitlines(keepends=True)
+        (run_dir / "curve-0.csv").write_text("".join(lines[:257]))  # header + 256 of 512 rows
+        with pytest.raises(ConfigError, match="curve-0.csv has 256 rows, fewer than the horizon 512"):
+            refit_rates(run_dir)
+        assert (run_dir / "fit.json").read_bytes() == written
 
 
 class TestCli:
@@ -705,6 +766,37 @@ class TestCli:
         payload = json.loads(report_path.read_text())
         assert payload["ok"] is True
 
+    @pytest.mark.parametrize(
+        "flags,key",
+        [
+            (["--kind", "discrepancy", "--pairs", "0"], "--pairs"),
+            (["--kind", "discrepancy", "--pairs", "-4"], "--pairs"),
+            (["--kind", "discrepancy", "--seed", "-1"], "--seed"),
+            (["--kind", "uniform_deviation", "--seed", "-1"], "--seed"),
+            (["--kind", "uniform_deviation", "--m-grid", "0,16"], "--m-grid"),
+            (["--kind", "uniform_deviation", "--m-grid", "32,16"], "--m-grid"),
+            (["--kind", "uniform_deviation", "--m-grid", ","], "--m-grid"),
+            (["--kind", "blocking", "--trials", "5"], "--trials"),
+            (["--kind", "mixing_rate", "--pairs", "5"], "--pairs"),
+        ],
+        ids=[
+            "pairs0",
+            "pairs-4",
+            "seed-1",
+            "ud_seed-1",
+            "m_grid0",
+            "m_grid_down",
+            "m_grid_empty",
+            "unread_trials",
+            "unread_pairs",
+        ],
+    )
+    def test_bad_verify_flag_exits_2_and_names_flag(self, tmp_path, capsys, flags, key):
+        report = tmp_path / "report.json"
+        assert main(["verify", *flags, "--out", str(report)]) == 2
+        assert f"config error: {key}: " in capsys.readouterr().err
+        assert not report.exists()
+
     def test_rates_cli(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path)
         out = tmp_path / "out"
@@ -737,6 +829,18 @@ class TestCli:
         capsys.readouterr()
         assert main(["rates", str(run_dir)]) == 2
         assert "config error: run_dir: curve-0.csv has 32 rows" in capsys.readouterr().err
+
+    def test_rates_bad_checkpoints_exit_2_and_keep_fit(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        run_dir = next(out.iterdir())
+        written = (run_dir / "fit.json").read_bytes()
+        capsys.readouterr()
+        for bad in ("0,5", "8,4", "4,200", "4,x"):
+            assert main(["rates", str(run_dir), "--checkpoints", bad]) == 2, bad
+            assert "config error: --checkpoints: " in capsys.readouterr().err
+            assert (run_dir / "fit.json").read_bytes() == written
 
     def test_rates_missing_dir_exits_2(self, tmp_path, capsys):
         assert main(["rates", str(tmp_path / "nope")]) == 2
