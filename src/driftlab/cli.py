@@ -20,6 +20,7 @@ import traceback
 from .harness import (
     ConfigError,
     VERIFY_KINDS,
+    json_text,
     refit_rates,
     resolve_config,
     run_config,
@@ -51,20 +52,19 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
         raise ConfigError(flag, f"expected comma-separated integers, got {text!r}")
 
 
-def _apply_overrides(raw: dict, args: argparse.Namespace) -> dict:
-    if getattr(args, "seeds", None):
-        raw = dict(raw)
+def _resolve_run_args(args: argparse.Namespace) -> tuple[dict, dict, str]:
+    """The raw config with the --seeds/--checkpoints overrides, its resolved form and the output root."""
+    raw = _load_config(args.config)
+    if args.seeds:
         raw["seeds"] = _parse_int_list(args.seeds, "--seeds")
-    if getattr(args, "checkpoints", None):
-        raw = dict(raw)
+    if args.checkpoints:
         raw["checkpoints"] = _parse_int_list(args.checkpoints, "--checkpoints")
-    return raw
+    resolved = resolve_config(raw)
+    return raw, resolved, args.out or resolved["out"]
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    raw = _apply_overrides(_load_config(args.config), args)
-    resolved = resolve_config(raw)
-    out_root = args.out or resolved["out"]
+    _, resolved, out_root = _resolve_run_args(args)
     record, curve = run_config(resolved, out_root, jobs=args.jobs)
     print(f"run {record.config_hash} -> {record.out_dir}")
     if record.fit is not None:
@@ -76,9 +76,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    raw = _apply_overrides(_load_config(args.config), args)
-    resolved = resolve_config(raw)
-    out_root = args.out or resolved["out"]
+    raw, _, out_root = _resolve_run_args(args)
     # pass the raw config so per-cell re-resolution re-derives inherited
     # defaults (learner gamma/alpha) from each cell's swept drift values
     record = run_sweep(raw, out_root, jobs=args.jobs)
@@ -99,19 +97,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.m_grid:
         options["m_grid"] = _parse_int_list(args.m_grid, "--m-grid")
     report, ok = run_verify(args.kind, options)
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = json_text(report)
     if args.out:
-        write_text_atomic(args.out, text + "\n")
+        write_text_atomic(args.out, text)
         print(f"verify {args.kind}: {'ok' if ok else 'FAILED'} -> {args.out}")
     else:
-        print(text)
+        sys.stdout.write(text)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def _cmd_rates(args: argparse.Namespace) -> int:
     checkpoints = _parse_int_list(args.checkpoints, "--checkpoints") if args.checkpoints else None
     payload = refit_rates(args.run_dir, checkpoints)
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    sys.stdout.write(json_text(payload))
     return EXIT_OK
 
 
@@ -119,21 +117,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="driftlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", help="run one experiment config")
-    p_sim.add_argument("--config", required=True, help="path to a JSON experiment config")
-    p_sim.add_argument("--out", default=None, help="output root (default: config 'out')")
-    p_sim.add_argument("--seeds", default=None, help="comma-separated seed override")
-    p_sim.add_argument("--checkpoints", default=None, help="comma-separated checkpoint override")
-    p_sim.add_argument("--jobs", type=int, default=1, help="parallel seed workers")
-    p_sim.set_defaults(func=_cmd_simulate)
-
-    p_sweep = sub.add_parser("sweep", help="run every cell of a config's sweep")
-    p_sweep.add_argument("--config", required=True, help="path to a JSON experiment config")
-    p_sweep.add_argument("--out", default=None, help="output root (default: config 'out')")
-    p_sweep.add_argument("--seeds", default=None, help="comma-separated seed override")
-    p_sweep.add_argument("--checkpoints", default=None, help="comma-separated checkpoint override")
-    p_sweep.add_argument("--jobs", type=int, default=1, help="parallel seed workers")
-    p_sweep.set_defaults(func=_cmd_sweep)
+    for name, func, help_text in (
+        ("simulate", _cmd_simulate, "run one experiment config"),
+        ("sweep", _cmd_sweep, "run every cell of a config's sweep"),
+    ):
+        p_run = sub.add_parser(name, help=help_text)
+        p_run.add_argument("--config", required=True, help="path to a JSON experiment config")
+        p_run.add_argument("--out", default=None, help="output root (default: config 'out')")
+        p_run.add_argument("--seeds", default=None, help="comma-separated seed override")
+        p_run.add_argument("--checkpoints", default=None, help="comma-separated checkpoint override")
+        p_run.add_argument("--jobs", type=int, default=1, help="parallel seed workers")
+        p_run.set_defaults(func=func)
 
     p_ver = sub.add_parser("verify", help="run an exact verification family")
     p_ver.add_argument("--kind", required=True, choices=VERIFY_KINDS)

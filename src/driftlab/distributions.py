@@ -311,7 +311,7 @@ def discrepancy(p: Marginal, q: Marginal, function_class) -> float:
     optimum sits at a risk-curve breakpoint; finite classes are enumerated.
     Always bounded by tv_distance(p, q).
     """
-    from .hypotheses import FiniteExplicitClass, ThresholdClass, risk
+    from .hypotheses import FiniteExplicitClass, ThresholdClass
 
     _require_same_family(p, q)
     if isinstance(function_class, ThresholdClass):

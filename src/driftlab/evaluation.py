@@ -25,10 +25,11 @@ from .hypotheses import (
     FunctionClass,
     ThresholdClass,
     ThresholdHypothesis,
+    cut_losses,
     inf_risk,
     risk,
 )
-from .learners import Learner
+from .learners import Learner, _validate_alpha_r
 from .processes import (
     MarkovModulatedProcess,
     ProcessModel,
@@ -227,10 +228,7 @@ def run_experiment(
 
 def theoretical_exponent(alpha: float, r: float) -> float:
     """Predicted growth exponent alpha + (1-alpha)*(3+3r)/(3+4r) of cumulative excess."""
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"alpha must lie in [0,1), got {alpha}")
-    if not r > 0.0:
-        raise ValueError(f"r must be positive, got {r}")
+    _validate_alpha_r(alpha, r)
     return alpha + (1.0 - alpha) * (3.0 + 3.0 * r) / (3.0 + 4.0 * r)
 
 
@@ -410,13 +408,8 @@ def _threshold_sup_deviation(
     all are evaluated, including right-limits at sample points.
     """
     m = xs.size
-    order = np.argsort(xs, kind="stable")
-    x = xs[order]
-    y = ys[order]
-    ones_before = np.concatenate(([0], np.cumsum(y)))
-    total_ones = ones_before[-1]
-    zeros_from = (m - total_ones) - (np.arange(m + 1) - ones_before)
-    emp = (ones_before + zeros_from) / m
+    x, losses = cut_losses(xs, ys)
+    emp = losses / m
 
     scale = 1.0 - 2.0 * eta
 

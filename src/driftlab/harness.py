@@ -21,6 +21,7 @@ from __future__ import annotations
 import copy
 import functools
 import hashlib
+import inspect
 import itertools
 import json
 import math
@@ -90,14 +91,6 @@ __all__ = [
     "VERIFY_KINDS",
 ]
 
-VERIFY_KINDS = ("blocking", "uniform_deviation", "discrepancy", "mixing_rate")
-# the options each verify family reads; any other option is rejected
-VERIFY_OPTIONS = {
-    "blocking": ("states", "blocks", "gaps", "ts", "flips"),
-    "uniform_deviation": ("trials", "seed", "m_grid", "eta"),
-    "discrepancy": ("pairs", "grid_pairs", "seed"),
-    "mixing_rate": ("cap", "r", "states", "flips"),
-}
 # verify options set by a CLI flag are named by that flag in errors
 VERIFY_FLAGS = {"trials": "--trials", "pairs": "--pairs", "seed": "--seed", "m_grid": "--m-grid"}
 
@@ -332,8 +325,13 @@ def config_hash(resolved: dict) -> str:
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()[:12]
 
 
+def json_text(payload: dict) -> str:
+    """The layout of every JSON file and report; a non-finite number raises ValueError."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    write_text_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_text_atomic(path, json_text(payload))
 
 
 def _build_schedule(resolved: dict) -> DriftSchedule:
@@ -413,9 +411,13 @@ def _run_seed_streaming(
     return risks
 
 
+def _check_jobs(jobs: int) -> None:
+    _require(jobs >= 1, "--jobs", f"must be >= 1, got {jobs}")
+
+
 def run_config(resolved: dict, out_root: str | Path, jobs: int = 1) -> tuple[RunRecord, RegretCurve]:
     """Execute one experiment config; writes the content-addressed output directory."""
-    _require(jobs >= 1, "--jobs", f"must be >= 1, got {jobs}")
+    _check_jobs(jobs)
     start = time.monotonic()
     digest = config_hash(resolved)
     out_dir = Path(out_root) / digest
@@ -528,14 +530,18 @@ def _write_summary(
     write_text_atomic(path_out, "\n".join(lines) + "\n")
 
 
-def _set_by_dotted_key(config: dict, dotted: str, value: Any) -> None:
-    parts = dotted.split(".")
-    node = config
-    for part in parts[:-1]:
-        if not isinstance(node.get(part), dict):
-            node[part] = {}
-        node = node[part]
-    node[parts[-1]] = value
+def _cell_config(raw: dict, cell: dict) -> dict:
+    """A copy of the raw config without its sweep, patched with the cell's dotted keys."""
+    config = copy.deepcopy({k: v for k, v in raw.items() if k != "sweep"})
+    for dotted, value in cell.items():
+        *parents, leaf = dotted.split(".")
+        node = config
+        for part in parents:
+            if not isinstance(node.get(part), dict):
+                node[part] = {}
+            node = node[part]
+        node[leaf] = value
+    return config
 
 
 @dataclass
@@ -566,12 +572,15 @@ def run_sweep(raw: dict, out_root: str | Path, jobs: int = 1) -> SweepRecord:
     Cells patch the *raw* config before per-cell resolution, so defaults that
     inherit across sections (a constant-window learner's gamma, a subsampled
     learner's alpha) track each cell's swept drift parameters instead of the
-    base config's values.
+    base config's values.  Every cell is resolved, and ``jobs`` checked, before
+    the first cell runs, so a bad cell exits without writing any run.
     """
     resolved = resolve_config(raw)
     cells = _expand_cells(resolved)
     if not cells:
         raise ConfigError("sweep", "sweep grid/cells must produce at least one cell")
+    _check_jobs(jobs)
+    cell_configs = [resolve_config(_cell_config(raw, cell)) for cell in cells]
     out_root = Path(out_root)
     out_root.mkdir(parents=True, exist_ok=True)
     sweep_digest = hashlib.sha256(
@@ -581,15 +590,9 @@ def run_sweep(raw: dict, out_root: str | Path, jobs: int = 1) -> SweepRecord:
     swept_keys = sorted({key for cell in cells for key in cell})
     rows: list[dict] = []
     failures: list[dict] = []
-    for cell in cells:
-        base = copy.deepcopy({k: v for k, v in raw.items() if k != "sweep"})
-        for key, value in cell.items():
-            _set_by_dotted_key(base, key, value)
+    for cell, cell_resolved in zip(cells, cell_configs):
         try:
-            cell_resolved = resolve_config(base)
             record, curve = run_config(cell_resolved, out_root, jobs=jobs)
-        except ConfigError:
-            raise
         except Exception as err:  # runtime failure in one cell: keep the rest
             failures.append({"cell": cell, "error": f"{type(err).__name__}: {err}"})
             continue
@@ -639,55 +642,48 @@ def run_sweep(raw: dict, out_root: str | Path, jobs: int = 1) -> SweepRecord:
     )
 
 
-def _verify_blocking_default(options: dict) -> tuple[dict, bool]:
-    states_grid = options.get("states", [2, 3, 4])
-    blocks_grid = options.get("blocks", [2, 3, 4])
-    gaps_grid = options.get("gaps", list(range(1, 9)))
-    ts_grid = options.get("ts", [1, 2, 3, 4, 5])
-    flips_grid = options.get("flips", [0.1, 0.3, 0.45])
+def _verify_int(value: Any, name: str, minimum: int) -> int:
+    value = int(value)
+    _require(value >= minimum, VERIFY_FLAGS.get(name, name), f"must be >= {minimum}, got {value}")
+    return value
+
+
+def _verify_blocking(
+    *, states=(2, 3, 4), blocks=(2, 3, 4), gaps=tuple(range(1, 9)), ts=(1, 2, 3, 4, 5), flips=(0.1, 0.3, 0.45)
+) -> dict:
     reports = []
     min_slack = math.inf
     worst = None
     path = ConceptPath(np.array([0.5]), 0.1)
-    for states in states_grid:
-        for flip in flips_grid:
-            model = MarkovModulatedProcess(transition=symmetric_chain(states, flip), marginals=path)
-            for blocks in blocks_grid:
-                for gap in gaps_grid:
-                    for t in ts_grid:
-                        report = verify_blocking(model, t=t, blocks=blocks, gap=gap)
+    for n_states in states:
+        for flip in flips:
+            model = MarkovModulatedProcess(transition=symmetric_chain(n_states, flip), marginals=path)
+            for n_blocks in blocks:
+                for gap in gaps:
+                    for t in ts:
+                        report = verify_blocking(model, t=t, blocks=n_blocks, gap=gap)
                         entry = report.to_json()
                         entry["flip"] = flip
                         reports.append(entry)
                         if report.slack < min_slack:
                             min_slack = report.slack
                             worst = entry
-    ok = min_slack >= -1e-12
-    return (
-        {
-            "kind": "blocking",
-            "cases": len(reports),
-            "min_slack": min_slack,
-            "worst": worst,
-            "ok": ok,
-        },
-        ok,
-    )
+    return {
+        "kind": "blocking",
+        "cases": len(reports),
+        "min_slack": min_slack,
+        "worst": worst,
+        "ok": min_slack >= -1e-12,
+    }
 
 
-def _verify_int(options: dict, name: str, default: int, minimum: int) -> int:
-    value = int(options.get(name, default))
-    _require(value >= minimum, VERIFY_FLAGS.get(name, name), f"must be >= {minimum}, got {value}")
-    return value
-
-
-def _verify_uniform_deviation_default(options: dict) -> tuple[dict, bool]:
-    trials = _verify_int(options, "trials", 2000, 2)
-    seed = _verify_int(options, "seed", 0, 0)
-    m_grid = options.get("m_grid", [2**j for j in range(4, 15)])
-    _require(len(m_grid) > 0 and min(m_grid) >= 1, "--m-grid", "needs at least one size, every size >= 1")
+def _verify_uniform_deviation(*, trials=2000, seed=0, m_grid=tuple(2**j for j in range(4, 15)), eta=0.1) -> dict:
+    trials = _verify_int(trials, "trials", 2)
+    seed = _verify_int(seed, "seed", 0)
+    # the fitted slope needs two sizes
+    _require(len(m_grid) >= 2 and min(m_grid) >= 1, "--m-grid", "needs at least two sizes, every size >= 1")
     _require(all(b > a for a, b in zip(m_grid, m_grid[1:])), "--m-grid", "must be strictly increasing")
-    eta = float(options.get("eta", 0.1))
+    eta = float(eta)
     horizon = max(m_grid)
     function_class = ThresholdClass()
 
@@ -704,13 +700,13 @@ def _verify_uniform_deviation_default(options: dict) -> tuple[dict, bool]:
         entry["envelope_ok"] = report.envelope_constant <= 3.0
         ok = ok and entry["slope_ok"] and entry["envelope_ok"]
         results[name] = entry
-    return ({"kind": "uniform_deviation", "settings": results, "ok": ok}, ok)
+    return {"kind": "uniform_deviation", "settings": results, "ok": ok}
 
 
-def _verify_discrepancy_default(options: dict) -> tuple[dict, bool]:
-    pairs = _verify_int(options, "pairs", 10000, 1)
-    grid_pairs = _verify_int(options, "grid_pairs", 1000, 1)
-    seed = _verify_int(options, "seed", 0, 0)
+def _verify_discrepancy(*, pairs=10000, grid_pairs=1000, seed=0) -> dict:
+    pairs = _verify_int(pairs, "pairs", 1)
+    grid_pairs = _verify_int(grid_pairs, "grid_pairs", 1)
+    seed = _verify_int(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     fclass = ThresholdClass()
     tol = 1e-9
@@ -723,7 +719,6 @@ def _verify_discrepancy_default(options: dict) -> tuple[dict, bool]:
         q = ThresholdConcept(theta=float(rng.random()), eta=float(eta_q))
         gap = discrepancy(p, q, fclass) - tv_distance(p, q)
         max_rho_minus_tv = max(max_rho_minus_tv, gap)
-    bound_ok = max_rho_minus_tv <= tol
 
     theta_grid = np.arange(0.0, 1.0 + 1e-12, 0.001)
     max_closed_vs_grid = 0.0
@@ -736,62 +731,61 @@ def _verify_discrepancy_default(options: dict) -> tuple[dict, bool]:
         risk_q = eta + (1.0 - 2.0 * eta) * np.abs(theta_grid - q.theta)
         brute = float(np.max(np.abs(risk_p - risk_q)))
         max_closed_vs_grid = max(max_closed_vs_grid, abs(closed - brute))
-    grid_ok = max_closed_vs_grid <= tol
 
-    ok = bound_ok and grid_ok
-    return (
-        {
-            "kind": "discrepancy",
-            "pairs": pairs,
-            "max_rho_minus_tv": max_rho_minus_tv,
-            "grid_pairs": grid_pairs,
-            "max_closed_form_vs_grid": max_closed_vs_grid,
-            "ok": ok,
-        },
-        ok,
-    )
+    return {
+        "kind": "discrepancy",
+        "pairs": pairs,
+        "max_rho_minus_tv": max_rho_minus_tv,
+        "grid_pairs": grid_pairs,
+        "max_closed_form_vs_grid": max_closed_vs_grid,
+        "ok": max_rho_minus_tv <= tol and max_closed_vs_grid <= tol,
+    }
 
 
-def _verify_mixing_rate_default(options: dict) -> tuple[dict, bool]:
-    cap = float(options.get("cap", 1e6))
-    r_grid = options.get("r", [1.0, 2.0])
+def _verify_mixing_rate(*, cap=1e6, r=(1.0, 2.0), states=(2, 4, 8), flips=(0.1, 0.3)) -> dict:
+    cap = float(cap)
     path = ConceptPath(np.array([0.5]), 0.1)
+    models = [("product", ProductProcess(marginals=path))] + [
+        (f"symmetric_chain(states={n}, flip={flip})", MarkovModulatedProcess(symmetric_chain(n, flip), path))
+        for n in states
+        for flip in flips
+    ]
     cases = []
     ok = True
-    product = ProductProcess(marginals=path)
-    for r in r_grid:
-        report = verify_mixing_rate(product, r=r, cap=cap)
-        entry = report.to_json()
-        entry.update({"model": "product"})
-        cases.append(entry)
-        ok = ok and not report.violation and report.bound_constant == 0.0
-    for states in options.get("states", [2, 4, 8]):
-        for flip in options.get("flips", [0.1, 0.3]):
-            model = MarkovModulatedProcess(
-                transition=symmetric_chain(states, flip), marginals=path
-            )
-            for r in r_grid:
-                report = verify_mixing_rate(model, r=r, cap=cap)
-                entry = report.to_json()
-                entry.update({"model": f"symmetric_chain(states={states}, flip={flip})"})
-                cases.append(entry)
-                ok = ok and not report.violation
-    return ({"kind": "mixing_rate", "cases": cases, "ok": ok}, ok)
+    for name, model in models:
+        for rate in r:
+            report = verify_mixing_rate(model, r=rate, cap=cap)
+            cases.append({**report.to_json(), "model": name})
+            # a product process mixes at once, so its certificate constant is exactly 0
+            ok = ok and not report.violation and (report.bound_constant == 0.0 or name != "product")
+    return {"kind": "mixing_rate", "cases": cases, "ok": ok}
+
+
+# each family's keyword parameters are exactly the options it reads
+VERIFY_FAMILIES = {
+    "blocking": _verify_blocking,
+    "uniform_deviation": _verify_uniform_deviation,
+    "discrepancy": _verify_discrepancy,
+    "mixing_rate": _verify_mixing_rate,
+}
+VERIFY_KINDS = tuple(VERIFY_FAMILIES)
 
 
 def run_verify(kind: str, options: dict | None = None) -> tuple[dict, bool]:
-    """Run one verification family; returns (JSON-compatible report, all-pass)."""
+    """Run one verification family; returns (JSON-compatible report, all-pass).
+
+    ``options`` are the family's keyword parameters; one it does not take, or an empty list, is a ConfigError.
+    """
     options = options or {}
     _require(kind in VERIFY_KINDS, "--kind", f"must be one of {VERIFY_KINDS}")
-    for name in options:
-        _require(name in VERIFY_OPTIONS[kind], VERIFY_FLAGS.get(name, name), f"not read by --kind {kind}")
-    if kind == "blocking":
-        return _verify_blocking_default(options)
-    if kind == "uniform_deviation":
-        return _verify_uniform_deviation_default(options)
-    if kind == "discrepancy":
-        return _verify_discrepancy_default(options)
-    return _verify_mixing_rate_default(options)
+    family = VERIFY_FAMILIES[kind]
+    accepted = inspect.signature(family).parameters
+    for name, value in options.items():
+        key = VERIFY_FLAGS.get(name, name)
+        _require(name in accepted, key, f"not read by --kind {kind}")
+        _require(not isinstance(value, (list, tuple)) or len(value) > 0, key, "must be non-empty")
+    report = family(**options)
+    return report, report["ok"]
 
 
 def refit_rates(run_dir: str | Path, checkpoints: Sequence[int] | None = None) -> dict:
@@ -811,7 +805,13 @@ def refit_rates(run_dir: str | Path, checkpoints: Sequence[int] | None = None) -
         curve_path = run_dir / f"curve-{seed}.csv"
         if not curve_path.exists():
             raise ConfigError("run_dir", f"missing curve file {curve_path.name}")
-        curves[curve_path.name] = np.genfromtxt(curve_path, delimiter=",", skip_header=1, ndmin=2)
+        try:
+            data = np.loadtxt(curve_path, delimiter=",", skiprows=1, ndmin=2)
+        except ValueError as err:  # a row cut short or a value that is not a number
+            raise ConfigError("run_dir", f"{curve_path.name} is malformed: {err}") from None
+        width = data.shape[1]  # a header-only curve is caught by the row count below
+        _require(data.size == 0 or width == 6, "run_dir", f"{curve_path.name} is malformed: {width} columns, expected 6")
+        curves[curve_path.name] = data
     rows = {name: data.shape[0] for name, data in curves.items()}
     short = min(rows, key=rows.get)
     _require(

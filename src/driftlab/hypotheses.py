@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -62,8 +62,10 @@ class FiniteExplicitClass:
             raise ValueError("class must contain at least one member")
         if len(self.support) == 0:
             raise ValueError("support must be non-empty")
-        if len(set(self.support)) != len(self.support):
+        index = {(z.x, z.y): j for j, z in enumerate(self.support)}
+        if len(index) != len(self.support):
             raise ValueError("support contains duplicate observations")
+        object.__setattr__(self, "_index", index)  # support position of each (x, y)
         for row in self.tables:
             if len(row) != len(self.support):
                 raise ValueError("every loss table must cover the whole support")
@@ -82,8 +84,8 @@ class FiniteExplicitClass:
 
     def support_index(self, z: Observation) -> int:
         try:
-            return self.support.index(Observation(float(z.x), int(z.y)))
-        except ValueError:
+            return self._index[(float(z.x), int(z.y))]
+        except KeyError:
             raise ValueError(f"observation {z!r} lies outside the class support") from None
 
 
@@ -136,6 +138,16 @@ def initial_hypothesis(function_class: FunctionClass) -> Hypothesis:
     return FiniteHypothesis(function_class, 0)
 
 
+def cut_losses(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stably sorted x and the 0-1 loss of each cut j, which labels sorted points [0, j) 0 and [j, n) 1."""
+    n = xs.size
+    order = np.argsort(xs, kind="stable")
+    # ones_before[j] = #{i < j : y=1}; loss at cut j = ones_before[j] + zeros at i >= j
+    ones_before = np.concatenate(([0], np.cumsum(ys[order])))
+    zeros_from = (n - ones_before[-1]) - (np.arange(n + 1) - ones_before)
+    return xs[order], ones_before + zeros_from
+
+
 def threshold_erm(xs: np.ndarray, ys: np.ndarray) -> tuple[float, int]:
     """Exact 0-1 ERM over all thresholds; returns (theta, error count).
 
@@ -145,20 +157,11 @@ def threshold_erm(xs: np.ndarray, ys: np.ndarray) -> tuple[float, int]:
     multiset of points.
     """
     xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys)
     n = xs.size
     if n == 0:
         raise ValueError("erm needs at least one point")
-    order = np.argsort(xs, kind="stable")
-    x = xs[order]
-    y = ys[order]
-    # ones_before[j] = #{i < j : y=1}; loss at cut j = ones_before[j] + zeros at i >= j
-    ones_before = np.concatenate(([0], np.cumsum(y)))
-    total_ones = int(ones_before[-1])
-    zeros_from = (n - total_ones) - (np.arange(n + 1) - ones_before)
-    losses = ones_before + zeros_from
-    # cut j classifies sorted points [0,j) as 0 and [j,n) as 1; it is realizable
-    # by some theta in [0,1] iff the corresponding x-interval is non-empty
+    x, losses = cut_losses(xs, np.asarray(ys))
+    # cut j is realizable by some theta in [0,1] iff its x-interval is non-empty
     reachable = np.empty(n + 1, dtype=bool)
     reachable[0] = True
     reachable[1:n] = x[:-1] < x[1:]
@@ -173,20 +176,15 @@ def threshold_erm(xs: np.ndarray, ys: np.ndarray) -> tuple[float, int]:
     return theta, int(losses[best])
 
 
-def _as_arrays(points: Sequence[Observation] | Iterable[Observation]) -> tuple[np.ndarray, np.ndarray]:
-    pts = list(points)
-    if len(pts) == 0:
-        raise ValueError("erm needs at least one point")
-    xs = np.array([p.x for p in pts], dtype=float)
-    ys = np.array([p.y for p in pts], dtype=np.int64)
-    return xs, ys
-
-
 def erm(function_class: FunctionClass, points: Sequence[Observation]) -> Hypothesis:
     """Exact empirical risk minimizer over the class; ties break to the
     smallest parameter (thresholds) or smallest index (finite classes)."""
+    pts = list(points)
+    if len(pts) == 0:
+        raise ValueError("erm needs at least one point")
     if isinstance(function_class, ThresholdClass):
-        xs, ys = _as_arrays(points)
+        xs = np.array([p.x for p in pts], dtype=float)
+        ys = np.array([p.y for p in pts], dtype=np.int64)
         if np.any(xs < 0.0) or np.any(xs > 1.0):
             raise ValueError("x values must lie in [0,1]")
         if np.any((ys != 0) & (ys != 1)):
@@ -194,9 +192,6 @@ def erm(function_class: FunctionClass, points: Sequence[Observation]) -> Hypothe
         theta, _ = threshold_erm(xs, ys)
         return ThresholdHypothesis(theta)
     if isinstance(function_class, FiniteExplicitClass):
-        pts = list(points)
-        if len(pts) == 0:
-            raise ValueError("erm needs at least one point")
         idx = finite_erm_indices(
             function_class,
             np.array([function_class.support_index(z) for z in pts], dtype=np.int64),

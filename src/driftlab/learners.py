@@ -13,15 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DriftSchedule
+from .distributions import DriftSchedule, Observation
 from .hypotheses import (
-    FiniteExplicitClass,
     FunctionClass,
     Hypothesis,
     ThresholdClass,
-    finite_erm_indices,
-    FiniteHypothesis,
     ThresholdHypothesis,
+    erm,
     initial_hypothesis,
     threshold_erm,
 )
@@ -136,27 +134,7 @@ def best_window(t: int, schedule: DriftSchedule, d: int, *, _cache: dict | None 
     return best_m
 
 
-def _finite_support_lookup(function_class: FiniteExplicitClass) -> dict:
-    return {(z.x, z.y): i for i, z in enumerate(function_class.support)}
-
-
-def _finite_indices(lookup: dict, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    try:
-        return np.fromiter(
-            (lookup[(float(x), int(y))] for x, y in zip(xs, ys)), dtype=np.int64, count=xs.size
-        )
-    except KeyError as err:
-        raise ValueError(f"observation {err.args[0]!r} lies outside the class support") from None
-
-
-def erm_step(
-    function_class: FunctionClass,
-    path: SamplePath,
-    t: int,
-    gap: int,
-    window: int,
-    _lookup: dict | None = None,
-) -> Hypothesis:
+def erm_step(function_class: FunctionClass, path: SamplePath, t: int, gap: int, window: int) -> Hypothesis:
     """Exact ERM over the gap-spaced subsample of the last ``window`` points."""
     times = subsample_times(t, gap, window)
     pos = times - 1
@@ -165,9 +143,7 @@ def erm_step(
     if isinstance(function_class, ThresholdClass):
         theta, _ = threshold_erm(xs, ys)
         return ThresholdHypothesis(theta)
-    lookup = _lookup if _lookup is not None else _finite_support_lookup(function_class)
-    idx = finite_erm_indices(function_class, _finite_indices(lookup, xs, ys))
-    return FiniteHypothesis(function_class, idx)
+    return erm(function_class, list(map(Observation, xs, ys)))
 
 
 class Learner:
@@ -185,11 +161,6 @@ class Learner:
     def __post_init__(self) -> None:
         if self.initial is None:
             self.initial = initial_hypothesis(self.function_class)
-        self._lookup = (
-            _finite_support_lookup(self.function_class)
-            if isinstance(self.function_class, FiniteExplicitClass)
-            else None
-        )
         self._plans: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def _plan(self, gaps: np.ndarray, windows: np.ndarray) -> None:
@@ -210,7 +181,7 @@ class Learner:
         """The hypothesis deployed at step t under plan row (gap, window)."""
         if window == 0:
             return self.initial
-        return erm_step(self.function_class, path, t, gap, window, self._lookup)
+        return erm_step(self.function_class, path, t, gap, window)
 
     def windows(self, t: int) -> tuple[int, int]:
         """Plan row of step t; this and the step methods serve callers that step by hand."""

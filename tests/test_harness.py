@@ -514,6 +514,20 @@ class TestRunSweep:
         raw = base_config(sweep={"grid": {"drift.alpha": [2.0]}})
         with pytest.raises(ConfigError, match="drift.alpha"):
             run_sweep(raw, tmp_path)
+        # a good cell before the bad one must not run either
+        raw = base_config(
+            horizon=128,
+            seeds=[0],
+            checkpoints=[16, 32, 64, 128],
+            drift={"kind": "constant", "gamma": 0.01},
+            learner={"kind": "constant_window"},
+            sweep={"cells": [{"drift.gamma": 0.001}, {"drift.gamma": 2.0}]},
+        )
+        with pytest.raises(ConfigError, match="drift.gamma"):
+            run_sweep(raw, tmp_path / "out")
+        with pytest.raises(ConfigError, match="--jobs"):
+            run_sweep(self._sweep_config(), tmp_path / "out", jobs=0)
+        assert not (tmp_path / "out").exists()
 
     def test_runtime_failure_keeps_other_cells(self, tmp_path, monkeypatch):
         real_run_config = harness_mod.run_config
@@ -586,6 +600,15 @@ class TestRunVerify:
             run_verify("discrepancy", {"pairs": 10, "grid_pairs": 0})
         assert excinfo.value.key == "grid_pairs"
 
+    @pytest.mark.parametrize(
+        "kind,option",
+        [("blocking", "states"), ("blocking", "ts"), ("mixing_rate", "r")],
+    )
+    def test_empty_list_option_rejected(self, kind, option):
+        with pytest.raises(ConfigError) as excinfo:
+            run_verify(kind, {option: []})
+        assert excinfo.value.key == option
+
 
 class TestRefitRates:
     def test_refit_reproduces_fit(self, mini_run):
@@ -636,6 +659,22 @@ class TestRefitRates:
         lines = (run_dir / "curve-0.csv").read_text().splitlines(keepends=True)
         (run_dir / "curve-0.csv").write_text("".join(lines[:257]))  # header + 256 of 512 rows
         with pytest.raises(ConfigError, match="curve-0.csv has 256 rows, fewer than the horizon 512"):
+            refit_rates(run_dir)
+        assert (run_dir / "fit.json").read_bytes() == written
+
+    @pytest.mark.parametrize("cut", ["mid_row", "every_row"])
+    def test_malformed_curve_keeps_fit(self, tmp_path, cut):
+        resolved = resolve_config(base_config(seeds=[0]))
+        record, _ = run_config(resolved, tmp_path)
+        run_dir = Path(record.out_dir)
+        written = (run_dir / "fit.json").read_bytes()
+        lines = (run_dir / "curve-0.csv").read_text().splitlines(keepends=True)
+        if cut == "mid_row":
+            text = "".join(lines[:300]) + lines[300][:7]
+        else:  # only the first two columns of every row
+            text = lines[0] + "".join(",".join(line.split(",")[:2]) + "\n" for line in lines[1:])
+        (run_dir / "curve-0.csv").write_text(text)
+        with pytest.raises(ConfigError, match="curve-0.csv is malformed"):
             refit_rates(run_dir)
         assert (run_dir / "fit.json").read_bytes() == written
 
@@ -776,6 +815,7 @@ class TestCli:
             (["--kind", "uniform_deviation", "--m-grid", "0,16"], "--m-grid"),
             (["--kind", "uniform_deviation", "--m-grid", "32,16"], "--m-grid"),
             (["--kind", "uniform_deviation", "--m-grid", ","], "--m-grid"),
+            (["--kind", "uniform_deviation", "--m-grid", "16"], "--m-grid"),
             (["--kind", "blocking", "--trials", "5"], "--trials"),
             (["--kind", "mixing_rate", "--pairs", "5"], "--pairs"),
         ],
@@ -787,6 +827,7 @@ class TestCli:
             "m_grid0",
             "m_grid_down",
             "m_grid_empty",
+            "m_grid_one_size",
             "unread_trials",
             "unread_pairs",
         ],
