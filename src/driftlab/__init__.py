@@ -89,7 +89,6 @@ from .harness import (
     ConfigError,
     RunRecord,
     SweepRecord,
-    build_checkpoints,
     build_learner,
     build_model,
     config_hash,

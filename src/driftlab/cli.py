@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 verification check failed, 2 config/usage error
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import traceback
 
@@ -21,6 +20,7 @@ from .harness import (
     ConfigError,
     VERIFY_KINDS,
     json_text,
+    load_config,
     refit_rates,
     resolve_config,
     run_config,
@@ -35,16 +35,6 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 
-def _load_config(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError("--config", f"file not found: {path}")
-    except json.JSONDecodeError as err:
-        raise ConfigError("--config", f"invalid JSON in {path}: {err}")
-
-
 def _parse_int_list(text: str, flag: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part.strip() != ""]
@@ -54,7 +44,7 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 
 def _resolve_run_args(args: argparse.Namespace) -> tuple[dict, dict, str]:
     """The raw config with the --seeds/--checkpoints overrides, its resolved form and the output root."""
-    raw = _load_config(args.config)
+    raw = load_config(args.config, "--config")
     if args.seeds:
         raw["seeds"] = _parse_int_list(args.seeds, "--seeds")
     if args.checkpoints:

@@ -82,7 +82,7 @@ class FiniteSupport:
         if np.any(p < 0.0):
             raise ValueError("probabilities must be non-negative")
         total = float(p.sum())
-        if abs(total - 1.0) > PROB_TOL:
+        if not abs(total - 1.0) <= PROB_TOL:
             raise ValueError(f"probabilities must sum to 1 within {PROB_TOL}, got {total!r}")
 
     @property
@@ -120,7 +120,7 @@ class DriftSchedule:
         if self.deltas[0] != 0.0:
             raise ValueError("deltas[0] (the step into t=1) must be 0")
         d = np.asarray(self.deltas, dtype=float)
-        if np.any(d < 0.0) or np.any(d > 1.0):
+        if not np.all((d >= 0.0) & (d <= 1.0)):
             raise ValueError("every delta must lie in [0,1]")
         if self.directions is not None and len(self.directions) != len(self.deltas):
             raise ValueError("directions must match deltas in length")
@@ -218,7 +218,7 @@ class ConceptPath(Sequence[ThresholdConcept]):
             raise ValueError("thetas must be a non-empty 1-d array")
         if not 0.0 <= eta < 0.5:
             raise ValueError(f"eta must lie in [0, 0.5), got {eta}")
-        if np.any(thetas < 0.0) or np.any(thetas > 1.0):
+        if not np.all((thetas >= 0.0) & (thetas <= 1.0)):
             raise ValueError("every theta must lie in [0,1]")
         self.thetas = thetas
         self.eta = float(eta)

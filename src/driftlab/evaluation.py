@@ -56,6 +56,8 @@ __all__ = [
 
 EXCESS_TOL = 1e-12
 MIN_FIT_POINTS = 8
+DEFAULT_CHECKPOINT_MIN = 256
+DEFAULT_CHECKPOINT_MAX = 32768
 
 BLOCKING_MAX_STATES = 4
 BLOCKING_MAX_BLOCKS = 4
@@ -137,14 +139,14 @@ class RegretCurve:
     def replicate_cum_excess(self) -> np.ndarray:
         return np.cumsum(self.risks - self.inf_risks[None, :], axis=1)
 
-    def ci_bounds(self, z: float = 1.96) -> tuple[np.ndarray, np.ndarray]:
-        """Normal-approximation CI for the replicate-mean cumulative excess."""
+    def ci_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Normal-approximation 95% CI for the replicate-mean cumulative excess."""
         per_rep = self.replicate_cum_excess()
         center = per_rep.mean(axis=0)
         if self.replicates < 2:
             return center.copy(), center.copy()
         se = per_rep.std(axis=0, ddof=1) / math.sqrt(self.replicates)
-        return center - z * se, center + z * se
+        return center - 1.96 * se, center + 1.96 * se
 
     def checkpoint_values(self, checkpoints: Sequence[int]) -> np.ndarray:
         cps = np.asarray(checkpoints, dtype=np.int64)
@@ -174,16 +176,12 @@ def run_single(
     learner: Learner,
     horizon: int,
     seed: int,
-    checkpoint: Callable[[int, np.ndarray, np.ndarray, np.ndarray], None] | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One replicate: exact risk(f_t, P_t) for t = 1..horizon plus the learner's plan.
+    checkpoint: Callable[[int, np.ndarray], None] | None = None,
+) -> np.ndarray:
+    """One replicate: exact risk(f_t, P_t) for t = 1..horizon.
 
-    Returns ``(risks, gaps, windows)``; the last two are the learner's shared,
-    read-only ``plan(horizon)`` arrays.
-
-    ``checkpoint(t, risks, gaps, windows)`` is invoked after each power-of-two
-    step with the output arrays filled through index t-1, so callers can flush
-    partial results.
+    ``checkpoint(t, risks)`` is invoked after each power-of-two step with
+    ``risks`` filled through index t-1, so callers can flush partial results.
     """
     path = sample_path(model, horizon, seed)
     gaps, windows = learner.plan(horizon)
@@ -203,8 +201,8 @@ def run_single(
     for t, (gap, window) in enumerate(zip(gaps.tolist(), windows.tolist()), start=1):
         risks[t - 1] = step_risk(learner.fit(path, t, gap, window), t)
         if checkpoint is not None and (t & (t - 1)) == 0:
-            checkpoint(t, risks, gaps, windows)
-    return risks, gaps, windows
+            checkpoint(t, risks)
+    return risks
 
 
 def run_experiment(
@@ -221,7 +219,7 @@ def run_experiment(
         raise ValueError("seeds must be distinct")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    risks = np.stack([run_single(model, learner, horizon, seed)[0] for seed in seeds])
+    risks = np.stack([run_single(model, learner, horizon, seed) for seed in seeds])
     inf_risks = _inf_risk_path(learner.function_class, model.marginals, horizon)
     return RegretCurve(risks=risks, inf_risks=inf_risks, seeds=seeds)
 
@@ -262,13 +260,13 @@ def geometric_checkpoints(t_min: int, t_max: int, ratio: float = math.sqrt(2.0))
     return tuple(sorted(set(points)))
 
 
-def default_checkpoints(horizon: int, t_min: int = 256, t_max_cap: int = 32768) -> tuple[int, ...]:
-    """Powers of two from t_min up to min(horizon, t_max_cap)."""
-    top = min(horizon, t_max_cap)
-    if top < t_min:
-        raise ValueError(f"horizon {horizon} too short for checkpoints starting at {t_min}")
+def default_checkpoints(horizon: int) -> tuple[int, ...]:
+    """Powers of two from DEFAULT_CHECKPOINT_MIN up to min(horizon, DEFAULT_CHECKPOINT_MAX)."""
+    top = min(horizon, DEFAULT_CHECKPOINT_MAX)
+    if top < DEFAULT_CHECKPOINT_MIN:
+        raise ValueError(f"horizon {horizon} too short for checkpoints starting at {DEFAULT_CHECKPOINT_MIN}")
     points = []
-    value = t_min
+    value = DEFAULT_CHECKPOINT_MIN
     while value <= top:
         points.append(value)
         value *= 2

@@ -45,6 +45,7 @@ from .distributions import (
     tv_distance,
 )
 from .evaluation import (
+    DEFAULT_CHECKPOINT_MIN,
     RateFit,
     RegretCurve,
     _inf_risk_path,
@@ -83,7 +84,6 @@ __all__ = [
     "config_hash",
     "build_model",
     "build_learner",
-    "build_checkpoints",
     "run_config",
     "run_sweep",
     "run_verify",
@@ -103,9 +103,6 @@ LEARNER_KINDS = (
     "full_history_erm",
     "last_point",
 )
-
-# horizons below the first default checkpoint are sampled at T only
-DEFAULT_CHECKPOINT_MIN = 256
 
 
 class ConfigError(ValueError):
@@ -151,6 +148,20 @@ def _checkpoint_list(values: Any, horizon: int, key: str) -> list[int]:
     _require(all(1 <= v <= horizon for v in checkpoints), key, "must lie in [1, horizon]")
     _require(all(b > a for a, b in zip(checkpoints, checkpoints[1:])), key, "must be strictly increasing")
     return checkpoints
+
+
+def load_config(path: str | Path, key: str) -> dict:
+    """Parse a JSON config file; a file that cannot be read or parsed, or holds
+    no JSON object, is a ConfigError naming ``key``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            config = json.load(fh)
+    except OSError as err:
+        raise ConfigError(key, f"cannot read {path}: {err.strerror}") from None
+    except ValueError as err:  # invalid JSON or not UTF-8
+        raise ConfigError(key, f"invalid JSON in {path}: {err}") from None
+    _require(isinstance(config, dict), key, f"{path} must hold a JSON object")
+    return config
 
 
 def resolve_config(raw: dict) -> dict:
@@ -265,8 +276,8 @@ def resolve_config(raw: dict) -> dict:
     checkpoints_raw = raw.get("checkpoints")
     if checkpoints_raw is None:
         checkpoints = (
-            list(default_checkpoints(horizon, DEFAULT_CHECKPOINT_MIN))
-            if horizon >= DEFAULT_CHECKPOINT_MIN
+            list(default_checkpoints(horizon))
+            if horizon >= DEFAULT_CHECKPOINT_MIN  # shorter horizons are sampled at T only
             else [horizon]
         )
     elif isinstance(checkpoints_raw, list):
@@ -370,10 +381,6 @@ def build_learner(resolved: dict, schedule: DriftSchedule) -> Learner:
     return BaselineLearner(kind=kind, function_class=function_class)
 
 
-def build_checkpoints(resolved: dict) -> tuple[int, ...]:
-    return tuple(resolved["checkpoints"])
-
-
 @dataclass
 class RunRecord:
     config_hash: str
@@ -399,14 +406,14 @@ def _run_seed_streaming(
         fh.write("t,risk,inf_risk,cum_excess,win_k,win_m\n")
         written = 0
 
-        def checkpoint(t: int, risks: np.ndarray, *_plan: np.ndarray) -> None:
+        def checkpoint(t: int, risks: np.ndarray) -> None:
             nonlocal written
             cum_excess = np.cumsum(risks[:t] - inf_risks[:t])
             write_curve_rows(fh, (risks, inf_risks, cum_excess, gaps, windows), written, t)
             written = t
             fh.flush()
 
-        risks, _, _ = run_single(model, learner, horizon, seed, checkpoint=checkpoint)
+        risks = run_single(model, learner, horizon, seed, checkpoint=checkpoint)
         checkpoint(horizon, risks)
     return risks
 
@@ -443,7 +450,7 @@ def run_config(resolved: dict, out_root: str | Path, jobs: int = 1) -> tuple[Run
     curve = RegretCurve(risks=np.stack(results), inf_risks=inf_risks, seeds=tuple(seeds))
     curve.to_csv(str(out_dir / "curve-mean.csv"))
 
-    fit_payload, fit = _write_fit(out_dir, resolved, digest, curve, build_checkpoints(resolved))
+    fit_payload, fit = _write_fit(out_dir, resolved, digest, curve, resolved["checkpoints"])
     skip_reason = fit_payload.get("skipped")
     _write_summary(out_dir / "summary.txt", resolved, digest, curve, fit, skip_reason)
 
@@ -791,11 +798,8 @@ def run_verify(kind: str, options: dict | None = None) -> tuple[dict, bool]:
 def refit_rates(run_dir: str | Path, checkpoints: Sequence[int] | None = None) -> dict:
     """Recompute the growth-exponent fit from the CSVs of an existing run."""
     run_dir = Path(run_dir)
-    config_path = run_dir / "config.json"
-    if not config_path.exists():
-        raise ConfigError("run_dir", f"no config.json under {run_dir}")
-    with open(config_path, "r", encoding="utf-8") as fh:
-        resolved = json.load(fh)
+    # resolving a resolved config returns it unchanged; a broken one names its key
+    resolved = resolve_config(load_config(run_dir / "config.json", "run_dir"))
     seeds = resolved["seeds"]
     cps = resolved["checkpoints"]
     if checkpoints is not None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import ClassVar, Sequence, Union
 
 import numpy as np
 
@@ -38,11 +38,7 @@ __all__ = [
 class ThresholdClass:
     """All thresholds theta in [0,1] predicting 1[x >= theta]; dimension 1."""
 
-    d: int = 1
-
-    def __post_init__(self) -> None:
-        if self.d != 1:
-            raise ValueError("threshold classes have dimension exactly 1")
+    d: ClassVar[int] = 1
 
 
 @dataclass(frozen=True)

@@ -156,11 +156,9 @@ class Learner:
     """
 
     function_class: FunctionClass
-    initial: Hypothesis | None
 
     def __post_init__(self) -> None:
-        if self.initial is None:
-            self.initial = initial_hypothesis(self.function_class)
+        self.initial = initial_hypothesis(self.function_class)
         self._plans: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def _plan(self, gaps: np.ndarray, windows: np.ndarray) -> None:
@@ -183,17 +181,10 @@ class Learner:
             return self.initial
         return erm_step(self.function_class, path, t, gap, window)
 
-    def windows(self, t: int) -> tuple[int, int]:
-        """Plan row of step t; this and the step methods serve callers that step by hand."""
-        gaps, windows = self.plan(t)
-        return int(gaps[-1]), int(windows[-1])
-
-    def step_with_windows(self, path: SamplePath, t: int) -> tuple[Hypothesis, int, int]:
-        gap, window = self.windows(t)
-        return self.fit(path, t, gap, window), gap, window
-
     def step(self, path: SamplePath, t: int) -> Hypothesis:
-        return self.step_with_windows(path, t)[0]
+        """The hypothesis deployed at step t, for callers that step by hand."""
+        gaps, windows = self.plan(t)
+        return self.fit(path, t, int(gaps[-1]), int(windows[-1]))
 
 
 @dataclass
@@ -204,7 +195,6 @@ class SubsampledErmLearner(Learner):
     alpha: float
     r: float
     function_class: FunctionClass
-    initial: Hypothesis | None = None
 
     def __post_init__(self) -> None:
         _validate_alpha_r(self.alpha, self.r)
@@ -221,7 +211,6 @@ class AdaptiveWindowLearner(Learner):
 
     function_class: FunctionClass
     schedule: DriftSchedule
-    initial: Hypothesis | None = None
 
     def _plan(self, gaps: np.ndarray, windows: np.ndarray) -> None:
         d = self.function_class.d
@@ -242,7 +231,6 @@ class ConstantWindowLearner(Learner):
 
     function_class: FunctionClass
     gamma: float
-    initial: Hypothesis | None = None
 
     def __post_init__(self) -> None:
         self.window = constant_window_size(self.function_class.d, self.gamma)
@@ -259,7 +247,6 @@ class BaselineLearner(Learner):
 
     kind: str
     function_class: FunctionClass
-    initial: Hypothesis | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in BASELINE_KINDS:

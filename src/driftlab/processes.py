@@ -52,25 +52,13 @@ class ProductProcess:
 
 
 def _is_primitive(adjacency: np.ndarray) -> bool:
-    """True iff the boolean transition structure is irreducible and aperiodic."""
+    """True iff the boolean transition structure is irreducible and aperiodic.
+
+    That holds iff some power of it is all-positive, and by Wielandt's bound
+    the power (S-1)^2 + 1 is one if any is.
+    """
     size = adjacency.shape[0]
-    power = np.eye(size, dtype=bool) | adjacency
-    # (I | A)^(S-1) positive == irreducible; then A^((S-1)^2+1) positive == primitive
-    reach = power.copy()
-    for _ in range(size - 1):
-        reach = reach @ power
-    if not reach.all():
-        return False
-    step = adjacency.copy()
-    needed = (size - 1) ** 2 + 1
-    result = np.eye(size, dtype=bool)
-    exponent = needed
-    while exponent:
-        if exponent & 1:
-            result = result @ step
-        step = step @ step
-        exponent >>= 1
-    return bool(result.all())
+    return bool(np.linalg.matrix_power(adjacency, (size - 1) ** 2 + 1).all())
 
 
 @dataclass(frozen=True)
@@ -96,10 +84,10 @@ class MarkovModulatedProcess:
         if np.any(matrix < 0.0):
             raise ValueError("transition probabilities must be non-negative")
         row_err = np.max(np.abs(matrix.sum(axis=1) - 1.0))
-        if row_err > ROW_SUM_TOL:
+        if not row_err <= ROW_SUM_TOL:
             raise ValueError(f"rows must sum to 1 within {ROW_SUM_TOL}, max error {row_err:.3g}")
         col_err = np.max(np.abs(matrix.sum(axis=0) - 1.0))
-        if col_err > ROW_SUM_TOL:
+        if not col_err <= ROW_SUM_TOL:
             raise ValueError(
                 "transition matrix must be doubly stochastic (uniform stationary law), "
                 f"max column error {col_err:.3g}"
@@ -230,11 +218,13 @@ def beta_coefficient(model: ProcessModel, k: int) -> float:
 
 @dataclass(frozen=True)
 class MixingProfile:
-    """Computed beta_1..beta_k_max plus the smallest C with beta_k <= C*k^-r."""
+    """Computed beta_1..beta_k_max plus the smallest C with beta_k <= C*k^-r,
+    attained first at lag ``worst_k``."""
 
     r: float
     betas: tuple[float, ...]
     bound_constant: float
+    worst_k: int
 
     def __post_init__(self) -> None:
         if self.r <= 0.0:
@@ -263,36 +253,24 @@ def mixing_profile(model: ProcessModel, r: float, k_max: int = DEFAULT_K_MAX) ->
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     betas = tuple(beta_coefficient(model, k) for k in range(1, k_max + 1))
     ks = np.arange(1, k_max + 1, dtype=float)
-    constant = float(np.max(np.asarray(betas) * ks**r))
-    return MixingProfile(r=r, betas=betas, bound_constant=constant)
+    weighted = np.asarray(betas) * ks**r
+    worst = int(np.argmax(weighted))
+    return MixingProfile(r=r, betas=betas, bound_constant=float(weighted[worst]), worst_k=worst + 1)
 
 
-def verify_mixing_rate(
-    model_or_profile: ProcessModel | MixingProfile,
-    r: float | None = None,
-    k_max: int = DEFAULT_K_MAX,
-    cap: float = 1e6,
-) -> MixingRateReport:
-    """Smallest C with beta_k <= C * k^-r over computed lags, with a violation flag.
+def verify_mixing_rate(model: ProcessModel, r: float, cap: float = 1e6) -> MixingRateReport:
+    """Smallest C with beta_k <= C * k^-r over lags 1..DEFAULT_K_MAX, with a violation flag.
 
     The flag is raised when C exceeds ``cap`` or when the supremum of
     beta_k * k^r sits at the last computed lag, i.e. the sequence is still
     growing at the boundary and no finite C is certifiable from the computed
     range.
     """
-    if isinstance(model_or_profile, MixingProfile):
-        profile = model_or_profile
-    else:
-        if r is None:
-            raise ValueError("r is required when passing a process model")
-        profile = mixing_profile(model_or_profile, r, k_max)
-    ks = np.arange(1, profile.k_max + 1, dtype=float)
-    weighted = np.asarray(profile.betas) * ks**profile.r
-    worst = int(np.argmax(weighted)) + 1
-    constant = float(weighted[worst - 1])
+    profile = mixing_profile(model, r)
+    constant, worst = profile.bound_constant, profile.worst_k
     violation = constant > cap or (constant > 0.0 and worst == profile.k_max)
     return MixingRateReport(
-        r=profile.r, bound_constant=constant, worst_k=worst, violation=violation
+        r=r, bound_constant=constant, worst_k=worst, violation=violation
     )
 
 

@@ -9,6 +9,7 @@ from driftlab import (
     ConceptPath,
     DriftSchedule,
     FiniteSupport,
+    MarkovModulatedProcess,
     Observation,
     ThresholdClass,
     ThresholdConcept,
@@ -18,6 +19,7 @@ from driftlab import (
     drift_path_to_json,
     load_drift_path,
     make_drift_schedule,
+    process_from_json,
     save_drift_path,
     tv_distance,
 )
@@ -328,3 +330,32 @@ class TestSerialization:
         sched2, path2 = load_drift_path(target)
         assert sched2 == sched
         assert np.array_equal(path2.thetas, path.thetas)
+
+
+NAN = float("nan")
+NON_FINITE_CASES = {
+    "concept_path": (lambda: ConceptPath(np.array([0.5, NAN]), 0.1), "every theta must lie in"),
+    "process_json": (
+        lambda: process_from_json({"kind": "product", "eta": 0.1, "thetas": [0.5, NAN]}),
+        "every theta must lie in",
+    ),
+    "drift_schedule": (
+        lambda: DriftSchedule(kind="constant", alpha=0.0, deltas=(0.0, NAN, 0.1), growth_constant=1.0),
+        "every delta must lie in",
+    ),
+    "markov_rows": (
+        lambda: MarkovModulatedProcess(((NAN, 0.5), (0.5, 0.5)), ConceptPath(np.array([0.5]), 0.1)),
+        "rows must sum to 1",
+    ),
+    "finite_support": (
+        lambda: FiniteSupport(support=(Observation(0.2, 0), Observation(0.7, 1)), probs=(NAN, 1.0)),
+        "must sum to 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_CASES))
+def test_nan_rejected_by_constructors(case):
+    build, message = NON_FINITE_CASES[case]
+    with pytest.raises(ValueError, match=message):
+        build()

@@ -127,12 +127,13 @@ class TestRunSingle:
         path = concept_path(sched, eta=0.1, theta0=0.5)
         model = ProductProcess(marginals=path)
         learner = SubsampledErmLearner(alpha=0.25, r=2.0, function_class=ThresholdClass())
-        risks, gaps, windows = run_single(model, learner, 120, seed=4)
+        risks = run_single(model, learner, 120, seed=4)
+        gaps, windows = learner.plan(120)
         sp = sample_path(model, 120, seed=4)
         for t in (1, 2, 17, 63, 120):
-            h, gap, window = learner.step_with_windows(sp, t)
-            assert risks[t - 1] == risk(h, path[t - 1])
-            assert gaps[t - 1] == gap and windows[t - 1] == window
+            assert risks[t - 1] == risk(learner.step(sp, t), path[t - 1])
+            step_gaps, step_windows = learner.plan(t)
+            assert gaps[t - 1] == step_gaps[-1] and windows[t - 1] == step_windows[-1]
 
     def test_finite_generic_path_matches_public_risk(self):
         rng = np.random.default_rng(71)
@@ -146,10 +147,10 @@ class TestRunSingle:
         ]
         model = ProductProcess(marginals=marginals)
         learner = BaselineLearner(kind="full_history_erm", function_class=fclass)
-        risks, _, _ = run_single(model, learner, 40, seed=5)
+        risks = run_single(model, learner, 40, seed=5)
         sp = sample_path(model, 40, seed=5)
         for t in (1, 2, 25, 40):
-            h, _, _ = learner.step_with_windows(sp, t)
+            h = learner.step(sp, t)
             assert risks[t - 1] == pytest.approx(risk(h, marginals[t - 1]), abs=1e-15)
         assert np.all(risks >= min(inf_risk(fclass, m) for m in marginals) - 1e-12)
 
@@ -160,7 +161,7 @@ class TestRunSingle:
         learner = BaselineLearner(kind="last_point", function_class=ThresholdClass())
         seen = []
 
-        def checkpoint(t, risks, gaps, windows):
+        def checkpoint(t, risks):
             seen.append(t)
             assert np.all(np.isfinite(risks[:t]))
 
@@ -172,7 +173,7 @@ class TestRunSingle:
         path = concept_path(sched, eta=0.1, theta0=0.5)
         model = ProductProcess(marginals=path)
         learner = AdaptiveWindowLearner(function_class=ThresholdClass(), schedule=sched)
-        risks, _, _ = run_single(model, learner, 4096, seed=1)
+        risks = run_single(model, learner, 4096, seed=1)
         cum = float(np.sum(risks - 0.1))
         assert cum < 0.05 * 4096
 
@@ -183,8 +184,7 @@ class TestRunSingle:
         learner = SubsampledErmLearner(alpha=0.25, r=1.0, function_class=ThresholdClass())
         a = run_single(model, learner, 100, seed=7)
         b = run_single(model, learner, 100, seed=7)
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)
+        assert np.array_equal(a, b)
 
 
 class TestRunExperiment:
@@ -195,7 +195,7 @@ class TestRunExperiment:
         learner = SubsampledErmLearner(alpha=0.25, r=2.0, function_class=ThresholdClass())
         curve = run_experiment(model, learner, 64, seeds=(3, 9))
         assert curve.replicates == 2 and curve.horizon == 64
-        single, _, _ = run_single(model, learner, 64, seed=9)
+        single = run_single(model, learner, 64, seed=9)
         assert np.array_equal(curve.risks[1], single)
         assert curve.seeds == (3, 9)
         assert np.all(curve.inf_risks == 0.1)

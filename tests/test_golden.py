@@ -3,8 +3,10 @@
 Criterion 10 compares two runs of the same code; these digests compare the
 code with itself across refactors.  Every learner kind runs on
 ``configs/minimal.json`` and on a reduced Markov-modulated config (2 seeds x
-4096 steps), and each output file must hash to the value pinned here.  A
-digest may change only with an intended change of the output bytes.
+4096 steps), and each output file must hash to the value pinned here.  The
+four ``verify`` reports are pinned the same way, as the bytes ``verify --out``
+writes (uniform deviation at 8 trials).  A digest may change only with an
+intended change of the output bytes.
 """
 
 import hashlib
@@ -13,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from driftlab import resolve_config, run_config
+from driftlab import resolve_config, run_config, run_verify
+from driftlab.harness import json_text
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -117,6 +120,13 @@ GOLDEN = {
     },
 }
 
+VERIFY_GOLDEN = {
+    "blocking": ({}, "e4d9f5b985f5793f055331e25e818ab9a75922f01c0407659d9f70863f314a30"),
+    "discrepancy": ({}, "bbb86326a295687db09d9e87231013b4cd2aff6d6ee9607ff52f8522d9b0e6bc"),
+    "mixing_rate": ({}, "6d7fbb9c8c5afd486d38b56bea763c45fa59beaac5cf02ce8423b7bd743979d9"),
+    "uniform_deviation": ({"trials": 8}, "7315ee1b33b32da2011e44d59a9cab577ef39898d9fc7f34c6dccf8e1f67336c"),
+}
+
 
 def golden_config(base: str, kind: str) -> dict:
     if base == "minimal":
@@ -137,3 +147,11 @@ def output_digests(out_dir: Path) -> dict:
 def test_outputs_match_golden_digests(base, kind, tmp_path):
     record, _ = run_config(resolve_config(golden_config(base, kind)), tmp_path)
     assert output_digests(Path(record.out_dir)) == GOLDEN[(base, kind)]
+
+
+@pytest.mark.parametrize("kind", sorted(VERIFY_GOLDEN))
+def test_verify_report_matches_golden_digest(kind):
+    options, digest = VERIFY_GOLDEN[kind]
+    report, ok = run_verify(kind, dict(options))
+    assert ok
+    assert hashlib.sha256(json_text(report).encode()).hexdigest() == digest

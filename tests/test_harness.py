@@ -20,7 +20,6 @@ from driftlab import (
     MarkovModulatedProcess,
     ProductProcess,
     SubsampledErmLearner,
-    build_checkpoints,
     build_learner,
     build_model,
     config_hash,
@@ -33,6 +32,8 @@ from driftlab import (
 )
 from driftlab.cli import main
 from driftlab.harness import write_text_atomic
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def base_config(**overrides):
@@ -231,7 +232,7 @@ class TestBuilders:
 
     def test_build_checkpoints(self):
         resolved = resolve_config(base_config())
-        assert build_checkpoints(resolved) == (2, 4, 8, 16, 32, 64, 128, 256, 512)
+        assert resolved["checkpoints"] == [2, 4, 8, 16, 32, 64, 128, 256, 512]
 
 
 RUN_FILES = (
@@ -281,8 +282,8 @@ class TestRunConfig:
         learner = build_learner(resolved, schedule)
         assert data[0, 4] == 0 and data[0, 5] == 0  # initial hypothesis, no window
         for t in (2, 100, 511):
-            k, m = learner.windows(t)
-            assert data[t - 1, 4] == k and data[t - 1, 5] == m
+            gaps, windows = learner.plan(t)
+            assert data[t - 1, 4] == gaps[-1] and data[t - 1, 5] == windows[-1]
 
     def test_mean_csv_matches_curve(self, mini_run, tmp_path):
         _, record, curve, _ = mini_run
@@ -427,10 +428,11 @@ class TestPlanConsistency:
         assert gaps.dtype == windows.dtype == np.int64
         assert gaps.shape == windows.shape == (horizon,)
         assert tuple(recorded[0]) == (0, 0)
-        shim = build_learner(resolved, schedule)
+        fresh = build_learner(resolved, schedule)
         for t in range(1, horizon + 1):
-            row = (int(gaps[t - 1]), int(windows[t - 1]))
-            assert shim.windows(t) == row == tuple(recorded[t - 1]), t
+            assert (int(gaps[t - 1]), int(windows[t - 1])) == tuple(recorded[t - 1]), t
+            prefix_gaps, prefix_windows = fresh.plan(t)
+            assert np.array_equal(prefix_gaps, gaps[:t]) and np.array_equal(prefix_windows, windows[:t]), t
 
     def test_plan_is_memoised_and_read_only(self):
         resolved = resolve_config(base_config())
@@ -662,6 +664,25 @@ class TestRefitRates:
             refit_rates(run_dir)
         assert (run_dir / "fit.json").read_bytes() == written
 
+    @pytest.mark.parametrize("name", ["minimal.json", "markov-subsampled.json", "gamma-sweep.json"])
+    def test_shipped_configs_resolve_to_themselves(self, name):
+        # refit_rates re-resolves the stored config.json; that must keep it, and so its hash
+        raw = json.loads((CONFIGS / name).read_text(encoding="utf-8"))
+        cells = harness_mod._expand_cells(resolve_config(raw))
+        for config in [raw] + [harness_mod._cell_config(raw, cell) for cell in cells]:
+            resolved = {k: v for k, v in resolve_config(config).items() if k != "sweep"}
+            assert resolve_config(resolved) == resolved
+
+    @pytest.mark.parametrize(
+        "drift",
+        [{"kind": "triangle_wave", "alpha": 0.25, "c0": 0.5}, {"kind": "constant", "gamma": 0.01}],
+        ids=["triangle_wave", "constant"],
+    )
+    @pytest.mark.parametrize("spec", PLAN_LEARNERS, ids=[s["kind"] for s in PLAN_LEARNERS])
+    def test_resolved_config_resolves_to_itself(self, spec, drift):
+        resolved = resolve_config(base_config(drift=drift, learner=spec, checkpoints=None))
+        assert resolve_config(resolved) == resolved
+
     @pytest.mark.parametrize("cut", ["mid_row", "every_row"])
     def test_malformed_curve_keeps_fit(self, tmp_path, cut):
         resolved = resolve_config(base_config(seeds=[0]))
@@ -731,6 +752,20 @@ class TestCli:
         bad.write_text("{oops")
         assert main(["simulate", "--config", str(bad)]) == 2
         assert "config error: --config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["directory", "not_utf8", "not_an_object"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, case):
+        path = tmp_path / "config.json"
+        if case == "directory":
+            path.mkdir()
+        elif case == "not_utf8":
+            path.write_bytes(json.dumps(base_config(out="caf\u00e9"), ensure_ascii=False).encode("latin-1"))
+        else:  # the --seeds override is applied to the loaded config before it is resolved
+            path.write_text("[1, 2]")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out), "--seeds", "0"]) == 2
+        assert "config error: --config: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_config_key_exits_2_and_names_key(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
@@ -887,12 +922,41 @@ class TestCli:
         assert main(["rates", str(tmp_path / "nope")]) == 2
         assert "config error" in capsys.readouterr().err
 
-    def test_runtime_failure_exits_3(self, tmp_path, capsys):
-        stub = tmp_path / "stub"
-        stub.mkdir()
-        (stub / "config.json").write_text("{broken")
-        assert main(["rates", str(stub)]) == 3
+    @pytest.mark.parametrize(
+        "text,key",
+        [
+            (b"{not json", "run_dir"),
+            (b"[1,2]", "run_dir"),
+            (b'{"horizon": "x"}', "horizon"),
+            (b'{"horizon": 64, "out": "caf\xe9"}', "run_dir"),
+        ],
+        ids=["invalid_json", "not_an_object", "bad_key", "not_utf8"],
+    )
+    def test_rates_broken_config_exits_2_and_keeps_fit(self, tmp_path, capsys, text, key):
+        cfg = self._write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        run_dir = next(out.iterdir())
+        written = (run_dir / "fit.json").read_bytes()
+        (run_dir / "config.json").write_bytes(text)
         capsys.readouterr()
+        assert main(["rates", str(run_dir)]) == 2
+        assert f"config error: {key}: " in capsys.readouterr().err
+        assert (run_dir / "fit.json").read_bytes() == written
+
+    def test_runtime_failure_exits_3(self, tmp_path, capsys, monkeypatch):
+        cfg = self._write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        run_dir = next(out.iterdir())
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("simulated failure")
+
+        monkeypatch.setattr(harness_mod, "fit_growth_exponent", fail)
+        capsys.readouterr()
+        assert main(["rates", str(run_dir)]) == 3
+        assert "RuntimeError: simulated failure" in capsys.readouterr().err
 
     def test_console_script_installed(self, tmp_path):
         result = subprocess.run(

@@ -230,14 +230,20 @@ class TestErmStep:
         assert float(errors.mean()) <= 2.0 / (n + 1)
 
 
+def _plan_row(learner, t):
+    """(gap, window) of step t, the last row of plan(t)."""
+    gaps, windows = learner.plan(t)
+    return int(gaps[-1]), int(windows[-1])
+
+
 class TestLearnerEquivalences:
     def test_subsampled_learner_matches_erm_step(self):
         _, path = _random_product_path(300, 11)
         learner = SubsampledErmLearner(alpha=0.25, r=2.0, function_class=ThresholdClass())
         for t in (2, 10, 100, 300):
-            h, gap, window = learner.step_with_windows(path, t)
-            k, m = learner.windows(t)
-            assert (gap, window) == (k, m)
+            h = learner.step(path, t)
+            k, m = _plan_row(learner, t)
+            assert (k, m) == subsample_schedule(t, 0.25, 2.0)
             expected = erm_step(ThresholdClass(), path, t, k, m)
             assert h.theta == expected.theta
 
@@ -245,7 +251,7 @@ class TestLearnerEquivalences:
         sched, path = _random_product_path(300, 12)
         learner = AdaptiveWindowLearner(function_class=ThresholdClass(), schedule=sched)
         for t in (2, 10, 100, 300):
-            h, gap, window = learner.step_with_windows(path, t)
+            h, (gap, window) = learner.step(path, t), _plan_row(learner, t)
             assert gap == 1
             assert window == best_window(t, sched, 1)
             expected = erm_step(ThresholdClass(), path, t, 1, window)
@@ -259,11 +265,11 @@ class TestLearnerEquivalences:
         m_bar = constant_window_size(1, 0.01)
         assert learner.window == m_bar
         for t in range(1, m_bar + 1):
-            h, gap, window = learner.step_with_windows(path, t)
+            h, (gap, window) = learner.step(path, t), _plan_row(learner, t)
             assert (gap, window) == (0, 0)
             assert h.theta == 0.0  # initial hypothesis deployed through warmup
         for t in (m_bar + 1, 200, 400):
-            h, gap, window = learner.step_with_windows(path, t)
+            h, (gap, window) = learner.step(path, t), _plan_row(learner, t)
             assert (gap, window) == (1, m_bar)
             expected = erm_step(ThresholdClass(), path, t, 1, m_bar)
             assert h.theta == expected.theta
@@ -273,12 +279,12 @@ class TestLearnerEquivalences:
         full = BaselineLearner(kind="full_history_erm", function_class=ThresholdClass())
         last = BaselineLearner(kind="last_point", function_class=ThresholdClass())
         for t in (2, 50, 120):
-            h_full, gap_f, win_f = full.step_with_windows(path, t)
+            h_full, (gap_f, win_f) = full.step(path, t), _plan_row(full, t)
             assert (gap_f, win_f) == (1, t - 1)
             expected = erm_step(ThresholdClass(), path, t, 1, t - 1)
             assert h_full.theta == expected.theta
 
-            h_last, gap_l, win_l = last.step_with_windows(path, t)
+            h_last, (gap_l, win_l) = last.step(path, t), _plan_row(last, t)
             assert (gap_l, win_l) == (1, 1)
             expected_last = erm_step(ThresholdClass(), path, t, 1, 1)
             assert h_last.theta == expected_last.theta
@@ -295,15 +301,10 @@ class TestLearnerEquivalences:
             BaselineLearner(kind="last_point", function_class=ThresholdClass()),
         ]
         for learner in learners:
-            h, gap, window = learner.step_with_windows(path, 1)
+            h, (gap, window) = learner.step(path, 1), _plan_row(learner, 1)
             assert (gap, window) == (0, 0)
             assert h.theta == 0.0
 
     def test_unknown_baseline_rejected(self):
         with pytest.raises(ValueError, match="unknown baseline"):
             BaselineLearner(kind="mystery", function_class=ThresholdClass())
-
-    def test_step_delegates_to_step_with_windows(self):
-        _, path = _random_product_path(60, 16)
-        learner = SubsampledErmLearner(alpha=0.25, r=1.0, function_class=ThresholdClass())
-        assert learner.step(path, 37).theta == learner.step_with_windows(path, 37)[0].theta

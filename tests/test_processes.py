@@ -1,5 +1,9 @@
 """Stream processes: sampling determinism, marginal laws, exact mixing coefficients."""
 
+import itertools
+import math
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -19,7 +23,7 @@ from driftlab import (
     symmetric_chain,
     verify_mixing_rate,
 )
-from driftlab.processes import MixingProfile
+from driftlab.processes import MixingProfile, _is_primitive
 
 
 def _flat_path(theta: float, eta: float, horizon: int) -> ConceptPath:
@@ -82,6 +86,58 @@ class TestChainConstruction:
         assert np.allclose(mm.stationary, 0.2)
         pi = mm.stationary
         assert np.allclose(pi @ mm.transition_array(), pi)
+
+
+def _bfs_levels(graph: np.ndarray) -> dict[int, int]:
+    """Breadth-first distance from state 0 of every state reachable from it."""
+    level = {0: 0}
+    queue = deque([0])
+    while queue:
+        u = queue.popleft()
+        for v in np.flatnonzero(graph[u]).tolist():
+            if v not in level:
+                level[v] = level[u] + 1
+                queue.append(v)
+    return level
+
+
+def _primitive_by_graph_search(adjacency: np.ndarray) -> bool:
+    """Strongly connected with cycle-length gcd 1, found without matrix powers.
+
+    A strongly connected structure has period gcd(level[u] + 1 - level[v])
+    over its edges u -> v, with breadth-first levels from state 0.
+    """
+    size = adjacency.shape[0]
+    level = _bfs_levels(adjacency)
+    if len(level) < size or len(_bfs_levels(adjacency.T)) < size:
+        return False
+    period = 0
+    for u, v in zip(*np.nonzero(adjacency)):
+        period = math.gcd(period, abs(level[int(u)] + 1 - level[int(v)]))
+    return period == 1
+
+
+class TestPrimitivity:
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_every_small_structure_matches_graph_search(self, size):
+        outcomes = set()
+        for bits in itertools.product((False, True), repeat=size * size):
+            adjacency = np.array(bits, dtype=bool).reshape(size, size)
+            expected = _primitive_by_graph_search(adjacency)
+            assert _is_primitive(adjacency) == expected, adjacency.astype(int).tolist()
+            outcomes.add(expected)
+        assert outcomes == {False, True}
+
+    @pytest.mark.parametrize("size", [4, 5])
+    def test_random_structures_match_graph_search(self, size):
+        rng = np.random.default_rng(size)
+        outcomes = set()
+        for _ in range(2000):
+            adjacency = rng.random((size, size)) < rng.uniform(0.1, 0.6)
+            expected = _primitive_by_graph_search(adjacency)
+            assert _is_primitive(adjacency) == expected, adjacency.astype(int).tolist()
+            outcomes.add(expected)
+        assert outcomes == {False, True}
 
 
 class TestSamplePath:
@@ -242,10 +298,12 @@ class TestMixingProfile:
         assert profile.bound_constant == pytest.approx(manual, abs=1e-12)
         assert len(profile.betas) == 64
         assert profile.k_max == 64
+        weighted = [beta_coefficient(mm, k) * k**r for k in range(1, 65)]
+        assert profile.worst_k == 1 + weighted.index(max(weighted))
 
     def test_profile_validation(self):
         with pytest.raises(ValueError):
-            MixingProfile(r=0.0, betas=(0.5,), bound_constant=1.0)
+            MixingProfile(r=0.0, betas=(0.5,), bound_constant=1.0, worst_k=1)
 
     def test_bound_holds_on_grid(self):
         mm = MarkovModulatedProcess(
