@@ -24,16 +24,17 @@ from .hypotheses import (
     FiniteExplicitClass,
     FunctionClass,
     ThresholdClass,
-    ThresholdHypothesis,
     cut_losses,
     inf_risk,
     risk,
+    threshold_erm_rows,
 )
 from .learners import Learner, _validate_alpha_r
 from .processes import (
     MarkovModulatedProcess,
     ProcessModel,
     ProductProcess,
+    SamplePath,
     beta_coefficient,
     sample_path,
 )
@@ -62,6 +63,10 @@ DEFAULT_CHECKPOINT_MAX = 32768
 BLOCKING_MAX_STATES = 4
 BLOCKING_MAX_BLOCKS = 4
 BLOCKING_MAX_GAP = 8
+
+# gathered points (rows x points per row) of one batch of threshold ERM solves;
+# bounds the memory of a batch
+ERM_BATCH_ELEMENTS = 2**14
 
 # curve rows are converted and written this many at a time, bounding the text held in memory
 CSV_CHUNK_ROWS = 4096
@@ -171,6 +176,26 @@ def _inf_risk_path(function_class: FunctionClass, marginals: Sequence[Marginal],
     return np.array([inf_risk(function_class, marginals[t]) for t in range(horizon)])
 
 
+def plan_group_starts(gaps: np.ndarray, windows: np.ndarray) -> np.ndarray:
+    """0-based first steps of the runs of equal (gap, window) plan rows."""
+    changed = (gaps[1:] != gaps[:-1]) | (windows[1:] != windows[:-1])
+    return np.concatenate(([0], np.flatnonzero(changed) + 1))
+
+
+def _window_thetas(path: SamplePath, start: int, stop: int, gap: int, window: int) -> np.ndarray:
+    """Threshold ERM thetas of steps start+1..stop, which share the plan row (gap, window)."""
+    if window == 0:
+        return np.zeros(stop - start)  # the initial hypothesis, theta 0
+    lags = gap * np.arange(1, window // gap + 1)
+    rows = max(1, ERM_BATCH_ELEMENTS // lags.size)
+    thetas = np.empty(stop - start)
+    for first in range(start, stop, rows):
+        # positions (t-1) - s*gap of the points fitted at steps t = first+1..
+        pos = np.arange(first, min(first + rows, stop))[:, None] - lags
+        thetas[first - start : first - start + pos.shape[0]] = threshold_erm_rows(path.xs[pos], path.ys[pos])
+    return thetas
+
+
 def run_single(
     model: ProcessModel,
     learner: Learner,
@@ -182,24 +207,29 @@ def run_single(
 
     ``checkpoint(t, risks)`` is invoked after each power-of-two step with
     ``risks`` filled through index t-1, so callers can flush partial results.
+
+    Threshold classes on concept paths are solved in batches: the steps are
+    cut into runs of equal plan rows, also cut after every power of two, and
+    each run's ERM problems are solved row-wise by ``threshold_erm_rows``.
+    Any other class or marginal sequence steps through ``learner.fit`` one
+    step at a time, the scalar reference the batches must match.
     """
     path = sample_path(model, horizon, seed)
     gaps, windows = learner.plan(horizon)
     marginals = model.marginals
-    if isinstance(marginals, ConceptPath) and isinstance(learner.function_class, ThresholdClass):
-        thetas, eta, scale = marginals.thetas, marginals.eta, 1.0 - 2.0 * marginals.eta
-
-        def step_risk(hypothesis, t: int) -> float:
-            return eta + scale * abs(hypothesis.theta - thetas[t - 1])
-
-    else:
-
-        def step_risk(hypothesis, t: int) -> float:
-            return risk(hypothesis, marginals[t - 1])
-
     risks = np.empty(horizon)
+    if isinstance(marginals, ConceptPath) and isinstance(learner.function_class, ThresholdClass):
+        powers = 1 << np.arange(int(horizon).bit_length())
+        starts = np.union1d(plan_group_starts(gaps, windows), powers[powers < horizon]).tolist()
+        scale = 1.0 - 2.0 * marginals.eta
+        for start, stop in zip(starts, starts[1:] + [horizon]):
+            thetas = _window_thetas(path, start, stop, int(gaps[start]), int(windows[start]))
+            risks[start:stop] = marginals.eta + scale * np.abs(thetas - marginals.thetas[start:stop])
+            if checkpoint is not None and (stop & (stop - 1)) == 0:
+                checkpoint(stop, risks)
+        return risks
     for t, (gap, window) in enumerate(zip(gaps.tolist(), windows.tolist()), start=1):
-        risks[t - 1] = step_risk(learner.fit(path, t, gap, window), t)
+        risks[t - 1] = risk(learner.fit(path, t, gap, window), marginals[t - 1])
         if checkpoint is not None and (t & (t - 1)) == 0:
             checkpoint(t, risks)
     return risks

@@ -52,6 +52,7 @@ from .evaluation import (
     default_checkpoints,
     fit_growth_exponent,
     geometric_checkpoints,
+    plan_group_starts,
     run_single,
     theoretical_exponent,
     verify_blocking,
@@ -418,6 +419,18 @@ def _run_seed_streaming(
     return risks
 
 
+def _plan_summary(gaps: np.ndarray, windows: np.ndarray) -> dict:
+    """The plan's shape and the ERM work it asks of each seed; (0, 0) rows deploy the initial hypothesis."""
+    solves = windows > 0
+    return {
+        "groups": int(plan_group_starts(gaps, windows).size),
+        "initial_steps": int(np.count_nonzero(~solves)),
+        "max_window": int(windows.max()),
+        "erm_solves": int(np.count_nonzero(solves)),
+        "erm_points": int((windows[solves] // gaps[solves]).sum()),
+    }
+
+
 def _check_jobs(jobs: int) -> None:
     _require(jobs >= 1, "--jobs", f"must be >= 1, got {jobs}")
 
@@ -437,7 +450,7 @@ def run_config(resolved: dict, out_root: str | Path, jobs: int = 1) -> tuple[Run
 
     _write_json(out_dir / "config.json", {k: v for k, v in resolved.items() if k != "sweep"})
 
-    learner.plan(horizon)  # computed once here, then shared by every seed and worker
+    gaps, windows = learner.plan(horizon)  # computed once here, then shared by every seed and worker
     inf_risks = _inf_risk_path(learner.function_class, model.marginals, horizon)
     curve_files = [str(out_dir / f"curve-{seed}.csv") for seed in seeds]
     run_seed = functools.partial(_run_seed_streaming, model, learner, horizon, inf_risks)
@@ -472,6 +485,7 @@ def run_config(resolved: dict, out_root: str | Path, jobs: int = 1) -> tuple[Run
             "seeds": list(seeds),
             "curve_files": [Path(p).name for p in curve_files],
             "fit": fit_payload,
+            "plan": _plan_summary(gaps, windows),
             "wall_clock_seconds": wall,
         },
     )
@@ -751,6 +765,10 @@ def _verify_discrepancy(*, pairs=10000, grid_pairs=1000, seed=0) -> dict:
 
 def _verify_mixing_rate(*, cap=1e6, r=(1.0, 2.0), states=(2, 4, 8), flips=(0.1, 0.3)) -> dict:
     cap = float(cap)
+    # a NaN cap would pass every certificate; a rate <= 0 certifies nothing
+    _require(math.isfinite(cap) and cap > 0.0, "cap", f"must be finite and > 0, got {cap}")
+    for rate in r:
+        _require(math.isfinite(rate) and rate > 0.0, "r", f"every rate must be finite and > 0, got {rate}")
     path = ConceptPath(np.array([0.5]), 0.1)
     models = [("product", ProductProcess(marginals=path))] + [
         (f"symmetric_chain(states={n}, flip={flip})", MarkovModulatedProcess(symmetric_chain(n, flip), path))

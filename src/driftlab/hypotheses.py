@@ -26,6 +26,7 @@ __all__ = [
     "loss",
     "erm",
     "threshold_erm",
+    "threshold_erm_rows",
     "risk",
     "inf_risk",
     "initial_hypothesis",
@@ -170,6 +171,36 @@ def threshold_erm(xs: np.ndarray, ys: np.ndarray) -> tuple[float, int]:
     else:
         theta = 0.5 * (x[best - 1] + x[best])
     return theta, int(losses[best])
+
+
+def threshold_erm_rows(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """``threshold_erm``'s theta for every row of (rows, n) arrays of x in [0,1] and 0/1 labels.
+
+    Each row is sorted once as packed keys (x bits << 1) | y: non-negative
+    doubles order like their int64 bits, and 1.0 still fits after the shift.
+    Tied x come out label 0 first, which changes only the losses at
+    unreachable cuts, so the cuts, the reachability rule and the leftmost
+    tie-break give the same theta as ``threshold_erm``.
+    """
+    xs = np.asarray(xs, dtype=float)
+    rows, n = xs.shape
+    if n == 0:
+        raise ValueError("erm needs at least one point")
+    keys = (xs.view(np.int64) << 1) | np.asarray(ys, dtype=np.int64)
+    keys.sort(axis=1)
+    x = (keys >> 1).view(float)
+    ones_before = np.zeros((rows, n + 1), dtype=np.int64)
+    np.cumsum(keys & 1, axis=1, out=ones_before[:, 1:])
+    losses = ones_before + (n - ones_before[:, -1:]) - (np.arange(n + 1) - ones_before)
+    reachable = np.empty((rows, n + 1), dtype=bool)
+    reachable[:, 0] = True
+    reachable[:, 1:n] = x[:, :-1] < x[:, 1:]
+    reachable[:, n] = x[:, -1] < 1.0
+    best = np.argmin(np.where(reachable, losses, n + 1), axis=1)[:, None]
+    below = np.take_along_axis(x, np.maximum(best - 1, 0), axis=1)
+    above = np.take_along_axis(x, np.minimum(best, n - 1), axis=1)
+    thetas = np.where(best == 0, 0.0, np.where(best == n, 1.0, 0.5 * (below + above)))
+    return thetas[:, 0]
 
 
 def erm(function_class: FunctionClass, points: Sequence[Observation]) -> Hypothesis:

@@ -184,11 +184,19 @@ def sample_path(model: ProcessModel, horizon: int, seed: int) -> SamplePath:
     state = int(np.searchsorted(np.cumsum(model.stationary), rng.random(), side="right"))
     state = min(state, states_n - 1)
     moves = rng.random(horizon - 1) if horizon > 1 else np.empty(0)
-    states = np.empty(horizon, dtype=np.int64)
-    states[0] = state
-    for t in range(1, horizon):
-        state = min(int(np.searchsorted(cum_rows[state], moves[t - 1], side="right")), states_n - 1)
-        states[t] = state
+    # maps[t, s] is the state after move t from state s; an inclusive scan that
+    # composes them by doubling (Hillis & Steele 1986) leaves in maps[t] the
+    # state after moves 0..t from each starting state; int8 holds every state
+    # (at most MAX_STATES) in an eighth of int64's memory
+    maps = np.empty((horizon - 1, states_n), dtype=np.int8)
+    for s in range(states_n):
+        maps[:, s] = np.searchsorted(cum_rows[s], moves, side="right")
+    np.minimum(maps, states_n - 1, out=maps)
+    span = 1
+    while span < horizon - 1:
+        maps[span:] = np.take_along_axis(maps[span:], maps[:-span], axis=1)
+        span *= 2
+    states = np.concatenate(([state], maps[:, state])).astype(np.int64)
     offsets = rng.random(horizon)
     xs = (states + offsets) / states_n
     thetas = model.marginals.thetas[:horizon]

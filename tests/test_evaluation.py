@@ -2,17 +2,24 @@
 
 import itertools
 import math
+from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftlab import (
     AdaptiveWindowLearner,
     BaselineLearner,
+    ConstantWindowLearner,
     ConceptPath,
     DegenerateCurveError,
     FiniteExplicitClass,
     FiniteSupport,
+    FunctionClass,
+    Learner,
     MarkovModulatedProcess,
     Observation,
     ProductProcess,
@@ -35,6 +42,7 @@ from driftlab import (
     verify_blocking,
     verify_uniform_deviation,
 )
+from driftlab import evaluation
 
 
 class TestTheoreticalExponent:
@@ -185,6 +193,97 @@ class TestRunSingle:
         a = run_single(model, learner, 100, seed=7)
         b = run_single(model, learner, 100, seed=7)
         assert np.array_equal(a, b)
+
+
+def _stepwise_risks(model, learner, horizon: int, seed: int) -> np.ndarray:
+    """Per-step reference: the hypothesis ``learner.step`` fits at each t, scored by ``risk``."""
+    sp = sample_path(model, horizon, seed)
+    return np.array([risk(learner.step(sp, t), model.marginals[t - 1]) for t in range(1, horizon + 1)])
+
+
+def _batched_run(model, learner, horizon: int, seed: int):
+    """run_single's risks and the (t, flushed prefix) of every checkpoint call."""
+    flushed = []
+    risks = run_single(model, learner, horizon, seed, checkpoint=lambda t, r: flushed.append((t, r[:t].copy())))
+    return risks, flushed
+
+
+def _learner(kind: str, schedule):
+    fclass = ThresholdClass()
+    if kind == "subsampled_erm":
+        return SubsampledErmLearner(alpha=0.25, r=2.0, function_class=fclass)
+    if kind == "adaptive_window":
+        return AdaptiveWindowLearner(function_class=fclass, schedule=schedule)
+    if kind == "constant_window":
+        return ConstantWindowLearner(function_class=fclass, gamma=0.01)  # window 22
+    return BaselineLearner(kind=kind, function_class=fclass)
+
+
+@dataclass
+class _BlockPlanLearner(Learner):
+    """Plan rows taken in turn per block of steps, clipped to be valid at every t; (0, 0) rows anywhere."""
+
+    function_class: FunctionClass
+    rows: tuple[tuple[int, int], ...]
+    block: int
+
+    def _plan(self, gaps: np.ndarray, windows: np.ndarray) -> None:
+        for i in range(1, gaps.size):  # step t = i + 1 sees i points
+            gap, window = self.rows[(i // self.block) % len(self.rows)]
+            windows[i] = min(window, i)
+            gaps[i] = min(gap, windows[i])
+
+
+class TestBatchedRun:
+    HORIZON = 200  # not a power of two: the last steps end no checkpoint
+
+    @pytest.mark.parametrize("budget", [evaluation.ERM_BATCH_ELEMENTS, 5])
+    @pytest.mark.parametrize("process", ["product", "markov"])
+    @pytest.mark.parametrize(
+        "kind", ["subsampled_erm", "adaptive_window", "constant_window", "full_history_erm", "last_point"]
+    )
+    def test_matches_stepwise_reference(self, kind, process, budget, monkeypatch):
+        monkeypatch.setattr(evaluation, "ERM_BATCH_ELEMENTS", budget)
+        sched = make_drift_schedule("power_step", alpha=0.25, horizon=self.HORIZON)
+        path = concept_path(sched, eta=0.1, theta0=0.5)
+        if process == "product":
+            model = ProductProcess(marginals=path)
+        else:
+            model = MarkovModulatedProcess(transition=symmetric_chain(3, 0.25), marginals=path)
+        learner = _learner(kind, sched)
+        reference = _stepwise_risks(model, learner, self.HORIZON, seed=11)
+        risks, flushed = _batched_run(model, learner, self.HORIZON, seed=11)
+        assert np.array_equal(risks, reference)
+        assert [t for t, _ in flushed] == [1, 2, 4, 8, 16, 32, 64, 128]
+        for t, prefix in flushed:
+            assert np.array_equal(prefix, reference[:t])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(st.integers(1, 6), st.integers(0, 40)).map(lambda r: (0, 0) if r[1] == 0 else r),
+            min_size=1,
+            max_size=5,
+        ),
+        block=st.integers(1, 9),
+        horizon=st.integers(1, 150),
+        markov=st.booleans(),
+        budget=st.sampled_from([evaluation.ERM_BATCH_ELEMENTS, 7]),
+    )
+    def test_random_plans_match_stepwise_reference(self, rows, block, horizon, markov, budget):
+        path = ConceptPath(np.linspace(0.2, 0.8, horizon), 0.15)
+        if markov:
+            model = MarkovModulatedProcess(transition=symmetric_chain(4, 0.3), marginals=path)
+        else:
+            model = ProductProcess(marginals=path)
+        learner = _BlockPlanLearner(function_class=ThresholdClass(), rows=tuple(rows), block=block)
+        with mock.patch.object(evaluation, "ERM_BATCH_ELEMENTS", budget):
+            risks, flushed = _batched_run(model, learner, horizon, seed=3)
+        reference = _stepwise_risks(model, learner, horizon, seed=3)
+        assert np.array_equal(risks, reference)
+        assert [t for t, _ in flushed] == [1 << j for j in range(horizon.bit_length())]
+        for t, prefix in flushed:
+            assert np.array_equal(prefix, reference[:t])
 
 
 class TestRunExperiment:

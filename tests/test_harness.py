@@ -378,6 +378,27 @@ class TestRunConfig:
         assert payload["wall_clock_seconds"] >= 0.0
         assert payload["fit"] == json.loads((Path(record.out_dir) / "fit.json").read_text())
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"drift": {"kind": "constant", "gamma": 0.01}, "learner": {"kind": "constant_window"}},
+            {"learner": {"kind": "adaptive_window"}},
+        ],
+    )
+    def test_run_json_plan_counts_curve_rows(self, overrides, tmp_path):
+        record, _ = run_config(resolve_config(base_config(**overrides)), tmp_path)
+        plan = json.loads((Path(record.out_dir) / "run.json").read_text())["plan"]
+        rows = [line.split(",")[4:] for line in Path(record.curve_files[0]).read_text().splitlines()[1:]]
+        rows = [(int(k), int(m)) for k, m in rows]
+        assert plan == {
+            "groups": sum(row != previous for row, previous in zip(rows, [None] + rows)),
+            "initial_steps": rows.count((0, 0)),
+            "max_window": max(m for _, m in rows),
+            "erm_solves": sum(m > 0 for _, m in rows),
+            "erm_points": sum(m // k for k, m in rows if m > 0),
+        }
+
     def test_too_few_checkpoints_skips_fit(self, tmp_path):
         resolved = resolve_config(base_config(horizon=64, checkpoints=[2, 4, 8]))
         record, _ = run_config(resolved, tmp_path)
@@ -601,6 +622,18 @@ class TestRunVerify:
         with pytest.raises(ConfigError) as excinfo:
             run_verify("discrepancy", {"pairs": 10, "grid_pairs": 0})
         assert excinfo.value.key == "grid_pairs"
+
+    @pytest.mark.parametrize("cap", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_mixing_rate_bad_cap_names_cap(self, cap):
+        with pytest.raises(ConfigError) as excinfo:
+            run_verify("mixing_rate", {"cap": cap, "r": [1.0]})
+        assert excinfo.value.key == "cap"
+
+    @pytest.mark.parametrize("rate", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_mixing_rate_bad_rate_names_r(self, rate):
+        with pytest.raises(ConfigError) as excinfo:
+            run_verify("mixing_rate", {"r": [1.0, rate]})
+        assert excinfo.value.key == "r"
 
     @pytest.mark.parametrize(
         "kind,option",

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftlab import (
     FiniteExplicitClass,
@@ -18,7 +20,12 @@ from driftlab import (
     risk,
     threshold_erm,
 )
-from driftlab.hypotheses import finite_class_from_json, finite_erm_indices, load_finite_class
+from driftlab.hypotheses import (
+    finite_class_from_json,
+    finite_erm_indices,
+    load_finite_class,
+    threshold_erm_rows,
+)
 
 
 def _count_errors(theta: float, xs: np.ndarray, ys: np.ndarray) -> int:
@@ -152,6 +159,63 @@ class TestThresholdErm:
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
             threshold_erm(np.array([]), np.array([]))
+
+
+# x on a grid of eighths: frequent ties, both ends 0.0 and 1.0, and exact midpoints
+GRID_X = st.integers(0, 8).map(lambda i: i / 8)
+ANY_X = st.floats(0.0, 1.0)
+
+
+@st.composite
+def _row_batch(draw, x_values):
+    """(rows, n) x and label arrays; a row's labels are random, all 1 or all 0."""
+    rows, n = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    xs = np.array([[draw(x_values) for _ in range(n)] for _ in range(rows)], dtype=float)
+    ys = np.empty((rows, n), dtype=np.int64)
+    for row in ys:
+        mode = draw(st.sampled_from(("random", "ones", "zeros")))
+        row[:] = [draw(st.integers(0, 1)) for _ in range(n)] if mode == "random" else int(mode == "ones")
+    return xs, ys
+
+
+class TestThresholdErmRows:
+    @settings(max_examples=300, deadline=None)
+    @given(_row_batch(ANY_X))
+    def test_matches_threshold_erm_row_by_row(self, batch):
+        xs, ys = batch
+        thetas = threshold_erm_rows(xs, ys)
+        assert thetas.shape == (xs.shape[0],)
+        for row_x, row_y, theta in zip(xs, ys, thetas):
+            assert theta == threshold_erm(row_x, row_y)[0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(_row_batch(GRID_X))
+    def test_matches_brute_force_on_tied_grid(self, batch):
+        xs, ys = batch
+        for row_x, row_y, theta in zip(xs, ys, threshold_erm_rows(xs, ys)):
+            assert theta == threshold_erm(row_x, row_y)[0] == _erm_oracle(row_x, row_y)[0]
+
+    def test_single_point_rows_at_both_ends(self):
+        xs = np.array([[0.0], [0.0], [1.0], [1.0], [0.5], [0.5]])
+        ys = np.array([[0], [1], [0], [1], [0], [1]])
+        # a lone x = 1 labelled 0 cannot be cut below it: theta 1 still predicts 1
+        expected = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0]
+        assert threshold_erm_rows(xs, ys).tolist() == expected
+        for row_x, row_y, theta in zip(xs, ys, expected):
+            assert threshold_erm(row_x, row_y)[0] == _erm_oracle(row_x, row_y)[0] == theta
+
+    def test_duplicates_with_mixed_labels(self):
+        # the tie at 0.5 holds both labels, so no cut may split it
+        xs = np.array([[0.5, 0.5, 0.5, 0.25, 0.75], [0.5, 0.5, 0.5, 0.5, 0.5]])
+        ys = np.array([[1, 0, 1, 0, 1], [0, 1, 0, 1, 1]])
+        thetas = threshold_erm_rows(xs, ys)
+        assert thetas.tolist() == [0.375, 0.0]
+        for row_x, row_y, theta in zip(xs, ys, thetas):
+            assert theta == threshold_erm(row_x, row_y)[0]
+
+    def test_empty_rows_rejected(self):
+        with pytest.raises(ValueError):
+            threshold_erm_rows(np.empty((2, 0)), np.empty((2, 0), dtype=np.int64))
 
 
 def _small_finite_class(rng) -> FiniteExplicitClass:

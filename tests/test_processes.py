@@ -229,6 +229,53 @@ class TestSamplePath:
         assert np.array_equal(data[:, 3].astype(np.int64), sp.states)
 
 
+def _markov_path_oracle(model: MarkovModulatedProcess, horizon: int, seed: int):
+    """(states, xs) of sample_path drawn with a per-step loop over the chain."""
+    rng = np.random.default_rng(seed)
+    n = model.states
+    cum_rows = np.cumsum(model.transition_array(), axis=1)
+    state = min(int(np.searchsorted(np.cumsum(model.stationary), rng.random(), side="right")), n - 1)
+    moves = rng.random(horizon - 1) if horizon > 1 else np.empty(0)
+    states = [state]
+    for u in moves:
+        state = min(int(np.searchsorted(cum_rows[state], u, side="right")), n - 1)
+        states.append(state)
+    states = np.array(states, dtype=np.int64)
+    return states, (states + rng.random(horizon)) / n
+
+
+def _circulant(first_row: list[float]) -> tuple[tuple[float, ...], ...]:
+    return tuple(tuple(float(v) for v in np.roll(first_row, shift)) for shift in range(len(first_row)))
+
+
+class TestMarkovStates:
+    CHAINS = {
+        1: [((1.0,),)],
+        2: [symmetric_chain(2, 0.3), symmetric_chain(2, 0.9)],
+        3: [symmetric_chain(3, 0.25), _circulant([0.5, 0.5, 0.0])],
+        5: [symmetric_chain(5, 0.4), _circulant([0.0, 0.7, 0.0, 0.3, 0.0]), _circulant([0.25, 0.0, 0.75, 0.0, 0.0])],
+    }
+
+    @pytest.mark.parametrize("states", [1, 2, 3, 5])
+    @pytest.mark.parametrize("horizon", [1, 2, 3, 1000])
+    def test_states_match_per_step_loop(self, states, horizon):
+        path = _flat_path(0.5, 0.1, horizon)
+        for transition in self.CHAINS[states]:
+            model = MarkovModulatedProcess(transition=transition, marginals=path)
+            for seed in (0, 1, 2):
+                sp = sample_path(model, horizon, seed)
+                states_oracle, xs_oracle = _markov_path_oracle(model, horizon, seed)
+                assert np.array_equal(sp.states, states_oracle)
+                assert np.array_equal(sp.xs, xs_oracle)
+
+    def test_zero_entries_are_never_taken(self):
+        transition = _circulant([0.0, 0.7, 0.0, 0.3, 0.0])
+        model = MarkovModulatedProcess(transition=transition, marginals=_flat_path(0.5, 0.1, 1000))
+        sp = sample_path(model, 1000, seed=4)
+        moves = (sp.states[1:] - sp.states[:-1]) % 5
+        assert set(moves.tolist()) == {1, 3}
+
+
 class TestBetaCoefficients:
     def test_two_state_example(self):
         mm = MarkovModulatedProcess(
