@@ -18,11 +18,7 @@ from .distributions import (
     ThresholdConcept,
     concept_path,
     discrepancy,
-    drift_path_from_json,
-    drift_path_to_json,
-    load_drift_path,
     make_drift_schedule,
-    save_drift_path,
     tv_distance,
 )
 from .evaluation import (
@@ -48,13 +44,12 @@ from .hypotheses import (
     ThresholdClass,
     ThresholdHypothesis,
     erm,
-    finite_class_from_json,
     inf_risk,
     initial_hypothesis,
-    load_finite_class,
     loss,
     risk,
     threshold_erm,
+    threshold_erm_rows,
 )
 from .learners import (
     AdaptiveWindowLearner,
@@ -76,12 +71,8 @@ from .processes import (
     ProductProcess,
     SamplePath,
     beta_coefficient,
-    load_process,
     mixing_profile,
-    process_from_json,
-    process_to_json,
     sample_path,
-    save_process,
     symmetric_chain,
     verify_mixing_rate,
 )

@@ -8,7 +8,6 @@ schedule as a sequence of threshold marginals.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence, Union
 
@@ -25,10 +24,6 @@ __all__ = [
     "concept_path",
     "tv_distance",
     "discrepancy",
-    "drift_path_to_json",
-    "drift_path_from_json",
-    "save_drift_path",
-    "load_drift_path",
 ]
 
 PROB_TOL = 1e-12
@@ -139,13 +134,6 @@ class DriftSchedule:
         return out
 
 
-def _growth_constant(deltas: np.ndarray, alpha: float) -> float:
-    horizon = deltas.size
-    prefix = np.cumsum(deltas)
-    scale = np.arange(1, horizon + 1, dtype=float) ** alpha
-    return float(np.max(prefix / scale))
-
-
 def make_drift_schedule(
     kind: str,
     alpha: float,
@@ -199,12 +187,13 @@ def make_drift_schedule(
             dirs[i] = direction
         directions = tuple(int(v) for v in dirs)
 
-    constant = _growth_constant(deltas, alpha)
+    # one expression, so its horizon-long temporaries are freed before the deltas tuple is built
+    growth = float(np.max(np.cumsum(deltas) / np.arange(1, horizon + 1, dtype=float) ** alpha))
     return DriftSchedule(
         kind=kind,
         alpha=alpha,
         deltas=tuple(float(v) for v in deltas),
-        growth_constant=constant,
+        growth_constant=growth,
         directions=directions,
     )
 
@@ -335,42 +324,3 @@ def discrepancy(p: Marginal, q: Marginal, function_class) -> float:
         diff = p.prob_array - q.prob_array
         return float(np.max(np.abs(function_class.table_array() @ diff)))
     raise ValueError(f"unsupported function class {type(function_class).__name__}")
-
-
-def drift_path_to_json(schedule: DriftSchedule, path: ConceptPath) -> dict:
-    """JSON-compatible dict with keys kind, alpha, deltas, directions, thetas, eta."""
-    return {
-        "kind": schedule.kind,
-        "alpha": schedule.alpha,
-        "deltas": list(schedule.deltas),
-        "directions": None if schedule.directions is None else list(schedule.directions),
-        "thetas": [float(v) for v in path.thetas],
-        "eta": path.eta,
-    }
-
-
-def drift_path_from_json(payload: dict) -> tuple[DriftSchedule, ConceptPath]:
-    deltas = np.asarray(payload["deltas"], dtype=float)
-    directions = payload.get("directions")
-    schedule = DriftSchedule(
-        kind=payload["kind"],
-        alpha=float(payload["alpha"]),
-        deltas=tuple(float(v) for v in deltas),
-        growth_constant=_growth_constant(deltas, float(payload["alpha"])),
-        directions=None if directions is None else tuple(int(v) for v in directions),
-    )
-    path = ConceptPath(np.asarray(payload["thetas"], dtype=float), float(payload["eta"]))
-    if len(path) != schedule.horizon:
-        raise ValueError("thetas and deltas must have equal length")
-    return schedule, path
-
-
-def save_drift_path(path_out: str, schedule: DriftSchedule, path: ConceptPath) -> None:
-    with open(path_out, "w", encoding="utf-8") as fh:
-        json.dump(drift_path_to_json(schedule, path), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_drift_path(path_in: str) -> tuple[DriftSchedule, ConceptPath]:
-    with open(path_in, "r", encoding="utf-8") as fh:
-        return drift_path_from_json(json.load(fh))

@@ -19,7 +19,7 @@ from typing import Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .distributions import ConceptPath, FiniteSupport, Marginal, ThresholdConcept
+from .distributions import ConceptPath, FiniteSupport, Marginal
 from .hypotheses import (
     FiniteExplicitClass,
     FunctionClass,
@@ -35,6 +35,7 @@ from .processes import (
     ProcessModel,
     ProductProcess,
     SamplePath,
+    _inverse_cdf,
     beta_coefficient,
     sample_path,
 )
@@ -211,8 +212,9 @@ def run_single(
     Threshold classes on concept paths are solved in batches: the steps are
     cut into runs of equal plan rows, also cut after every power of two, and
     each run's ERM problems are solved row-wise by ``threshold_erm_rows``.
-    Any other class or marginal sequence steps through ``learner.fit`` one
-    step at a time, the scalar reference the batches must match.
+    A finite class (on finite-support marginals) steps through
+    ``learner.fit`` one step at a time, the scalar reference the batches
+    must match.
     """
     path = sample_path(model, horizon, seed)
     gaps, windows = learner.plan(horizon)
@@ -456,15 +458,6 @@ def _threshold_sup_deviation(
     return best
 
 
-def _finite_sup_deviation(
-    function_class: FiniteExplicitClass,
-    support_indices: np.ndarray,
-    mean_true: np.ndarray,
-) -> float:
-    emp = function_class.table_array()[:, support_indices].mean(axis=1)
-    return float(np.max(np.abs(emp - mean_true)))
-
-
 def verify_uniform_deviation(
     function_class: FunctionClass,
     marginals: Sequence[Marginal],
@@ -519,11 +512,9 @@ def verify_uniform_deviation(
         for m in grid:
             mean_true = (tables @ prob_rows[:m].T).mean(axis=1)
             total = 0.0
-            n_support = len(function_class.support)
             for _ in range(trials):
-                draws = rng.random(m)
-                idx = np.minimum((cum_rows[:m] <= draws[:, None]).sum(axis=1), n_support - 1)
-                total += _finite_sup_deviation(function_class, idx, mean_true)
+                emp = tables[:, _inverse_cdf(cum_rows[:m], rng.random(m))].mean(axis=1)
+                total += float(np.max(np.abs(emp - mean_true)))
             estimates.append(total / trials)
     else:
         raise TypeError(f"unsupported function class {type(function_class).__name__}")

@@ -45,6 +45,9 @@ from .distributions import (
     tv_distance,
 )
 from .evaluation import (
+    BLOCKING_MAX_BLOCKS,
+    BLOCKING_MAX_GAP,
+    BLOCKING_MAX_STATES,
     DEFAULT_CHECKPOINT_MIN,
     RateFit,
     RegretCurve,
@@ -70,6 +73,7 @@ from .learners import (
     constant_window_size,
 )
 from .processes import (
+    MAX_STATES,
     MarkovModulatedProcess,
     ProcessModel,
     ProductProcess,
@@ -89,7 +93,6 @@ __all__ = [
     "run_sweep",
     "run_verify",
     "refit_rates",
-    "VERIFY_KINDS",
 ]
 
 # verify options set by a CLI flag are named by that flag in errors
@@ -669,9 +672,26 @@ def _verify_int(value: Any, name: str, minimum: int) -> int:
     return value
 
 
+def _verify_ints(values: Sequence, name: str, lo: int, hi: float = math.inf) -> None:
+    for value in values:
+        valid = isinstance(value, int) and not isinstance(value, bool) and lo <= value <= hi
+        _require(valid, name, f"every value must be an integer in [{lo}, {hi}], got {value!r}")
+
+
+def _verify_flips(flips: Sequence) -> None:
+    for flip in flips:
+        _require(isinstance(flip, float) and 0.0 < flip < 1.0, "flips", f"every flip must lie in (0, 1), got {flip!r}")
+
+
 def _verify_blocking(
     *, states=(2, 3, 4), blocks=(2, 3, 4), gaps=tuple(range(1, 9)), ts=(1, 2, 3, 4, 5), flips=(0.1, 0.3, 0.45)
 ) -> dict:
+    # the exact enumeration in verify_blocking caps states, blocks and gaps
+    _verify_ints(states, "states", 2, BLOCKING_MAX_STATES)
+    _verify_ints(blocks, "blocks", 1, BLOCKING_MAX_BLOCKS)
+    _verify_ints(gaps, "gaps", 1, BLOCKING_MAX_GAP)
+    _verify_ints(ts, "ts", 1)
+    _verify_flips(flips)
     reports = []
     min_slack = math.inf
     worst = None
@@ -704,7 +724,8 @@ def _verify_uniform_deviation(*, trials=2000, seed=0, m_grid=tuple(2**j for j in
     # the fitted slope needs two sizes
     _require(len(m_grid) >= 2 and min(m_grid) >= 1, "--m-grid", "needs at least two sizes, every size >= 1")
     _require(all(b > a for a, b in zip(m_grid, m_grid[1:])), "--m-grid", "must be strictly increasing")
-    eta = float(eta)
+    eta = _as_float(eta, "eta")
+    _require(0.0 <= eta < 0.5, "eta", f"must lie in [0, 0.5), got {eta}")
     horizon = max(m_grid)
     function_class = ThresholdClass()
 
@@ -769,6 +790,8 @@ def _verify_mixing_rate(*, cap=1e6, r=(1.0, 2.0), states=(2, 4, 8), flips=(0.1, 
     _require(math.isfinite(cap) and cap > 0.0, "cap", f"must be finite and > 0, got {cap}")
     for rate in r:
         _require(math.isfinite(rate) and rate > 0.0, "r", f"every rate must be finite and > 0, got {rate}")
+    _verify_ints(states, "states", 2, MAX_STATES)
+    _verify_flips(flips)
     path = ConceptPath(np.array([0.5]), 0.1)
     models = [("product", ProductProcess(marginals=path))] + [
         (f"symmetric_chain(states={n}, flip={flip})", MarkovModulatedProcess(symmetric_chain(n, flip), path))

@@ -7,7 +7,6 @@ support.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import ClassVar, Sequence, Union
@@ -30,8 +29,6 @@ __all__ = [
     "risk",
     "inf_risk",
     "initial_hypothesis",
-    "finite_class_from_json",
-    "load_finite_class",
 ]
 
 
@@ -80,10 +77,15 @@ class FiniteExplicitClass:
         return np.asarray(self.tables, dtype=float)
 
     def support_index(self, z: Observation) -> int:
+        return int(self.support_indices([z.x], [z.y])[0])
+
+    def support_indices(self, xs: Sequence[float], ys: Sequence[int]) -> np.ndarray:
+        """Support position of each observation (xs[i], ys[i])."""
+        keys = zip(np.asarray(xs, dtype=float).tolist(), np.asarray(ys, dtype=np.int64).tolist())
         try:
-            return self._index[(float(z.x), int(z.y))]
-        except KeyError:
-            raise ValueError(f"observation {z!r} lies outside the class support") from None
+            return np.array([self._index[key] for key in keys], dtype=np.int64)
+        except KeyError as err:
+            raise ValueError(f"observation {err.args[0]!r} lies outside the class support") from None
 
 
 FunctionClass = Union[ThresholdClass, FiniteExplicitClass]
@@ -219,11 +221,8 @@ def erm(function_class: FunctionClass, points: Sequence[Observation]) -> Hypothe
         theta, _ = threshold_erm(xs, ys)
         return ThresholdHypothesis(theta)
     if isinstance(function_class, FiniteExplicitClass):
-        idx = finite_erm_indices(
-            function_class,
-            np.array([function_class.support_index(z) for z in pts], dtype=np.int64),
-        )
-        return FiniteHypothesis(function_class, idx)
+        cols = function_class.support_indices([z.x for z in pts], [z.y for z in pts])
+        return FiniteHypothesis(function_class, finite_erm_indices(function_class, cols))
     raise TypeError(f"unsupported function class {type(function_class).__name__}")
 
 
@@ -264,15 +263,3 @@ def inf_risk(function_class: FunctionClass, marginal: Marginal) -> float:
             raise ValueError("marginal support must match the class support")
         return float(np.min(function_class.table_array() @ marginal.prob_array))
     raise TypeError(f"unsupported function class {type(function_class).__name__}")
-
-
-def finite_class_from_json(payload: dict) -> FiniteExplicitClass:
-    """Build a finite class from {"support": [[x,y],...], "tables": [[...]], "d": int}."""
-    support = tuple(Observation(float(x), int(y)) for x, y in payload["support"])
-    tables = tuple(tuple(float(v) for v in row) for row in payload["tables"])
-    return FiniteExplicitClass(support=support, tables=tables, d=int(payload.get("d", 1)))
-
-
-def load_finite_class(path: str) -> FiniteExplicitClass:
-    with open(path, "r", encoding="utf-8") as fh:
-        return finite_class_from_json(json.load(fh))

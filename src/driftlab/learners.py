@@ -13,20 +13,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DriftSchedule, Observation
+from .distributions import DriftSchedule
 from .hypotheses import (
+    FiniteHypothesis,
     FunctionClass,
     Hypothesis,
     ThresholdClass,
     ThresholdHypothesis,
-    erm,
+    finite_erm_indices,
     initial_hypothesis,
     threshold_erm,
 )
 from .processes import SamplePath
 
 __all__ = [
-    "SNAP_TOL",
     "subsample_schedule",
     "subsample_times",
     "best_window",
@@ -143,7 +143,8 @@ def erm_step(function_class: FunctionClass, path: SamplePath, t: int, gap: int, 
     if isinstance(function_class, ThresholdClass):
         theta, _ = threshold_erm(xs, ys)
         return ThresholdHypothesis(theta)
-    return erm(function_class, list(map(Observation, xs, ys)))
+    cols = function_class.support_indices(xs, ys)
+    return FiniteHypothesis(function_class, finite_erm_indices(function_class, cols))
 
 
 class Learner:

@@ -9,13 +9,12 @@ marginal exactly while making the sequence dependent.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
-from .distributions import ConceptPath, FiniteSupport, Marginal, ThresholdConcept
+from .distributions import ConceptPath, FiniteSupport
 
 __all__ = [
     "ProductProcess",
@@ -29,10 +28,6 @@ __all__ = [
     "beta_coefficient",
     "mixing_profile",
     "verify_mixing_rate",
-    "process_to_json",
-    "process_from_json",
-    "save_process",
-    "load_process",
 ]
 
 MAX_STATES = 16
@@ -42,13 +37,20 @@ DEFAULT_K_MAX = 64
 
 @dataclass(frozen=True)
 class ProductProcess:
-    """Independent draws: Z_t ~ P_t with no coupling across time."""
+    """Independent draws: Z_t ~ P_t with no coupling across time.
 
-    marginals: Sequence[Marginal]
+    The marginals are a ``ConceptPath`` or finite-support laws on one shared
+    support, the two families ``sample_path`` can draw from.
+    """
+
+    marginals: Union[ConceptPath, Sequence[FiniteSupport]]
 
     def __post_init__(self) -> None:
-        if len(self.marginals) == 0:
-            raise ValueError("marginal sequence must be non-empty")
+        laws = self.marginals
+        if not isinstance(laws, ConceptPath) and not (
+            len(laws) > 0 and all(isinstance(p, FiniteSupport) and p.support == laws[0].support for p in laws)
+        ):
+            raise ValueError("marginals must be a ConceptPath or a non-empty sequence of FiniteSupport on one support")
 
 
 def _is_primitive(adjacency: np.ndarray) -> bool:
@@ -135,30 +137,28 @@ class SamplePath:
     def __len__(self) -> int:
         return self.xs.size
 
-    def to_csv(self, path_out: str) -> None:
-        with open(path_out, "w", encoding="utf-8", newline="") as fh:
-            fh.write("t,x,y,state\n")
-            for t in range(self.xs.size):
-                fh.write(f"{t + 1},{float(self.xs[t])!r},{int(self.ys[t])},{int(self.states[t])}\n")
+
+def _inverse_cdf(cum_rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Row i's support position for uniform draw draws[i], given cumulative probabilities
+    cum_rows[i]: the number of entries <= the draw, capped at the last position."""
+    return np.minimum((cum_rows <= draws[:, None]).sum(axis=1), cum_rows.shape[1] - 1)
 
 
 def _sample_finite(rng: np.random.Generator, marginals: Sequence[FiniteSupport]) -> SamplePath:
     horizon = len(marginals)
-    xs = np.empty(horizon)
-    ys = np.empty(horizon, dtype=np.int64)
-    draws = rng.random(horizon)
-    for t, marginal in enumerate(marginals):
-        idx = int(np.searchsorted(np.cumsum(marginal.prob_array), draws[t], side="right"))
-        idx = min(idx, len(marginal.support) - 1)
-        xs[t] = marginal.support[idx].x
-        ys[t] = marginal.support[idx].y
+    cum_rows = np.cumsum(np.stack([p.prob_array for p in marginals]), axis=1)
+    idx = _inverse_cdf(cum_rows, rng.random(horizon))
+    support = marginals[0].support
+    xs = np.array([z.x for z in support], dtype=float)[idx]
+    ys = np.array([z.y for z in support], dtype=np.int64)[idx]
     return SamplePath(xs=xs, ys=ys, states=np.full(horizon, -1, dtype=np.int64))
 
 
 def sample_path(model: ProcessModel, horizon: int, seed: int) -> SamplePath:
     """Draw Z_1..Z_horizon; deterministic given (model, horizon, seed).
 
-    Draw order is fixed: product processes consume (x draws, label flips);
+    Draw order is fixed: product processes consume (x draws, label flips),
+    or one support draw per step for finite-support marginals;
     markov-modulated processes consume (initial state, transition draws,
     x offsets, label flips).
     """
@@ -280,48 +280,3 @@ def verify_mixing_rate(model: ProcessModel, r: float, cap: float = 1e6) -> Mixin
     return MixingRateReport(
         r=r, bound_constant=constant, worst_k=worst, violation=violation
     )
-
-
-def process_to_json(model: ProcessModel) -> dict:
-    """JSON-compatible dict with keys kind, transition, emission, eta, thetas."""
-    if isinstance(model, ProductProcess):
-        marginals = model.marginals
-        if not isinstance(marginals, ConceptPath):
-            raise ValueError("only threshold marginal paths are JSON-serializable")
-        return {
-            "kind": "product",
-            "transition": None,
-            "emission": None,
-            "eta": marginals.eta,
-            "thetas": [float(v) for v in marginals.thetas],
-        }
-    assert isinstance(model, MarkovModulatedProcess)
-    states = model.states
-    return {
-        "kind": "markov_modulated",
-        "transition": [list(row) for row in model.transition],
-        "emission": [[s / states, (s + 1) / states] for s in range(states)],
-        "eta": model.marginals.eta,
-        "thetas": [float(v) for v in model.marginals.thetas],
-    }
-
-
-def process_from_json(payload: dict) -> ProcessModel:
-    path = ConceptPath(np.asarray(payload["thetas"], dtype=float), float(payload["eta"]))
-    if payload["kind"] == "product":
-        return ProductProcess(marginals=path)
-    if payload["kind"] == "markov_modulated":
-        transition = tuple(tuple(float(v) for v in row) for row in payload["transition"])
-        return MarkovModulatedProcess(transition=transition, marginals=path)
-    raise ValueError(f"unknown process kind {payload['kind']!r}")
-
-
-def save_process(path_out: str, model: ProcessModel) -> None:
-    with open(path_out, "w", encoding="utf-8") as fh:
-        json.dump(process_to_json(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_process(path_in: str) -> ProcessModel:
-    with open(path_in, "r", encoding="utf-8") as fh:
-        return process_from_json(json.load(fh))

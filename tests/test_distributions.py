@@ -15,12 +15,7 @@ from driftlab import (
     ThresholdConcept,
     concept_path,
     discrepancy,
-    drift_path_from_json,
-    drift_path_to_json,
-    load_drift_path,
     make_drift_schedule,
-    process_from_json,
-    save_drift_path,
     tv_distance,
 )
 from driftlab.hypotheses import FiniteExplicitClass
@@ -312,33 +307,9 @@ class TestDiscrepancy:
             discrepancy(p, q, fclass)
 
 
-class TestSerialization:
-    def test_round_trip_in_memory(self):
-        sched = make_drift_schedule("triangle_wave", alpha=0.25, horizon=40, seed=5)
-        path = concept_path(sched, eta=0.1, theta0=0.3)
-        payload = drift_path_to_json(sched, path)
-        sched2, path2 = drift_path_from_json(payload)
-        assert sched2 == sched
-        assert np.array_equal(path2.thetas, path.thetas)
-        assert path2.eta == path.eta
-
-    def test_round_trip_file(self, tmp_path):
-        sched = make_drift_schedule("power_step", alpha=0.5, horizon=25, c0=0.3)
-        path = concept_path(sched, eta=0.2, theta0=0.6)
-        target = str(tmp_path / "drift.json")
-        save_drift_path(target, sched, path)
-        sched2, path2 = load_drift_path(target)
-        assert sched2 == sched
-        assert np.array_equal(path2.thetas, path.thetas)
-
-
 NAN = float("nan")
 NON_FINITE_CASES = {
     "concept_path": (lambda: ConceptPath(np.array([0.5, NAN]), 0.1), "every theta must lie in"),
-    "process_json": (
-        lambda: process_from_json({"kind": "product", "eta": 0.1, "thetas": [0.5, NAN]}),
-        "every theta must lie in",
-    ),
     "drift_schedule": (
         lambda: DriftSchedule(kind="constant", alpha=0.0, deltas=(0.0, NAN, 0.1), growth_constant=1.0),
         "every delta must lie in",

@@ -636,6 +636,31 @@ class TestRunVerify:
         assert excinfo.value.key == "r"
 
     @pytest.mark.parametrize(
+        "kind,options,key",
+        [
+            ("blocking", {"gaps": [0]}, "gaps"),
+            ("blocking", {"gaps": [9]}, "gaps"),
+            ("blocking", {"flips": [0.0]}, "flips"),
+            ("blocking", {"flips": [float("nan")]}, "flips"),
+            ("blocking", {"states": [5]}, "states"),
+            ("blocking", {"states": [1]}, "states"),
+            ("blocking", {"states": [2.5]}, "states"),
+            ("blocking", {"blocks": [9]}, "blocks"),
+            ("blocking", {"ts": [0]}, "ts"),
+            ("mixing_rate", {"states": [1]}, "states"),
+            ("mixing_rate", {"states": [17]}, "states"),
+            ("mixing_rate", {"flips": [1.5]}, "flips"),
+            ("uniform_deviation", {"eta": 0.7}, "eta"),
+            ("uniform_deviation", {"eta": -0.1}, "eta"),
+            ("uniform_deviation", {"eta": float("nan")}, "eta"),
+        ],
+    )
+    def test_bad_list_option_names_option(self, kind, options, key):
+        with pytest.raises(ConfigError) as excinfo:
+            run_verify(kind, options)
+        assert excinfo.value.key == key
+
+    @pytest.mark.parametrize(
         "kind,option",
         [("blocking", "states"), ("blocking", "ts"), ("mixing_rate", "r")],
     )

@@ -20,12 +20,7 @@ from driftlab import (
     risk,
     threshold_erm,
 )
-from driftlab.hypotheses import (
-    finite_class_from_json,
-    finite_erm_indices,
-    load_finite_class,
-    threshold_erm_rows,
-)
+from driftlab.hypotheses import finite_erm_indices, threshold_erm_rows
 
 
 def _count_errors(theta: float, xs: np.ndarray, ys: np.ndarray) -> int:
@@ -273,22 +268,6 @@ class TestFiniteClass:
         fclass = _small_finite_class(rng)
         with pytest.raises(ValueError, match="support"):
             fclass.support_index(Observation(0.123456, 1))
-
-    def test_json_round_trip(self, tmp_path):
-        rng = np.random.default_rng(44)
-        fclass = _small_finite_class(rng)
-        import json
-
-        payload = {
-            "support": [[z.x, z.y] for z in fclass.support],
-            "tables": [list(row) for row in fclass.tables],
-            "d": fclass.d,
-        }
-        target = tmp_path / "class.json"
-        target.write_text(json.dumps(payload))
-        loaded = load_finite_class(str(target))
-        assert loaded == fclass
-        assert finite_class_from_json(payload) == fclass
 
 
 class TestRisk:

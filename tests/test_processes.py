@@ -9,21 +9,20 @@ import pytest
 
 from driftlab import (
     ConceptPath,
+    FiniteSupport,
     MarkovModulatedProcess,
+    Observation,
     ProductProcess,
+    ThresholdConcept,
     beta_coefficient,
     concept_path,
-    load_process,
     make_drift_schedule,
     mixing_profile,
-    process_from_json,
-    process_to_json,
     sample_path,
-    save_process,
     symmetric_chain,
     verify_mixing_rate,
 )
-from driftlab.processes import MixingProfile, _is_primitive
+from driftlab.processes import MixingProfile, _inverse_cdf, _is_primitive
 
 
 def _flat_path(theta: float, eta: float, horizon: int) -> ConceptPath:
@@ -213,21 +212,6 @@ class TestSamplePath:
         with pytest.raises(ValueError):
             sample_path(ProductProcess(marginals=path), 0, seed=0)
 
-    def test_csv_round_trip(self, tmp_path):
-        path = _flat_path(0.5, 0.1, 20)
-        mm = MarkovModulatedProcess(transition=symmetric_chain(2, 0.3), marginals=path)
-        sp = sample_path(mm, 20, seed=2)
-        target = tmp_path / "path.csv"
-        sp.to_csv(str(target))
-        lines = target.read_text().splitlines()
-        assert lines[0] == "t,x,y,state"
-        assert len(lines) == 21
-        data = np.genfromtxt(target, delimiter=",", skip_header=1)
-        assert np.array_equal(data[:, 0], np.arange(1, 21))
-        assert np.array_equal(data[:, 1], sp.xs)  # repr round-trips exactly
-        assert np.array_equal(data[:, 2].astype(np.int64), sp.ys)
-        assert np.array_equal(data[:, 3].astype(np.int64), sp.states)
-
 
 def _markov_path_oracle(model: MarkovModulatedProcess, horizon: int, seed: int):
     """(states, xs) of sample_path drawn with a per-step loop over the chain."""
@@ -274,6 +258,60 @@ class TestMarkovStates:
         sp = sample_path(model, 1000, seed=4)
         moves = (sp.states[1:] - sp.states[:-1]) % 5
         assert set(moves.tolist()) == {1, 3}
+
+
+def _finite_path_oracle(marginals, horizon: int, seed: int):
+    """(xs, ys) of a finite-support product path drawn with a per-step loop."""
+    draws = np.random.default_rng(seed).random(horizon)
+    xs, ys = [], []
+    for t in range(horizon):
+        idx = int(np.searchsorted(np.cumsum(marginals[t].prob_array), draws[t], side="right"))
+        z = marginals[t].support[min(idx, len(marginals[t].support) - 1)]
+        xs.append(z.x)
+        ys.append(z.y)
+    return np.array(xs), np.array(ys, dtype=np.int64)
+
+
+class TestFiniteSamplePath:
+    SUPPORT = (Observation(0.1, 0), Observation(0.4, 1), Observation(0.4, 0), Observation(0.9, 1))
+
+    def _marginals(self, rng, horizon: int):
+        laws = []
+        for _ in range(horizon):
+            probs = rng.dirichlet(np.ones(4)) * (rng.random(4) < 0.7)  # zero entries included
+            probs = probs / probs.sum() if probs.sum() > 0 else np.array([0.0, 1.0, 0.0, 0.0])
+            laws.append(FiniteSupport(support=self.SUPPORT, probs=tuple(float(p) for p in probs)))
+        return laws
+
+    @pytest.mark.parametrize("horizon", [1, 2, 3, 500])
+    def test_matches_per_step_loop(self, horizon):
+        marginals = self._marginals(np.random.default_rng(horizon), horizon)
+        model = ProductProcess(marginals=marginals)
+        for seed in (0, 1, 2):
+            sp = sample_path(model, horizon, seed)
+            xs_oracle, ys_oracle = _finite_path_oracle(marginals, horizon, seed)
+            assert np.array_equal(sp.xs, xs_oracle)
+            assert np.array_equal(sp.ys, ys_oracle)
+            assert np.all(sp.states == -1)
+
+    def test_inverse_cdf_caps_draws_past_the_last_cumulative_value(self):
+        cum_rows = np.array([[0.5, 1.0 - 1e-13], [0.0, 0.25]])
+        assert _inverse_cdf(cum_rows, np.array([1.0 - 1e-14, 0.9])).tolist() == [1, 1]
+        assert _inverse_cdf(cum_rows, np.array([0.5, 0.0])).tolist() == [1, 1]
+        assert _inverse_cdf(cum_rows, np.array([0.49, 0.0])).tolist() == [0, 1]
+
+    @pytest.mark.parametrize(
+        "marginals",
+        [
+            [ThresholdConcept(0.5, 0.1)] * 10,
+            [],
+            [FiniteSupport(support=SUPPORT[:2], probs=(0.5, 0.5)), FiniteSupport(support=SUPPORT[2:], probs=(0.5, 0.5))],
+        ],
+        ids=["threshold_concepts", "empty", "two_supports"],
+    )
+    def test_unsampleable_marginals_rejected(self, marginals):
+        with pytest.raises(ValueError, match="ConceptPath or a non-empty sequence of FiniteSupport"):
+            ProductProcess(marginals=marginals)
 
 
 class TestBetaCoefficients:
@@ -398,39 +436,3 @@ class TestVerifyMixingRate:
         payload = verify_mixing_rate(mm, r=1.0).to_json()
         for key in ("r", "bound_constant", "worst_k", "violation"):
             assert key in payload
-
-
-class TestProcessSerialization:
-    def test_product_round_trip(self, tmp_path):
-        sched = make_drift_schedule("power_step", alpha=0.25, horizon=30)
-        path = concept_path(sched, eta=0.1, theta0=0.5)
-        model = ProductProcess(marginals=path)
-        payload = process_to_json(model)
-        assert payload["kind"] == "product"
-        loaded = process_from_json(payload)
-        assert isinstance(loaded, ProductProcess)
-        assert np.array_equal(loaded.marginals.thetas, path.thetas)
-        target = str(tmp_path / "proc.json")
-        save_process(target, model)
-        again = load_process(target)
-        assert np.array_equal(again.marginals.thetas, path.thetas)
-        assert again.marginals.eta == path.eta
-
-    def test_markov_round_trip(self, tmp_path):
-        path = _flat_path(0.5, 0.1, 12)
-        model = MarkovModulatedProcess(transition=symmetric_chain(3, 0.25), marginals=path)
-        payload = process_to_json(model)
-        assert payload["kind"] == "markov_modulated"
-        assert payload["emission"] == [[0.0, 1 / 3], [1 / 3, 2 / 3], [2 / 3, 1.0]]
-        loaded = process_from_json(payload)
-        assert isinstance(loaded, MarkovModulatedProcess)
-        assert loaded.transition == model.transition
-        target = str(tmp_path / "mm.json")
-        save_process(target, model)
-        again = load_process(target)
-        assert again.transition == model.transition
-        assert np.array_equal(again.marginals.thetas, path.thetas)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown process kind"):
-            process_from_json({"kind": "mystery", "thetas": [0.5], "eta": 0.1})
