@@ -65,13 +65,11 @@ from .learners import (
 )
 from .processes import (
     MarkovModulatedProcess,
-    MixingProfile,
     MixingRateReport,
     ProcessModel,
     ProductProcess,
     SamplePath,
     beta_coefficient,
-    mixing_profile,
     sample_path,
     symmetric_chain,
     verify_mixing_rate,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -209,31 +210,30 @@ def run_single(
     ``checkpoint(t, risks)`` is invoked after each power-of-two step with
     ``risks`` filled through index t-1, so callers can flush partial results.
 
-    Threshold classes on concept paths are solved in batches: the steps are
-    cut into runs of equal plan rows, also cut after every power of two, and
-    each run's ERM problems are solved row-wise by ``threshold_erm_rows``.
-    A finite class (on finite-support marginals) steps through
-    ``learner.fit`` one step at a time, the scalar reference the batches
-    must match.
+    The steps are cut into runs of equal plan rows, also cut after every
+    power of two.  Threshold classes on concept paths solve each run's ERM
+    problems row-wise with ``threshold_erm_rows``; a finite class (on
+    finite-support marginals) steps through ``learner.fit`` one step at a
+    time, the scalar reference the batches must match.
     """
     path = sample_path(model, horizon, seed)
     gaps, windows = learner.plan(horizon)
     marginals = model.marginals
+    batched = isinstance(marginals, ConceptPath) and isinstance(learner.function_class, ThresholdClass)
+    powers = 1 << np.arange(int(horizon).bit_length())
+    starts = np.union1d(plan_group_starts(gaps, windows), powers[powers < horizon]).tolist()
     risks = np.empty(horizon)
-    if isinstance(marginals, ConceptPath) and isinstance(learner.function_class, ThresholdClass):
-        powers = 1 << np.arange(int(horizon).bit_length())
-        starts = np.union1d(plan_group_starts(gaps, windows), powers[powers < horizon]).tolist()
-        scale = 1.0 - 2.0 * marginals.eta
-        for start, stop in zip(starts, starts[1:] + [horizon]):
-            thetas = _window_thetas(path, start, stop, int(gaps[start]), int(windows[start]))
-            risks[start:stop] = marginals.eta + scale * np.abs(thetas - marginals.thetas[start:stop])
-            if checkpoint is not None and (stop & (stop - 1)) == 0:
-                checkpoint(stop, risks)
-        return risks
-    for t, (gap, window) in enumerate(zip(gaps.tolist(), windows.tolist()), start=1):
-        risks[t - 1] = risk(learner.fit(path, t, gap, window), marginals[t - 1])
-        if checkpoint is not None and (t & (t - 1)) == 0:
-            checkpoint(t, risks)
+    for start, stop in zip(starts, starts[1:] + [horizon]):
+        gap, window = int(gaps[start]), int(windows[start])
+        if batched:
+            thetas = _window_thetas(path, start, stop, gap, window)
+            eta = marginals.eta
+            risks[start:stop] = eta + (1.0 - 2.0 * eta) * np.abs(thetas - marginals.thetas[start:stop])
+        else:
+            for t in range(start + 1, stop + 1):
+                risks[t - 1] = risk(learner.fit(path, t, gap, window), marginals[t - 1])
+        if checkpoint is not None and (stop & (stop - 1)) == 0:
+            checkpoint(stop, risks)
     return risks
 
 
@@ -474,6 +474,8 @@ def verify_uniform_deviation(
     """
     if trials < 2:
         raise ValueError(f"insufficient trials for a deviation estimate, got {trials}")
+    if not all(isinstance(m, numbers.Integral) for m in m_grid):
+        raise ValueError(f"every m must be an integer, got {list(m_grid)}")
     grid = tuple(int(m) for m in m_grid)
     if len(grid) == 0:
         raise ValueError("m_grid must be non-empty")

@@ -666,32 +666,20 @@ def run_sweep(raw: dict, out_root: str | Path, jobs: int = 1) -> SweepRecord:
     )
 
 
-def _verify_int(value: Any, name: str, minimum: int) -> int:
-    value = int(value)
-    _require(value >= minimum, VERIFY_FLAGS.get(name, name), f"must be >= {minimum}, got {value}")
-    return value
-
-
-def _verify_ints(values: Sequence, name: str, lo: int, hi: float = math.inf) -> None:
+def _verify_range(values: Sequence, name: str, lo: float, hi: float = math.inf) -> None:
     for value in values:
-        valid = isinstance(value, int) and not isinstance(value, bool) and lo <= value <= hi
-        _require(valid, name, f"every value must be an integer in [{lo}, {hi}], got {value!r}")
-
-
-def _verify_flips(flips: Sequence) -> None:
-    for flip in flips:
-        _require(isinstance(flip, float) and 0.0 < flip < 1.0, "flips", f"every flip must lie in (0, 1), got {flip!r}")
+        _require(lo <= value <= hi, name, f"every value must lie in [{lo}, {hi}], got {value!r}")
 
 
 def _verify_blocking(
     *, states=(2, 3, 4), blocks=(2, 3, 4), gaps=tuple(range(1, 9)), ts=(1, 2, 3, 4, 5), flips=(0.1, 0.3, 0.45)
 ) -> dict:
     # the exact enumeration in verify_blocking caps states, blocks and gaps
-    _verify_ints(states, "states", 2, BLOCKING_MAX_STATES)
-    _verify_ints(blocks, "blocks", 1, BLOCKING_MAX_BLOCKS)
-    _verify_ints(gaps, "gaps", 1, BLOCKING_MAX_GAP)
-    _verify_ints(ts, "ts", 1)
-    _verify_flips(flips)
+    _verify_range(states, "states", 2, BLOCKING_MAX_STATES)
+    _verify_range(blocks, "blocks", 1, BLOCKING_MAX_BLOCKS)
+    _verify_range(gaps, "gaps", 1, BLOCKING_MAX_GAP)
+    _verify_range(ts, "ts", 1)
+    _require(all(0.0 < flip < 1.0 for flip in flips), "flips", f"every flip must lie in (0, 1), got {flips}")
     reports = []
     min_slack = math.inf
     worst = None
@@ -719,12 +707,11 @@ def _verify_blocking(
 
 
 def _verify_uniform_deviation(*, trials=2000, seed=0, m_grid=tuple(2**j for j in range(4, 15)), eta=0.1) -> dict:
-    trials = _verify_int(trials, "trials", 2)
-    seed = _verify_int(seed, "seed", 0)
+    _require(trials >= 2, "--trials", f"must be >= 2, got {trials}")
+    _require(seed >= 0, "--seed", f"must be >= 0, got {seed}")
     # the fitted slope needs two sizes
     _require(len(m_grid) >= 2 and min(m_grid) >= 1, "--m-grid", "needs at least two sizes, every size >= 1")
     _require(all(b > a for a, b in zip(m_grid, m_grid[1:])), "--m-grid", "must be strictly increasing")
-    eta = _as_float(eta, "eta")
     _require(0.0 <= eta < 0.5, "eta", f"must lie in [0, 0.5), got {eta}")
     horizon = max(m_grid)
     function_class = ThresholdClass()
@@ -746,9 +733,9 @@ def _verify_uniform_deviation(*, trials=2000, seed=0, m_grid=tuple(2**j for j in
 
 
 def _verify_discrepancy(*, pairs=10000, grid_pairs=1000, seed=0) -> dict:
-    pairs = _verify_int(pairs, "pairs", 1)
-    grid_pairs = _verify_int(grid_pairs, "grid_pairs", 1)
-    seed = _verify_int(seed, "seed", 0)
+    _require(pairs >= 1, "--pairs", f"must be >= 1, got {pairs}")
+    _require(grid_pairs >= 1, "grid_pairs", f"must be >= 1, got {grid_pairs}")
+    _require(seed >= 0, "--seed", f"must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     fclass = ThresholdClass()
     tol = 1e-9
@@ -785,13 +772,11 @@ def _verify_discrepancy(*, pairs=10000, grid_pairs=1000, seed=0) -> dict:
 
 
 def _verify_mixing_rate(*, cap=1e6, r=(1.0, 2.0), states=(2, 4, 8), flips=(0.1, 0.3)) -> dict:
-    cap = float(cap)
-    # a NaN cap would pass every certificate; a rate <= 0 certifies nothing
-    _require(math.isfinite(cap) and cap > 0.0, "cap", f"must be finite and > 0, got {cap}")
-    for rate in r:
-        _require(math.isfinite(rate) and rate > 0.0, "r", f"every rate must be finite and > 0, got {rate}")
-    _verify_ints(states, "states", 2, MAX_STATES)
-    _verify_flips(flips)
+    _require(cap > 0.0, "cap", f"must be > 0, got {cap}")
+    # a rate <= 0 certifies nothing
+    _require(all(rate > 0.0 for rate in r), "r", f"every rate must be > 0, got {r}")
+    _verify_range(states, "states", 2, MAX_STATES)
+    _require(all(0.0 < flip < 1.0 for flip in flips), "flips", f"every flip must lie in (0, 1), got {flips}")
     path = ConceptPath(np.array([0.5]), 0.1)
     models = [("product", ProductProcess(marginals=path))] + [
         (f"symmetric_chain(states={n}, flip={flip})", MarkovModulatedProcess(symmetric_chain(n, flip), path))
@@ -819,20 +804,33 @@ VERIFY_FAMILIES = {
 VERIFY_KINDS = tuple(VERIFY_FAMILIES)
 
 
+def _as_option(value: Any, default: Any, key: str) -> Any:
+    """``value`` typed like a family parameter's ``default``: an int default takes an
+    int, a float default a finite number (returned as float), and a tuple default a
+    non-empty list of items typed like its first item."""
+    if isinstance(default, tuple):
+        _require(isinstance(value, (list, tuple)) and len(value) > 0, key, "must be a non-empty list")
+        return tuple(_as_option(item, default[0], key) for item in value)
+    return _as_float(value, key) if isinstance(default, float) else _as_int(value, key)
+
+
 def run_verify(kind: str, options: dict | None = None) -> tuple[dict, bool]:
     """Run one verification family; returns (JSON-compatible report, all-pass).
 
-    ``options`` are the family's keyword parameters; one it does not take, or an empty list, is a ConfigError.
+    ``options`` are the family's keyword parameters, each typed like the
+    parameter's default; an option the family does not take, or one of the
+    wrong type, is a ConfigError naming its CLI flag or option name.
     """
     options = options or {}
     _require(kind in VERIFY_KINDS, "--kind", f"must be one of {VERIFY_KINDS}")
     family = VERIFY_FAMILIES[kind]
     accepted = inspect.signature(family).parameters
+    typed = {}
     for name, value in options.items():
         key = VERIFY_FLAGS.get(name, name)
         _require(name in accepted, key, f"not read by --kind {kind}")
-        _require(not isinstance(value, (list, tuple)) or len(value) > 0, key, "must be non-empty")
-    report = family(**options)
+        typed[name] = _as_option(value, accepted[name].default, key)
+    report = family(**typed)
     return report, report["ok"]
 
 

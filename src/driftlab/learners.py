@@ -152,29 +152,32 @@ class Learner:
 
     Every learner kind differs only in its plan: ``plan(horizon)`` returns int64
     arrays ``(gaps, windows)`` indexed by t-1, where a (0, 0) row deploys the
-    initial hypothesis.  The plan is computed on first use and memoised per
-    horizon, so every replicate of a run shares one plan.
+    initial hypothesis.  Row t depends on t alone, so the plan of a shorter
+    horizon is a prefix of a longer one: the learner keeps only its longest
+    plan, computed on first use, and every replicate of a run shares it.
     """
 
     function_class: FunctionClass
 
     def __post_init__(self) -> None:
         self.initial = initial_hypothesis(self.function_class)
-        self._plans: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._longest = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
 
     def _plan(self, gaps: np.ndarray, windows: np.ndarray) -> None:
         """Fill the rows of the zero-initialised plan arrays at which ERM runs."""
         raise NotImplementedError
 
     def plan(self, horizon: int) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only (gaps, windows) for steps 1..horizon, memoised per horizon."""
-        if horizon not in self._plans:
+        """Read-only (gaps, windows) for steps 1..horizon: the kept plan when
+        ``horizon`` is its length, read-only prefix views of it when shorter."""
+        if horizon > self._longest[0].size:
             gaps = np.zeros(horizon, dtype=np.int64)
             windows = np.zeros(horizon, dtype=np.int64)
             self._plan(gaps, windows)
             gaps.flags.writeable = windows.flags.writeable = False
-            self._plans[horizon] = (gaps, windows)
-        return self._plans[horizon]
+            self._longest = (gaps, windows)
+        gaps, windows = self._longest
+        return self._longest if horizon == gaps.size else (gaps[:horizon], windows[:horizon])
 
     def fit(self, path: SamplePath, t: int, gap: int, window: int) -> Hypothesis:
         """The hypothesis deployed at step t under plan row (gap, window)."""
@@ -185,7 +188,7 @@ class Learner:
     def step(self, path: SamplePath, t: int) -> Hypothesis:
         """The hypothesis deployed at step t, for callers that step by hand."""
         gaps, windows = self.plan(t)
-        return self.fit(path, t, int(gaps[-1]), int(windows[-1]))
+        return self.fit(path, t, int(gaps[t - 1]), int(windows[t - 1]))
 
 
 @dataclass

@@ -9,7 +9,7 @@ marginal exactly while making the sequence dependent.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
@@ -21,18 +21,16 @@ __all__ = [
     "MarkovModulatedProcess",
     "ProcessModel",
     "SamplePath",
-    "MixingProfile",
     "MixingRateReport",
     "symmetric_chain",
     "sample_path",
     "beta_coefficient",
-    "mixing_profile",
     "verify_mixing_rate",
 ]
 
 MAX_STATES = 16
 ROW_SUM_TOL = 1e-12
-DEFAULT_K_MAX = 64
+MIXING_LAGS = 64
 
 
 @dataclass(frozen=True)
@@ -225,58 +223,34 @@ def beta_coefficient(model: ProcessModel, k: int) -> float:
 
 
 @dataclass(frozen=True)
-class MixingProfile:
-    """Computed beta_1..beta_k_max plus the smallest C with beta_k <= C*k^-r,
-    attained first at lag ``worst_k``."""
+class MixingRateReport:
+    """Computed beta_1..beta_MIXING_LAGS plus the smallest C with
+    beta_k <= C*k^-r, attained first at lag ``worst_k``; the JSON form
+    leaves out the betas."""
 
     r: float
     betas: tuple[float, ...]
     bound_constant: float
     worst_k: int
-
-    def __post_init__(self) -> None:
-        if self.r <= 0.0:
-            raise ValueError(f"rate r must be positive, got {self.r}")
-        if len(self.betas) == 0:
-            raise ValueError("betas must be non-empty")
-
-    @property
-    def k_max(self) -> int:
-        return len(self.betas)
-
-
-@dataclass(frozen=True)
-class MixingRateReport:
-    r: float
-    bound_constant: float
-    worst_k: int
     violation: bool
 
     def to_json(self) -> dict:
-        return asdict(self)
-
-
-def mixing_profile(model: ProcessModel, r: float, k_max: int = DEFAULT_K_MAX) -> MixingProfile:
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
-    betas = tuple(beta_coefficient(model, k) for k in range(1, k_max + 1))
-    ks = np.arange(1, k_max + 1, dtype=float)
-    weighted = np.asarray(betas) * ks**r
-    worst = int(np.argmax(weighted))
-    return MixingProfile(r=r, betas=betas, bound_constant=float(weighted[worst]), worst_k=worst + 1)
+        return {"r": self.r, "bound_constant": self.bound_constant, "worst_k": self.worst_k, "violation": self.violation}
 
 
 def verify_mixing_rate(model: ProcessModel, r: float, cap: float = 1e6) -> MixingRateReport:
-    """Smallest C with beta_k <= C * k^-r over lags 1..DEFAULT_K_MAX, with a violation flag.
+    """Smallest C with beta_k <= C * k^-r over lags 1..MIXING_LAGS, with a violation flag.
 
     The flag is raised when C exceeds ``cap`` or when the supremum of
     beta_k * k^r sits at the last computed lag, i.e. the sequence is still
     growing at the boundary and no finite C is certifiable from the computed
     range.
     """
-    profile = mixing_profile(model, r)
-    constant, worst = profile.bound_constant, profile.worst_k
-    violation = constant > cap or (constant > 0.0 and worst == profile.k_max)
-    return MixingRateReport(
-        r=r, bound_constant=constant, worst_k=worst, violation=violation
-    )
+    if r <= 0.0:
+        raise ValueError(f"rate r must be positive, got {r}")
+    betas = tuple(beta_coefficient(model, k) for k in range(1, MIXING_LAGS + 1))
+    weighted = np.asarray(betas) * np.arange(1, MIXING_LAGS + 1, dtype=float) ** r
+    worst = int(np.argmax(weighted))
+    constant = float(weighted[worst])
+    violation = constant > cap or (constant > 0.0 and worst + 1 == MIXING_LAGS)
+    return MixingRateReport(r=r, betas=betas, bound_constant=constant, worst_k=worst + 1, violation=violation)

@@ -515,6 +515,8 @@ class TestVerifyUniformDeviation:
             verify_uniform_deviation(ThresholdClass(), path, [16, 16], trials=2, seed=0)
         with pytest.raises(ValueError, match="path length"):
             verify_uniform_deviation(ThresholdClass(), path, [4, 32], trials=2, seed=0)
+        with pytest.raises(ValueError, match="integer"):
+            verify_uniform_deviation(ThresholdClass(), path, [4.5, 16], trials=2, seed=0)
 
     def test_finite_class_estimates_match_manual_replay(self):
         rng = np.random.default_rng(93)

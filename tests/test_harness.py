@@ -653,6 +653,12 @@ class TestRunVerify:
             ("uniform_deviation", {"eta": 0.7}, "eta"),
             ("uniform_deviation", {"eta": -0.1}, "eta"),
             ("uniform_deviation", {"eta": float("nan")}, "eta"),
+            ("discrepancy", {"pairs": 3.9}, "--pairs"),
+            ("uniform_deviation", {"trials": 2.7}, "--trials"),
+            ("uniform_deviation", {"m_grid": [16.5, 32]}, "--m-grid"),
+            ("uniform_deviation", {"seed": 1.5}, "--seed"),
+            ("mixing_rate", {"r": ["a"]}, "r"),
+            ("mixing_rate", {"cap": "1e3"}, "cap"),
         ],
     )
     def test_bad_list_option_names_option(self, kind, options, key):

@@ -255,6 +255,20 @@ def _plan_row(learner, t):
     return int(gaps[-1]), int(windows[-1])
 
 
+class TestPlan:
+    def test_stepping_by_hand_keeps_one_plan(self):
+        _, path = _random_product_path(300, 16)
+        learner = SubsampledErmLearner(alpha=0.25, r=2.0, function_class=ThresholdClass())
+        for t in range(1, 301):
+            learner.step(path, t)
+        gaps, windows = learner.plan(300)
+        for k in (1, 2, 150, 299):
+            prefix_gaps, prefix_windows = learner.plan(k)
+            assert np.shares_memory(prefix_gaps, gaps) and np.shares_memory(prefix_windows, windows)
+            assert not prefix_gaps.flags.writeable and not prefix_windows.flags.writeable
+            assert np.array_equal(prefix_gaps, gaps[:k]) and np.array_equal(prefix_windows, windows[:k])
+
+
 class TestLearnerEquivalences:
     def test_subsampled_learner_matches_erm_step(self):
         _, path = _random_product_path(300, 11)

@@ -17,12 +17,11 @@ from driftlab import (
     beta_coefficient,
     concept_path,
     make_drift_schedule,
-    mixing_profile,
     sample_path,
     symmetric_chain,
     verify_mixing_rate,
 )
-from driftlab.processes import MixingProfile, _inverse_cdf, _is_primitive
+from driftlab.processes import _inverse_cdf, _is_primitive
 
 
 def _flat_path(theta: float, eta: float, horizon: int) -> ConceptPath:
@@ -372,34 +371,34 @@ class TestBetaCoefficients:
             beta_coefficient(mm, 0)
 
 
-class TestMixingProfile:
+class TestVerifyMixingRate:
     def test_constant_matches_manual_max(self):
         mm = MarkovModulatedProcess(
             transition=symmetric_chain(3, 0.2), marginals=_flat_path(0.5, 0.1, 2)
         )
         r = 2.0
-        profile = mixing_profile(mm, r=r, k_max=64)
+        report = verify_mixing_rate(mm, r=r)
         manual = max(beta_coefficient(mm, k) * k**r for k in range(1, 65))
-        assert profile.bound_constant == pytest.approx(manual, abs=1e-12)
-        assert len(profile.betas) == 64
-        assert profile.k_max == 64
+        assert report.bound_constant == pytest.approx(manual, abs=1e-12)
+        assert len(report.betas) == 64
         weighted = [beta_coefficient(mm, k) * k**r for k in range(1, 65)]
-        assert profile.worst_k == 1 + weighted.index(max(weighted))
+        assert report.worst_k == 1 + weighted.index(max(weighted))
 
-    def test_profile_validation(self):
+    def test_zero_rate_rejected(self):
+        mm = MarkovModulatedProcess(
+            transition=symmetric_chain(2, 0.3), marginals=_flat_path(0.5, 0.1, 2)
+        )
         with pytest.raises(ValueError):
-            MixingProfile(r=0.0, betas=(0.5,), bound_constant=1.0, worst_k=1)
+            verify_mixing_rate(mm, r=0.0)
 
     def test_bound_holds_on_grid(self):
         mm = MarkovModulatedProcess(
             transition=symmetric_chain(4, 0.25), marginals=_flat_path(0.5, 0.1, 2)
         )
-        profile = mixing_profile(mm, r=1.5)
-        for k, beta in enumerate(profile.betas, start=1):
-            assert beta <= profile.bound_constant * k**-1.5 + 1e-15
+        report = verify_mixing_rate(mm, r=1.5)
+        for k, beta in enumerate(report.betas, start=1):
+            assert beta <= report.bound_constant * k**-1.5 + 1e-15
 
-
-class TestVerifyMixingRate:
     def test_fast_chain_passes(self):
         mm = MarkovModulatedProcess(
             transition=symmetric_chain(4, 0.25), marginals=_flat_path(0.5, 0.1, 2)
