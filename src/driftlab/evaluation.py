@@ -11,6 +11,7 @@ sqrt(d/m) uniform deviation envelope.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import numbers
 import os
@@ -97,12 +98,14 @@ def write_text_atomic(path: str | Path, text: str) -> None:
 def write_curve_rows(fh: TextIO, columns: Sequence[np.ndarray], start: int, stop: int) -> None:
     """Write curve rows start..stop-1 as ``t,<column values>`` lines with t = row + 1.
 
-    Every value is written as its repr (shortest round-trip float, plain int).
+    Every value is written as its repr (shortest round-trip float, plain int),
+    each chunk as one ``%`` format of a ``%r,...,%r`` row template.
     """
+    row = ",".join(["%r"] * (len(columns) + 1)) + "\n"
     for lo in range(start, stop, CSV_CHUNK_ROWS):
         hi = min(lo + CSV_CHUNK_ROWS, stop)
         values = [column[lo:hi].tolist() for column in columns]
-        fh.writelines(",".join(map(repr, row)) + "\n" for row in zip(range(lo + 1, hi + 1), *values))
+        fh.write((row * (hi - lo)) % tuple(itertools.chain.from_iterable(zip(range(lo + 1, hi + 1), *values))))
 
 
 class DegenerateCurveError(ValueError):
@@ -415,46 +418,54 @@ class UniformDeviationReport:
         return asdict(self)
 
 
-def _abs_sum_to(sorted_values: np.ndarray, prefix: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """sum_i |q - v_i| for each query q, via prefix sums of the sorted values."""
-    idx = np.searchsorted(sorted_values, queries, side="left")
-    total = prefix[-1]
-    below = prefix[idx]
-    return queries * idx - below + (total - below) - queries * (sorted_values.size - idx)
+def _averaged_risk(thetas: np.ndarray, eta: float) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
+    """The averaged true risk rbar(q) = eta + (1-2 eta) * mean_i |q - theta_i| of
+    threshold q over m concepts, and its kinks: 0, the sorted thetas and 1."""
+    sorted_thetas = np.sort(thetas)
+    prefix = np.concatenate(([0.0], np.cumsum(sorted_thetas)))
+    m, total, scale = sorted_thetas.size, prefix[-1], 1.0 - 2.0 * eta
+
+    def rbar(queries: np.ndarray) -> np.ndarray:
+        # sum_i |q - theta_i| from the prefix sums of the thetas below q and above it
+        idx = np.searchsorted(sorted_thetas, queries, side="left")
+        below = prefix[idx]
+        return eta + scale * (queries * idx - below + (total - below) - queries * (m - idx)) / m
+
+    return rbar, np.concatenate(([0.0], sorted_thetas, [1.0]))
 
 
 def _threshold_sup_deviation(
-    xs: np.ndarray,
-    ys: np.ndarray,
-    eta: float,
-    sorted_thetas: np.ndarray,
-    theta_prefix: np.ndarray,
+    xs: np.ndarray, ys: np.ndarray, rbar: Callable[[np.ndarray], np.ndarray], kinks: np.ndarray, kink_risks: np.ndarray
 ) -> float:
     """Exact sup over theta in [0,1] of |empirical loss - averaged true risk|.
 
     The empirical term is constant between consecutive sorted sample points
     and the averaged risk is piecewise linear, so the supremum is attained (or
     approached one-sidedly) at a sample point, a risk kink, or an endpoint;
-    all are evaluated, including right-limits at sample points.
+    all are evaluated, including right-limits at sample points.  ``rbar`` and
+    ``kinks`` come from ``_averaged_risk`` and ``kink_risks`` is ``rbar(kinks)``.
+
+    Threshold q labels 1 the sorted points from searchsorted(x, q, 'left') on:
+    at q = x_i that is the start of x_i's tie group, and the right-limit at x_i
+    cuts at the group's end, so one rbar per distinct x serves its group.  Only
+    tie-group boundaries are read, and their losses ignore the order of tied
+    points.  The right-limit at 0 is the value at 0 or the right-limit at x = 0.
     """
     m = xs.size
     x, losses = cut_losses(xs, ys)
     emp = losses / m
-
-    scale = 1.0 - 2.0 * eta
-
-    def rbar(queries: np.ndarray) -> np.ndarray:
-        return eta + scale * _abs_sum_to(sorted_thetas, theta_prefix, queries) / m
-
-    attained = np.concatenate(([0.0, 1.0], x, sorted_thetas))
-    att_splits = np.searchsorted(x, attained, side="left")
-    best = float(np.max(np.abs(emp[att_splits] - rbar(attained))))
-
-    limits = np.concatenate(([0.0], x))
-    limits = limits[limits < 1.0]  # split to the right of x=1 is unrealizable
-    if limits.size:
-        lim_splits = np.searchsorted(x, limits, side="right")
-        best = max(best, float(np.max(np.abs(emp[lim_splits] - rbar(limits)))))
+    best = float(np.max(np.abs(emp[np.searchsorted(x, kinks, side="left")] - kink_risks)))
+    bounds = np.flatnonzero(x[1:] != x[:-1]) + 1
+    if bounds.size == m - 1:  # distinct x: each point is its own group
+        distinct, at, after = x, emp[:-1], emp[1:]
+    else:
+        starts = np.append(0, bounds)
+        distinct, at, after = x[starts], emp[starts], emp[np.append(bounds, m)]
+    risks = rbar(distinct)
+    best = max(best, float(np.max(np.abs(at - risks))))
+    inner = distinct.size - int(distinct[-1] >= 1.0)  # a split to the right of x=1 is unrealizable
+    if inner:
+        best = max(best, float(np.max(np.abs(after[:inner] - risks[:inner]))))
     return best
 
 
@@ -494,14 +505,14 @@ def verify_uniform_deviation(
         eta = marginals.eta
         for m in grid:
             thetas = marginals.thetas[:m]
-            sorted_thetas = np.sort(thetas)
-            theta_prefix = np.concatenate(([0.0], np.cumsum(sorted_thetas)))
+            rbar, kinks = _averaged_risk(thetas, eta)
+            kink_risks = rbar(kinks)
             total = 0.0
             for _ in range(trials):
                 xs = rng.random(m)
                 flips = rng.random(m) < eta
                 ys = ((xs >= thetas) ^ flips).astype(np.int64)
-                total += _threshold_sup_deviation(xs, ys, eta, sorted_thetas, theta_prefix)
+                total += _threshold_sup_deviation(xs, ys, rbar, kinks, kink_risks)
             estimates.append(total / trials)
     elif isinstance(function_class, FiniteExplicitClass):
         supports = list(marginals)

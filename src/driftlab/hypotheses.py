@@ -138,13 +138,20 @@ def initial_hypothesis(function_class: FunctionClass) -> Hypothesis:
 
 
 def cut_losses(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stably sorted x and the 0-1 loss of each cut j, which labels sorted points [0, j) 0 and [j, n) 1."""
-    n = xs.size
-    order = np.argsort(xs, kind="stable")
+    """x sorted along the last axis and the 0-1 loss of each cut j, which labels sorted points [0, j) 0 and [j, n) 1.
+
+    Sorts packed keys (x bits << 1) | y: non-negative doubles order like their
+    int64 bits, and 1.0 still fits after the shift.  Tied x come out label 0
+    first, which changes losses only inside a tie group, a cut no threshold realizes.
+    """
+    n = xs.shape[-1]
+    keys = (xs.view(np.int64) << 1) | np.asarray(ys, dtype=np.int64)
+    keys.sort(axis=-1)
     # ones_before[j] = #{i < j : y=1}; loss at cut j = ones_before[j] + zeros at i >= j
-    ones_before = np.concatenate(([0], np.cumsum(ys[order])))
-    zeros_from = (n - ones_before[-1]) - (np.arange(n + 1) - ones_before)
-    return xs[order], ones_before + zeros_from
+    ones_before = np.zeros(keys.shape[:-1] + (n + 1,), dtype=np.int64)
+    np.cumsum(keys & 1, axis=-1, out=ones_before[..., 1:])
+    losses = ones_before + (n - ones_before[..., -1:]) - (np.arange(n + 1) - ones_before)
+    return (keys >> 1).view(float), losses
 
 
 def threshold_erm(xs: np.ndarray, ys: np.ndarray) -> tuple[float, int]:
@@ -159,7 +166,7 @@ def threshold_erm(xs: np.ndarray, ys: np.ndarray) -> tuple[float, int]:
     n = xs.size
     if n == 0:
         raise ValueError("erm needs at least one point")
-    x, losses = cut_losses(xs, np.asarray(ys))
+    x, losses = cut_losses(xs, ys)
     # cut j is realizable by some theta in [0,1] iff its x-interval is non-empty
     reachable = np.empty(n + 1, dtype=bool)
     reachable[0] = True
@@ -178,22 +185,14 @@ def threshold_erm(xs: np.ndarray, ys: np.ndarray) -> tuple[float, int]:
 def threshold_erm_rows(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """``threshold_erm``'s theta for every row of (rows, n) arrays of x in [0,1] and 0/1 labels.
 
-    Each row is sorted once as packed keys (x bits << 1) | y: non-negative
-    doubles order like their int64 bits, and 1.0 still fits after the shift.
-    Tied x come out label 0 first, which changes only the losses at
-    unreachable cuts, so the cuts, the reachability rule and the leftmost
-    tie-break give the same theta as ``threshold_erm``.
+    Each row goes through ``cut_losses`` once; the cuts, the reachability
+    rule and the leftmost tie-break are those of ``threshold_erm``.
     """
     xs = np.asarray(xs, dtype=float)
     rows, n = xs.shape
     if n == 0:
         raise ValueError("erm needs at least one point")
-    keys = (xs.view(np.int64) << 1) | np.asarray(ys, dtype=np.int64)
-    keys.sort(axis=1)
-    x = (keys >> 1).view(float)
-    ones_before = np.zeros((rows, n + 1), dtype=np.int64)
-    np.cumsum(keys & 1, axis=1, out=ones_before[:, 1:])
-    losses = ones_before + (n - ones_before[:, -1:]) - (np.arange(n + 1) - ones_before)
+    x, losses = cut_losses(xs, ys)
     reachable = np.empty((rows, n + 1), dtype=bool)
     reachable[:, 0] = True
     reachable[:, 1:n] = x[:, :-1] < x[:, 1:]

@@ -43,6 +43,7 @@ from driftlab import (
     verify_uniform_deviation,
 )
 from driftlab import evaluation
+from driftlab.hypotheses import cut_losses
 
 
 class TestTheoreticalExponent:
@@ -410,6 +411,14 @@ class TestVerifyBlocking:
         assert report.bound == pytest.approx(0.2, abs=1e-15)
         assert abs(report.slack) <= 1e-15
 
+    def test_report_does_not_depend_on_t(self):
+        # run_verify("blocking") computes one report per (states, flip, blocks, gap) for all ts
+        for states, flip, blocks, gap in ((2, 0.1, 2, 1), (3, 0.3, 3, 2), (4, 0.45, 4, 8)):
+            model = self._model(states, flip)
+            reports = [verify_blocking(model, t=t, blocks=blocks, gap=gap) for t in (1, 2, 5, 100)]
+            assert {(r.tv_gap, r.bound) for r in reports} == {(reports[0].tv_gap, reports[0].bound)}
+            assert [r.t for r in reports] == [1, 2, 5, 100]
+
     def test_matches_enumeration_oracle(self):
         for states in (2, 3, 4):
             for flip in (0.3, 0.45):
@@ -443,6 +452,65 @@ class TestVerifyBlocking:
             assert key in payload
 
 
+def _stable_cut_losses(xs, ys):
+    """Reference cut scan: stably sorted x and the 0-1 loss of every cut."""
+    n = xs.size
+    order = np.argsort(xs, kind="stable")
+    ones_before = np.concatenate(([0], np.cumsum(ys[order])))
+    zeros_from = (n - ones_before[-1]) - (np.arange(n + 1) - ones_before)
+    return xs[order], ones_before + zeros_from
+
+
+def _reference_abs_sum_to(sorted_values, prefix, queries):
+    idx = np.searchsorted(sorted_values, queries, side="left")
+    total = prefix[-1]
+    below = prefix[idx]
+    return queries * idx - below + (total - below) - queries * (sorted_values.size - idx)
+
+
+def _reference_sup_deviation(xs, ys, thetas, eta):
+    """The reference sup-deviation kernel: searches x into itself and
+    evaluates the averaged risk at every candidate of every trial."""
+    sorted_thetas = np.sort(thetas)
+    theta_prefix = np.concatenate(([0.0], np.cumsum(sorted_thetas)))
+    m = xs.size
+    x, losses = _stable_cut_losses(xs, ys)
+    emp = losses / m
+    scale = 1.0 - 2.0 * eta
+
+    def rbar(queries):
+        return eta + scale * _reference_abs_sum_to(sorted_thetas, theta_prefix, queries) / m
+
+    attained = np.concatenate(([0.0, 1.0], x, sorted_thetas))
+    att_splits = np.searchsorted(x, attained, side="left")
+    best = float(np.max(np.abs(emp[att_splits] - rbar(attained))))
+    limits = np.concatenate(([0.0], x))
+    limits = limits[limits < 1.0]
+    if limits.size:
+        lim_splits = np.searchsorted(x, limits, side="right")
+        best = max(best, float(np.max(np.abs(emp[lim_splits] - rbar(limits)))))
+    return best
+
+
+def _sup_deviation(xs, ys, thetas, eta):
+    """The kernel driven as verify_uniform_deviation drives it at one size."""
+    rbar, kinks = evaluation._averaged_risk(thetas, eta)
+    return evaluation._threshold_sup_deviation(xs, ys, rbar, kinks, rbar(kinks))
+
+
+def _tie_heavy_case(rng, m, eta, constant_thetas):
+    """x on a one-decimal grid, with exact 0.0, 1.0 and copies of the thetas mixed in."""
+    thetas = np.full(m, 0.3) if constant_thetas else np.round(rng.random(m), int(rng.integers(1, 4)))
+    xs = np.round(rng.random(m), 1)
+    pick = rng.random(m)
+    xs[pick < 0.15] = 0.0
+    xs[(pick >= 0.15) & (pick < 0.3)] = 1.0
+    copies = (pick >= 0.3) & (pick < 0.5)
+    xs[copies] = thetas[rng.integers(0, m, m)][copies]
+    flips = rng.random(m) < eta
+    return xs, ((xs >= thetas) ^ flips).astype(np.int64), thetas
+
+
 def _sup_deviation_oracle(xs, ys, thetas, eta):
     """Direct-counting sup of |empirical loss - averaged risk| over candidates."""
     candidates = np.concatenate(
@@ -461,8 +529,6 @@ class TestVerifyUniformDeviation:
     def test_exact_supremum_matches_direct_counting(self):
         # drive the internal exact-sup computation through the public API with
         # trials=2 (both trials use fresh draws; we replay them via the same rng)
-        from driftlab.evaluation import _threshold_sup_deviation
-
         rng = np.random.default_rng(91)
         for _ in range(120):
             m = int(rng.integers(1, 45))
@@ -471,15 +537,11 @@ class TestVerifyUniformDeviation:
             xs = rng.random(m)
             flips = rng.random(m) < eta
             ys = ((xs >= thetas) ^ flips).astype(np.int64)
-            sorted_thetas = np.sort(thetas)
-            prefix = np.concatenate(([0.0], np.cumsum(sorted_thetas)))
-            value = _threshold_sup_deviation(xs, ys, eta, sorted_thetas, prefix)
+            value = _sup_deviation(xs, ys, thetas, eta)
             oracle = _sup_deviation_oracle(xs, ys, thetas, eta)
             assert value == pytest.approx(oracle, abs=1e-12)
 
     def test_sup_dominates_dense_grid(self):
-        from driftlab.evaluation import _threshold_sup_deviation
-
         rng = np.random.default_rng(92)
         grid = np.linspace(0.0, 1.0, 20_001)
         for _ in range(10):
@@ -488,13 +550,39 @@ class TestVerifyUniformDeviation:
             thetas = rng.random(m)
             xs = rng.random(m)
             ys = rng.integers(0, 2, m).astype(np.int64)
-            sorted_thetas = np.sort(thetas)
-            prefix = np.concatenate(([0.0], np.cumsum(sorted_thetas)))
-            value = _threshold_sup_deviation(xs, ys, eta, sorted_thetas, prefix)
+            value = _sup_deviation(xs, ys, thetas, eta)
             for th in grid[::500]:
                 e = float(np.mean(((xs >= th).astype(int) != ys)))
                 rb = eta + (1.0 - 2.0 * eta) * float(np.mean(np.abs(th - thetas)))
                 assert value >= abs(e - rb) - 1e-12
+
+    def test_kernel_equals_reference_bitwise(self):
+        rng = np.random.default_rng(93)
+        for case in range(3000):
+            m = 1 if case % 10 == 0 else int(rng.integers(2, 60))
+            eta = (0.0, 0.1, 0.25, 0.49)[case % 4]
+            xs, ys, thetas = _tie_heavy_case(rng, m, eta, constant_thetas=case % 3 == 0)
+            assert _sup_deviation(xs, ys, thetas, eta) == _reference_sup_deviation(xs, ys, thetas, eta)
+
+    def test_kernel_equals_reference_on_distinct_draws(self):
+        rng = np.random.default_rng(94)
+        for m in (1, 2, 3, 16, 257):
+            for eta in (0.0, 0.1, 0.25, 0.49):
+                thetas = rng.random(m)
+                xs = rng.random(m)
+                ys = ((xs >= thetas) ^ (rng.random(m) < eta)).astype(np.int64)
+                assert _sup_deviation(xs, ys, thetas, eta) == _reference_sup_deviation(xs, ys, thetas, eta)
+
+    def test_cut_losses_match_stable_sort_at_tie_group_boundaries(self):
+        rng = np.random.default_rng(95)
+        for case in range(500):
+            m = 1 if case % 10 == 0 else int(rng.integers(2, 60))
+            xs, ys, _ = _tie_heavy_case(rng, m, 0.25, constant_thetas=False)
+            x, losses = cut_losses(xs, ys)
+            ref_x, ref_losses = _stable_cut_losses(xs, ys)
+            assert np.array_equal(x, ref_x)
+            boundaries = np.concatenate(([0], np.flatnonzero(x[1:] != x[:-1]) + 1, [m]))
+            assert np.array_equal(losses[boundaries], ref_losses[boundaries])
 
     def test_identical_concepts_slope_near_half(self):
         path = ConceptPath(np.full(4096, 0.3), 0.1)
