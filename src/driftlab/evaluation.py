@@ -11,6 +11,7 @@ sqrt(d/m) uniform deviation envelope.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import math
 import numbers
@@ -26,6 +27,8 @@ from .hypotheses import (
     FiniteExplicitClass,
     FunctionClass,
     ThresholdClass,
+    _rank_space,
+    _sliding_threshold_erm,
     cut_losses,
     inf_risk,
     risk,
@@ -67,9 +70,17 @@ BLOCKING_MAX_STATES = 4
 BLOCKING_MAX_BLOCKS = 4
 BLOCKING_MAX_GAP = 8
 
-# gathered points (rows x points per row) of one batch of threshold ERM solves;
-# bounds the memory of a batch
+# elements of one batch of threshold ERM solves: gathered points (rows x points
+# per row) of the row kernel, core and edge keys of the block kernel; bounds the
+# memory of a batch (block kernel batches of 2**16 raised constant_window_long's
+# peak RSS by 4 MB and saved a tenth of its run)
 ERM_BATCH_ELEMENTS = 2**14
+
+# gap-1 runs of one window of at least SLIDE_MIN_WINDOW points are solved
+# SLIDE_BLOCK steps at a time by the block kernel; on 100,000-step paths
+# (2 vCPU) the row kernel is as fast at 40-47 points and slower from 56 on
+SLIDE_MIN_WINDOW = 48
+SLIDE_BLOCK = 8
 
 # curve rows are converted and written this many at a time, bounding the text held in memory
 CSV_CHUNK_ROWS = 4096
@@ -99,13 +110,22 @@ def write_curve_rows(fh: TextIO, columns: Sequence[np.ndarray], start: int, stop
     """Write curve rows start..stop-1 as ``t,<column values>`` lines with t = row + 1.
 
     Every value is written as its repr (shortest round-trip float, plain int),
-    each chunk as one ``%`` format of a ``%r,...,%r`` row template.
+    each chunk as one ``%`` format of a row template.  A column whose chunk
+    holds one non-negative value (``inf_risk`` of a threshold run) enters the
+    template as that value's repr; the sign test keeps -0.0 on ``%r``.
     """
-    row = ",".join(["%r"] * (len(columns) + 1)) + "\n"
     for lo in range(start, stop, CSV_CHUNK_ROWS):
         hi = min(lo + CSV_CHUNK_ROWS, stop)
-        values = [column[lo:hi].tolist() for column in columns]
-        fh.write((row * (hi - lo)) % tuple(itertools.chain.from_iterable(zip(range(lo + 1, hi + 1), *values))))
+        fields, values = ["%r"], [range(lo + 1, hi + 1)]
+        for column in columns:
+            chunk = column[lo:hi]
+            if (chunk == chunk[0]).all() and not np.signbit(chunk).any():
+                fields.append(repr(chunk[:1].tolist()[0]).replace("%", "%%"))
+            else:
+                fields.append("%r")
+                values.append(chunk.tolist())
+        row = ",".join(fields) + "\n"
+        fh.write((row * (hi - lo)) % tuple(itertools.chain.from_iterable(zip(*values))))
 
 
 class DegenerateCurveError(ValueError):
@@ -187,14 +207,29 @@ def plan_group_starts(gaps: np.ndarray, windows: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], np.flatnonzero(changed) + 1))
 
 
-def _window_thetas(path: SamplePath, start: int, stop: int, gap: int, window: int) -> np.ndarray:
-    """Threshold ERM thetas of steps start+1..stop, which share the plan row (gap, window)."""
+def _window_thetas(
+    path: SamplePath, start: int, stop: int, gap: int, window: int, space: Callable[[], tuple | None]
+) -> np.ndarray:
+    """Threshold ERM thetas of steps start+1..stop, which share the plan row (gap, window).
+
+    A gap-1 run of a window of at least SLIDE_MIN_WINDOW points goes
+    SLIDE_BLOCK steps at a time through ``_sliding_threshold_erm`` when
+    ``space()``, the path's ``_rank_space``, is not None.  The rest, a partial
+    last block included, goes through ``threshold_erm_rows``, the reference
+    the block kernel matches.
+    """
     if window == 0:
         return np.zeros(stop - start)  # the initial hypothesis, theta 0
+    thetas = np.empty(stop - start)
+    blocks = (stop - start) // SLIDE_BLOCK if gap == 1 and window >= max(SLIDE_MIN_WINDOW, SLIDE_BLOCK) else 0
+    ranked = space() if blocks else None
+    rest = start  # the first step left to the row kernel
+    if ranked is not None:
+        rest += blocks * SLIDE_BLOCK
+        thetas[: rest - start] = _sliding_threshold_erm(ranked, start, blocks, window, SLIDE_BLOCK, ERM_BATCH_ELEMENTS)
     lags = gap * np.arange(1, window // gap + 1)
     rows = max(1, ERM_BATCH_ELEMENTS // lags.size)
-    thetas = np.empty(stop - start)
-    for first in range(start, stop, rows):
+    for first in range(rest, stop, rows):
         # positions (t-1) - s*gap of the points fitted at steps t = first+1..
         pos = np.arange(first, min(first + rows, stop))[:, None] - lags
         thetas[first - start : first - start + pos.shape[0]] = threshold_erm_rows(path.xs[pos], path.ys[pos])
@@ -225,11 +260,12 @@ def run_single(
     batched = isinstance(marginals, ConceptPath) and isinstance(learner.function_class, ThresholdClass)
     powers = 1 << np.arange(int(horizon).bit_length())
     starts = np.union1d(plan_group_starts(gaps, windows), powers[powers < horizon]).tolist()
+    space = functools.cache(lambda: _rank_space(path.xs, path.ys))  # one argsort and tie check per path, on first use
     risks = np.empty(horizon)
     for start, stop in zip(starts, starts[1:] + [horizon]):
         gap, window = int(gaps[start]), int(windows[start])
         if batched:
-            thetas = _window_thetas(path, start, stop, gap, window)
+            thetas = _window_thetas(path, start, stop, gap, window, space)
             eta = marginals.eta
             risks[start:stop] = eta + (1.0 - 2.0 * eta) * np.abs(thetas - marginals.thetas[start:stop])
         else:

@@ -204,6 +204,89 @@ def threshold_erm_rows(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return thetas[:, 0]
 
 
+def _rank_space(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(int32 rank << 1 | y of each point, sorted x), or None unless every x is
+    distinct and below 1.0, which makes every cut of every window reachable."""
+    order = np.argsort(xs)
+    x = xs[order]
+    if x.size == 0 or not (x[-1] < 1.0 and (x[1:] > x[:-1]).all()):
+        return None
+    packed = np.empty(x.size, dtype=np.int32)
+    packed[order] = np.arange(x.size, dtype=np.int32) << 1
+    packed |= np.asarray(ys, dtype=np.int32)
+    return packed, x
+
+
+def _sliding_threshold_erm(
+    space: tuple[np.ndarray, np.ndarray], first: int, blocks: int, m: int, block: int, budget: int
+) -> np.ndarray:
+    """``threshold_erm_rows``'s thetas of steps first..first+blocks*block-1, step i fitting points i-m..i-1.
+
+    ``space`` is ``_rank_space`` of the points, so every cut is reachable.  The
+    loss of the cut below the c lowest points of a window is its zeros plus
+    S(c), the sum of +1 per y=1 and -1 per y=0 over those c points; the key
+    S(c)*(m+1) + c is least at the leftmost best cut.  A block of B = ``block``
+    steps shares the K = m-B+1 points of its core, sorted once.  Its 2B-2
+    edges (left edge k is held by steps j <= k, right edge k by steps j > k)
+    cut the sorted core into 2B-1 segments, whose least core key does not
+    depend on the step; each step adds the weights and counts of the edges it
+    holds below each segment.  Blocks go in chunks that hold about ``budget``
+    core and edge keys.  Needs 2 <= B <= m.
+    """
+    packed, x = space
+    n, edges, core = x.size, 2 * block - 2, m - block + 1
+    steps = np.arange(block)[:, None]
+    held = np.concatenate([np.arange(block - 1) >= steps, np.arange(block - 1) < steps], axis=1)  # (step, edge)
+    core_windows = np.lib.stride_tricks.sliding_window_view(packed, core)
+    edge_windows = np.lib.stride_tricks.sliding_window_view(packed, block - 1)
+    rows = max(1, budget // (core + 1 + (edges + 1) * block))
+    thetas = np.empty((blocks, block))
+    for lo in range(0, blocks, rows):
+        starts = first + block * np.arange(lo, min(lo + rows, blocks))
+        nb = starts.size
+        row = np.arange(nb)[:, None]
+        cr = core_windows[starts + block - 1 - m]
+        cr.sort(axis=1)
+        # key S*(K+1) + q of core cut q, as 2*(K+1)*(ones below q) - K*q
+        keys = np.zeros((nb, core + 1), dtype=np.int64)
+        np.cumsum(cr & 1, axis=1, out=keys[:, 1:])
+        keys *= 2 * core + 2
+        keys -= core * np.arange(core + 1)
+        er = np.concatenate([edge_windows[starts - m], edge_windows[starts]], axis=1)
+        perm = np.argsort(er, axis=1)
+        er = np.take_along_axis(er, perm, axis=1)
+        # segment s holds the core cuts bounds[s]..bounds[s+1]; bounds[e+1] = core points below sorted edge e
+        bounds = np.zeros((nb, edges + 2), dtype=np.int64)
+        below_edge = np.searchsorted((cr + 2 * n * row).ravel(), (er + 2 * n * row).ravel())
+        bounds[:, 1:-1] = below_edge.reshape(nb, edges) - core * row
+        bounds[:, -1] = core
+        bounds += (core + 1) * row
+        flat = keys.ravel()
+        seg = np.minimum(np.minimum.reduceat(flat, bounds[:, :-1].ravel()), flat[bounds[:, 1:].ravel()])
+        sums, q = np.divmod(seg.reshape(nb, edges + 1), core + 1)
+        # per step: S*(m+1) + c at each segment's best core cut, plus the edges held below it
+        inc = held[:, perm]  # (step, nb, edge)
+        key = np.zeros((block, nb, edges + 1), dtype=np.int64)
+        np.cumsum(inc * ((er & 1) * np.int64(2 * m + 2) - m), axis=2, out=key[:, :, 1:])
+        key += sums * (m + 1) + q
+        best = np.argmin(key, axis=2)[:, :, None]
+        cut = np.take_along_axis(key, best, axis=2)[:, :, 0] % (m + 1)
+        qb = np.take_along_axis(q, best[:, :, 0].T, axis=1).T
+        # the cut's neighbours: the nearer of a core point and an edge the step holds
+        er >>= 1
+        below = np.full((block, nb, edges + 1), -1, dtype=np.int64)
+        np.maximum.accumulate(np.where(inc, er, -1), axis=2, out=below[:, :, 1:])
+        above = np.full((block, nb, edges + 1), n, dtype=np.int64)
+        np.minimum.accumulate(np.where(inc, er, n)[:, :, ::-1], axis=2, out=above[:, :, -2::-1])
+        core_below = np.where(qb > 0, cr[row.T, qb - 1] >> 1, -1)
+        core_above = np.where(qb < core, cr[row.T, np.minimum(qb, core - 1)] >> 1, n)
+        below = np.maximum(np.take_along_axis(below, best, axis=2)[:, :, 0], core_below)
+        above = np.minimum(np.take_along_axis(above, best, axis=2)[:, :, 0], core_above)
+        both = 0.5 * (x[below] + x[np.minimum(above, n - 1)])  # x[-1] and x[n-1] stand in at c = 0 and c = m
+        thetas[lo : lo + nb] = np.where(cut == 0, 0.0, np.where(cut == m, 1.0, both)).T
+    return thetas.ravel()
+
+
 def erm(function_class: FunctionClass, points: Sequence[Observation]) -> Hypothesis:
     """Exact empirical risk minimizer over the class; ties break to the
     smallest parameter (thresholds) or smallest index (finite classes)."""

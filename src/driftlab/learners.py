@@ -158,6 +158,7 @@ class Learner:
     """
 
     function_class: FunctionClass
+    _plan_cap = math.inf  # the longest plan a learner can compute
 
     def __post_init__(self) -> None:
         self.initial = initial_hypothesis(self.function_class)
@@ -169,10 +170,16 @@ class Learner:
 
     def plan(self, horizon: int) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (gaps, windows) for steps 1..horizon: the kept plan when
-        ``horizon`` is its length, read-only prefix views of it when shorter."""
-        if horizon > self._longest[0].size:
-            gaps = np.zeros(horizon, dtype=np.int64)
-            windows = np.zeros(horizon, dtype=np.int64)
+        ``horizon`` is its length, read-only prefix views of it when shorter.
+
+        A longer horizon replaces the kept plan by one of at least twice its
+        length (capped at ``_plan_cap``), so stepping 1..N computes O(log N) plans.
+        """
+        kept = self._longest[0].size
+        if horizon > kept:
+            size = max(horizon, min(2 * kept, self._plan_cap))
+            gaps = np.zeros(size, dtype=np.int64)
+            windows = np.zeros(size, dtype=np.int64)
             self._plan(gaps, windows)
             gaps.flags.writeable = windows.flags.writeable = False
             self._longest = (gaps, windows)
@@ -215,6 +222,10 @@ class AdaptiveWindowLearner(Learner):
 
     function_class: FunctionClass
     schedule: DriftSchedule
+
+    @property
+    def _plan_cap(self) -> int:
+        return self.schedule.horizon  # best_window is defined up to it
 
     def _plan(self, gaps: np.ndarray, windows: np.ndarray) -> None:
         d = self.function_class.d

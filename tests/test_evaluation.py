@@ -1,5 +1,6 @@
 """Exact regret accounting, rate fits, blocking and uniform-deviation verifiers."""
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -43,7 +44,7 @@ from driftlab import (
     verify_uniform_deviation,
 )
 from driftlab import evaluation
-from driftlab.hypotheses import cut_losses
+from driftlab.hypotheses import _rank_space, _sliding_threshold_erm, cut_losses, threshold_erm_rows
 
 
 class TestTheoreticalExponent:
@@ -244,7 +245,8 @@ class TestBatchedRun:
         "kind", ["subsampled_erm", "adaptive_window", "constant_window", "full_history_erm", "last_point"]
     )
     def test_matches_stepwise_reference(self, kind, process, budget, monkeypatch):
-        monkeypatch.setattr(evaluation, "ERM_BATCH_ELEMENTS", budget)
+        monkeypatch.setattr(evaluation, "ERM_BATCH_ELEMENTS", budget)  # 5: one block per block-kernel chunk
+        monkeypatch.setattr(evaluation, "SLIDE_MIN_WINDOW", evaluation.SLIDE_BLOCK)  # windows of 22-40 take the block kernel
         sched = make_drift_schedule("power_step", alpha=0.25, horizon=self.HORIZON)
         path = concept_path(sched, eta=0.1, theta0=0.5)
         if process == "product":
@@ -278,13 +280,130 @@ class TestBatchedRun:
         else:
             model = ProductProcess(marginals=path)
         learner = _BlockPlanLearner(function_class=ThresholdClass(), rows=tuple(rows), block=block)
-        with mock.patch.object(evaluation, "ERM_BATCH_ELEMENTS", budget):
+        with mock.patch.object(evaluation, "ERM_BATCH_ELEMENTS", budget), mock.patch.object(
+            evaluation, "SLIDE_MIN_WINDOW", evaluation.SLIDE_BLOCK
+        ):
             risks, flushed = _batched_run(model, learner, horizon, seed=3)
         reference = _stepwise_risks(model, learner, horizon, seed=3)
         assert np.array_equal(risks, reference)
         assert [t for t, _ in flushed] == [1 << j for j in range(horizon.bit_length())]
         for t, prefix in flushed:
             assert np.array_equal(prefix, reference[:t])
+
+
+def _per_window_thetas(xs: np.ndarray, ys: np.ndarray, first: int, stop: int, window: int) -> np.ndarray:
+    """One ``threshold_erm_rows`` call per window: steps i = first..stop-1 fit points i-window..i-1."""
+    return np.array([threshold_erm_rows(xs[None, i - window : i], ys[None, i - window : i])[0] for i in range(first, stop)])
+
+
+def _drifting_path(process: str, horizon: int, seed: int):
+    path = concept_path(make_drift_schedule("constant", alpha=0.0, horizon=horizon, gamma=0.003), eta=0.2, theta0=0.4)
+    if process == "product":
+        return sample_path(ProductProcess(marginals=path), horizon, seed)
+    return sample_path(MarkovModulatedProcess(transition=symmetric_chain(3, 0.2), marginals=path), horizon, seed)
+
+
+class TestSlidingWindowErm:
+    @pytest.mark.parametrize("budget", [1, evaluation.ERM_BATCH_ELEMENTS])  # 1: one block per chunk
+    @pytest.mark.parametrize("window, block", [(8, 8), (9, 8), (2, 2), (23, 2), (47, 3), (64, 8), (100, 16)])
+    @pytest.mark.parametrize("process", ["product", "markov"])
+    def test_matches_per_window_reference(self, process, window, block, budget):
+        sp = _drifting_path(process, 700, seed=window + block)
+        space = _rank_space(sp.xs, sp.ys)
+        assert space is not None
+        for first in (window, window + 5):
+            blocks = (700 - first) // block
+            thetas = _sliding_threshold_erm(space, first, blocks, window, block, budget)
+            assert np.array_equal(thetas, _per_window_thetas(sp.xs, sp.ys, first, first + blocks * block, window))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_labels_all_one_side_and_extreme_x(self, seed):
+        rng = np.random.default_rng(seed)
+        xs = rng.permutation(np.concatenate(([0.0, np.nextafter(1.0, 0.0)], rng.random(118))))
+        ys = np.ones(120, dtype=np.int64) if seed % 3 == 0 else (xs > 0.5).astype(np.int64) ^ (seed % 3 == 1)
+        thetas = _sliding_threshold_erm(_rank_space(xs, ys), 20, 12, 20, 8, 1)
+        assert np.array_equal(thetas, _per_window_thetas(xs, ys, 20, 116, 20))
+
+    def test_ties_and_one_have_no_rank_space(self):
+        xs = np.array([0.1, 0.7, 0.3, 0.9])
+        assert _rank_space(xs, np.array([0, 1, 0, 1])) is not None
+        assert _rank_space(np.array([0.1, 0.7, 0.1, 0.9]), np.array([0, 1, 0, 1])) is None
+        assert _rank_space(np.array([0.1, 1.0, 0.3, 0.9]), np.array([0, 1, 0, 1])) is None
+
+    @pytest.mark.parametrize("stop", [700, 701, 707])  # B divides the group or leaves 1 or 7 steps to the row kernel
+    def test_window_thetas_sends_whole_blocks_to_the_kernel(self, stop, monkeypatch):
+        monkeypatch.setattr(evaluation, "SLIDE_MIN_WINDOW", 30)
+        sp = _drifting_path("product", 707, seed=5)
+        space = functools.cache(lambda: _rank_space(sp.xs, sp.ys))
+        with mock.patch.object(evaluation, "_sliding_threshold_erm", wraps=_sliding_threshold_erm) as kernel:
+            thetas = evaluation._window_thetas(sp, 36, stop, 1, 30, space)
+            assert kernel.call_args.args[1:5] == (36, (stop - 36) // 8, 30, 8)
+            evaluation._window_thetas(sp, 36, stop, 1, 29, space)  # below the crossover
+            evaluation._window_thetas(sp, 36, stop, 2, 30, space)  # a subsample
+            assert kernel.call_count == 1
+        assert np.array_equal(thetas, _per_window_thetas(sp.xs, sp.ys, 36, stop, 30))
+
+    @pytest.mark.parametrize("process", ["product", "markov"])
+    @pytest.mark.parametrize("tie", ["grid", "one"])
+    def test_ties_and_one_take_the_row_kernel(self, process, tie, monkeypatch):
+        monkeypatch.setattr(evaluation, "SLIDE_MIN_WINDOW", evaluation.SLIDE_BLOCK)
+        sched = make_drift_schedule("constant", alpha=0.0, horizon=300, gamma=0.01)
+        path = concept_path(sched, eta=0.1, theta0=0.5)
+        model = ProductProcess(marginals=path)
+        if process == "markov":
+            model = MarkovModulatedProcess(transition=symmetric_chain(3, 0.25), marginals=path)
+        sp = sample_path(model, 300, seed=2)
+        forced = np.round(sp.xs, 1) if tie == "grid" else np.where(np.arange(300) == 150, 1.0, sp.xs)
+        forced_path = type(sp)(xs=forced, ys=sp.ys, states=sp.states)
+        learner = ConstantWindowLearner(function_class=ThresholdClass(), gamma=0.01)  # window 22
+        with mock.patch.object(evaluation, "sample_path", return_value=forced_path), mock.patch.object(
+            evaluation, "_sliding_threshold_erm"
+        ) as kernel:
+            risks = run_single(model, learner, 300, seed=2)
+        kernel.assert_not_called()
+        expected = [risk(learner.step(forced_path, t), path[t - 1]) for t in range(1, 301)]
+        assert np.array_equal(risks, expected)
+
+    def test_groups_cut_at_powers_of_two(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "SLIDE_MIN_WINDOW", evaluation.SLIDE_BLOCK)
+        sched = make_drift_schedule("constant", alpha=0.0, horizon=1100, gamma=0.01)
+        model = ProductProcess(marginals=concept_path(sched, eta=0.1, theta0=0.5))
+        learner = ConstantWindowLearner(function_class=ThresholdClass(), gamma=0.01)  # window 22
+        with mock.patch.object(evaluation, "_sliding_threshold_erm", wraps=_sliding_threshold_erm) as kernel:
+            risks, flushed = _batched_run(model, learner, 1100, seed=9)
+        # groups 23..32, 33..64, ..., 1025..1100: each a run of whole blocks and a row-kernel tail
+        assert [c.args[1] for c in kernel.call_args_list] == [22, 32, 64, 128, 256, 512, 1024]
+        assert [t for t, _ in flushed] == [1 << j for j in range(11)]
+        assert np.array_equal(risks, _stepwise_risks(model, learner, 1100, seed=9))
+
+
+class TestWriteCurveRows:
+    @staticmethod
+    def _plain(columns, start: int, stop: int) -> str:
+        """Every value through repr, row by row."""
+        return "".join(",".join(map(repr, [t + 1] + [c[t].item() for c in columns])) + "\n" for t in range(start, stop))
+
+    @pytest.mark.parametrize("chunk_rows", [3, 4096])
+    def test_constant_columns_write_the_same_bytes(self, chunk_rows, monkeypatch, tmp_path):
+        monkeypatch.setattr(evaluation, "CSV_CHUNK_ROWS", chunk_rows)
+        n = 11
+        columns = [
+            np.full(n, 0.1),  # inf_risk
+            np.full(n, -0.0),  # stays on %r
+            np.where(np.arange(n) % 2 == 0, 0.0, -0.0),  # equal to 0.0 everywhere, yet two reprs
+            np.array([0.25] * 6 + [1e-300] * 5),  # constant in some chunks only
+            np.full(n, np.nan),
+            np.full(n, np.inf),
+            np.full(n, 465, dtype=np.int64),
+            np.full(n, 0, dtype=np.int64),
+            np.linspace(-1.0, 1.0, n),
+            np.full(n, -3.5),
+        ]
+        for start, stop in ((0, n), (2, 9), (4, 5)):
+            target = tmp_path / f"rows-{start}-{stop}.csv"
+            with open(target, "w", encoding="utf-8", newline="") as fh:
+                evaluation.write_curve_rows(fh, columns, start, stop)
+            assert target.read_bytes() == self._plain(columns, start, stop).encode()
 
 
 class TestRunExperiment:

@@ -5,6 +5,7 @@ import errno
 import json
 import subprocess
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -368,6 +369,28 @@ class TestRunConfig:
             a = (Path(record.out_dir) / name).read_bytes()
             b = (Path(record2.out_dir) / name).read_bytes()
             assert a == b, name
+
+    def test_worker_pool_capped_at_seed_count(self, mini_run, tmp_path):
+        resolved, record, _, _ = mini_run
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers, mp_context):
+                pools.append((max_workers, mp_context.get_start_method()))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        with mock.patch.object(harness_mod, "ProcessPoolExecutor", SerialPool):
+            record2, _ = run_config(resolved, tmp_path, jobs=64)
+        assert pools == [(len(resolved["seeds"]), "fork")]
+        assert (Path(record2.out_dir) / "curve-mean.csv").read_bytes() == (Path(record.out_dir) / "curve-mean.csv").read_bytes()
 
     def test_run_json_record(self, mini_run):
         _, record, _, _ = mini_run

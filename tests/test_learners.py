@@ -1,6 +1,7 @@
 """Subsample schedules, window rules, and the online learners built on them."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -267,6 +268,27 @@ class TestPlan:
             assert np.shares_memory(prefix_gaps, gaps) and np.shares_memory(prefix_windows, windows)
             assert not prefix_gaps.flags.writeable and not prefix_windows.flags.writeable
             assert np.array_equal(prefix_gaps, gaps[:k]) and np.array_equal(prefix_windows, windows[:k])
+
+    @pytest.mark.parametrize("kind", ["subsampled_erm", "adaptive_window", "constant_window"])
+    def test_stepping_by_hand_plans_log_times(self, kind):
+        horizon = 1000  # also the adaptive schedule's horizon, past which its plan cannot grow
+        sched, path = _random_product_path(horizon, 17)
+
+        def build():
+            if kind == "subsampled_erm":
+                return SubsampledErmLearner(alpha=0.25, r=2.0, function_class=ThresholdClass())
+            if kind == "adaptive_window":
+                return AdaptiveWindowLearner(function_class=ThresholdClass(), schedule=sched)
+            return ConstantWindowLearner(function_class=ThresholdClass(), gamma=0.01)
+
+        learner = build()
+        with mock.patch.object(type(learner), "_plan", autospec=True, side_effect=type(learner)._plan) as plans:
+            for t in range(1, horizon + 1):
+                learner.step(path, t)
+        assert plans.call_count == math.ceil(math.log2(horizon)) + 1  # sizes 1, 2, 4, ..., 512, then 1024 (adaptive: 1000)
+        gaps, windows = learner.plan(horizon)
+        fresh_gaps, fresh_windows = build().plan(horizon)
+        assert np.array_equal(gaps, fresh_gaps) and np.array_equal(windows, fresh_windows)
 
 
 class TestLearnerEquivalences:
