@@ -185,14 +185,14 @@ def make_drift_schedule(
                 direction = -direction
             position = min(1.0, max(0.0, position + direction * step))
             dirs[i] = direction
-        directions = tuple(int(v) for v in dirs)
+        directions = tuple(dirs.tolist())
 
     # one expression, so its horizon-long temporaries are freed before the deltas tuple is built
     growth = float(np.max(np.cumsum(deltas) / np.arange(1, horizon + 1, dtype=float) ** alpha))
     return DriftSchedule(
         kind=kind,
         alpha=alpha,
-        deltas=tuple(float(v) for v in deltas),
+        deltas=tuple(deltas.tolist()),
         growth_constant=growth,
         directions=directions,
     )

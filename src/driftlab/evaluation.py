@@ -110,17 +110,27 @@ def write_curve_rows(fh: TextIO, columns: Sequence[np.ndarray], start: int, stop
     """Write curve rows start..stop-1 as ``t,<column values>`` lines with t = row + 1.
 
     Every value is written as its repr (shortest round-trip float, plain int),
-    each chunk as one ``%`` format of a row template.  A column whose chunk
-    holds one non-negative value (``inf_risk`` of a threshold run) enters the
-    template as that value's repr; the sign test keeps -0.0 on ``%r``.
+    each chunk as one ``%`` format of a row template.  Chunks are compared by
+    their bits (dtype and bytes): one repeated value (``inf_risk`` of a
+    threshold run, or all -0.0) enters the template as that value's repr, and
+    equal chunks (``cum_excess``, ``ci_lo`` and ``ci_hi`` of a one-seed mean
+    curve) share one formatted ``%s`` text.  Mixed 0.0/-0.0 stay per value.
     """
     for lo in range(start, stop, CSV_CHUNK_ROWS):
         hi = min(lo + CSV_CHUNK_ROWS, stop)
-        fields, values = ["%r"], [range(lo + 1, hi + 1)]
-        for column in columns:
-            chunk = column[lo:hi]
-            if (chunk == chunk[0]).all() and not np.signbit(chunk).any():
+        chunks = [column[lo:hi] for column in columns]
+        # compared as views: copying the bits out as bytes grew the heap and raised later peak RSS
+        bits = [(chunk.dtype, chunk.view(f"u{chunk.itemsize}")) for chunk in chunks]
+        firsts = [next(j for j, (d, b) in enumerate(bits) if d == dtype and np.array_equal(b, own)) for dtype, own in bits]
+        fields, values, texts = ["%r"], [range(lo + 1, hi + 1)], {}
+        for chunk, (_, own), first in zip(chunks, bits, firsts):
+            if (own == own[0]).all():
                 fields.append(repr(chunk[:1].tolist()[0]).replace("%", "%%"))
+            elif firsts.count(first) > 1:
+                if first not in texts:
+                    texts[first] = list(map(repr, chunk.tolist()))
+                fields.append("%s")
+                values.append(texts[first])
             else:
                 fields.append("%r")
                 values.append(chunk.tolist())

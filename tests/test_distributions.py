@@ -18,6 +18,7 @@ from driftlab import (
     make_drift_schedule,
     tv_distance,
 )
+from driftlab.distributions import SCHEDULE_KINDS
 from driftlab.hypotheses import FiniteExplicitClass
 
 
@@ -150,6 +151,39 @@ class TestDriftSchedule:
         for i in range(1, 400):
             position += tri.directions[i] * tri.deltas[i]
             assert -1e-12 <= position <= 1.0 + 1e-12
+
+    @staticmethod
+    def _generator_built(kind, alpha, horizon, gamma=None, c0=1.0, seed=0):
+        """Schedule tuples built element by element from the arrays of the documented rules."""
+        if kind == "constant":
+            deltas = np.full(horizon, float(gamma))
+        else:
+            deltas = np.minimum(1.0, c0 * np.arange(1, horizon + 1, dtype=float) ** (alpha - 1.0))
+        deltas[0] = 0.0
+        directions = None
+        if kind == "triangle_wave":
+            direction = 1 if np.random.default_rng(seed).integers(0, 2) == 0 else -1
+            dirs, position = np.empty(horizon, dtype=np.int64), 0.5
+            dirs[0] = direction
+            for i in range(1, horizon):
+                if not 0.0 <= position + direction * deltas[i] <= 1.0:
+                    direction = -direction
+                position = min(1.0, max(0.0, position + direction * deltas[i]))
+                dirs[i] = direction
+            directions = tuple(int(v) for v in dirs)
+        return tuple(float(v) for v in deltas), directions
+
+    @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
+    def test_tuples_hold_python_scalars_of_the_reference(self, kind):
+        params = dict(alpha=0.3, horizon=700, gamma=0.01, c0=0.8, seed=3)
+        sched = make_drift_schedule(kind, **params)
+        deltas, directions = self._generator_built(kind, **params)
+        assert sched.deltas == deltas
+        assert all(type(v) is float for v in sched.deltas)
+        assert sched.directions == directions
+        if kind == "triangle_wave":
+            assert all(type(v) is int for v in sched.directions)
+            assert set(directions) == {-1, 1}
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

@@ -389,7 +389,7 @@ class TestWriteCurveRows:
         n = 11
         columns = [
             np.full(n, 0.1),  # inf_risk
-            np.full(n, -0.0),  # stays on %r
+            np.full(n, -0.0),  # the literal -0.0
             np.where(np.arange(n) % 2 == 0, 0.0, -0.0),  # equal to 0.0 everywhere, yet two reprs
             np.array([0.25] * 6 + [1e-300] * 5),  # constant in some chunks only
             np.full(n, np.nan),
@@ -400,6 +400,31 @@ class TestWriteCurveRows:
             np.full(n, -3.5),
         ]
         for start, stop in ((0, n), (2, 9), (4, 5)):
+            target = tmp_path / f"rows-{start}-{stop}.csv"
+            with open(target, "w", encoding="utf-8", newline="") as fh:
+                evaluation.write_curve_rows(fh, columns, start, stop)
+            assert target.read_bytes() == self._plain(columns, start, stop).encode()
+
+    @pytest.mark.parametrize("chunk_rows", [4, 7])
+    def test_bitwise_equal_columns_write_the_same_bytes(self, chunk_rows, monkeypatch, tmp_path):
+        monkeypatch.setattr(evaluation, "CSV_CHUNK_ROWS", chunk_rows)
+        n = 23
+        rng = np.random.default_rng(5)
+        a, b = rng.random(n), rng.random(n) - 0.5
+        a_later = a.copy()
+        a_later[chunk_rows + 1 :: 3] += 1.0  # equal to ``a`` up to row chunk_rows only
+        signed = np.where(np.arange(n) % 3 == 0, 0.0, -0.0)
+        columns = [
+            a, a.copy(), a.copy(),  # a triple
+            b, b.copy(),  # a pair
+            signed, signed.copy(),  # equal bits, two reprs in every chunk
+            np.where(np.arange(n) % 3 == 0, -0.0, 0.0),  # equal to ``signed`` by value, not by bits
+            np.full(n, -0.0), np.full(n, -0.0),  # all -0.0: one literal each
+            b.view(np.int64),  # the bits of ``b`` as integers: its own text
+            a_later,
+            np.full(n, 0.1),
+        ]
+        for start, stop in ((0, n), (1, n), (3, 3 + 2 * chunk_rows), (chunk_rows + 2, n - 1)):
             target = tmp_path / f"rows-{start}-{stop}.csv"
             with open(target, "w", encoding="utf-8", newline="") as fh:
                 evaluation.write_curve_rows(fh, columns, start, stop)

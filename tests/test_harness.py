@@ -392,6 +392,17 @@ class TestRunConfig:
         assert pools == [(len(resolved["seeds"]), "fork")]
         assert (Path(record2.out_dir) / "curve-mean.csv").read_bytes() == (Path(record.out_dir) / "curve-mean.csv").read_bytes()
 
+    def test_one_seed_mean_curve_repeats_the_seed_text(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(evaluation_mod, "CSV_CHUNK_ROWS", 100)  # rows 1..512 over six chunks
+        record, _ = run_config(resolve_config(base_config(seeds=[3])), tmp_path)
+        out_dir = Path(record.out_dir)
+        mean_rows = [line.split(",") for line in (out_dir / "curve-mean.csv").read_text().splitlines()[1:]]
+        seed_rows = [line.split(",") for line in (out_dir / "curve-3.csv").read_text().splitlines()[1:]]
+        assert len(mean_rows) == len(seed_rows) == 512
+        for (t, mean_risk, inf_risk, cum_excess, ci_lo, ci_hi), seed_row in zip(mean_rows, seed_rows):
+            assert cum_excess == ci_lo == ci_hi
+            assert [t, mean_risk, inf_risk, cum_excess] == seed_row[:4]
+
     def test_run_json_record(self, mini_run):
         _, record, _, _ = mini_run
         payload = json.loads((Path(record.out_dir) / "run.json").read_text())
