@@ -76,6 +76,12 @@ BLOCKING_MAX_GAP = 8
 # peak RSS by 4 MB and saved a tenth of its run)
 ERM_BATCH_ELEMENTS = 2**14
 
+# sample points per sup-deviation kernel call: a uniform-deviation size m runs
+# max(1, SUP_DEVIATION_BATCH_ELEMENTS // m) trials as the rows of one call.  On
+# the default grid (16..16384, 100 trials, 2 vCPU) 2**12 and 2**13 tie, and
+# ERM_BATCH_ELEMENTS = 2**14 (2 rows at 8192, 4 at 4096) takes 0.46 s against 0.38
+SUP_DEVIATION_BATCH_ELEMENTS = 2**13
+
 # gap-1 runs of one window of at least SLIDE_MIN_WINDOW points are solved
 # SLIDE_BLOCK steps at a time by the block kernel; on 100,000-step paths
 # (2 vCPU) the row kernel is as fast at 40-47 points and slower from 56 on
@@ -464,54 +470,89 @@ class UniformDeviationReport:
         return asdict(self)
 
 
-def _averaged_risk(thetas: np.ndarray, eta: float) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
+def _averaged_risk(
+    thetas: np.ndarray, eta: float
+) -> tuple[Callable[[np.ndarray, np.ndarray], np.ndarray], np.ndarray, np.ndarray]:
     """The averaged true risk rbar(q) = eta + (1-2 eta) * mean_i |q - theta_i| of
-    threshold q over m concepts, and its kinks: 0, the sorted thetas and 1."""
+    threshold q over m concepts, its kinks and the risk at each kink.
+
+    The kinks are 0, the distinct sorted thetas and 1: equal thetas make equal
+    kinks, which add equal terms to a max.  ``rbar(queries, ranks)`` takes each
+    query's rank among the distinct thetas, searchsorted(kinks[1:-1], q, 'left').
+    """
     sorted_thetas = np.sort(thetas)
     prefix = np.concatenate(([0.0], np.cumsum(sorted_thetas)))
     m, total, scale = sorted_thetas.size, prefix[-1], 1.0 - 2.0 * eta
+    firsts = np.flatnonzero(np.append(True, sorted_thetas[1:] != sorted_thetas[:-1]))
+    thetas_below = np.append(firsts, m)  # #{theta < q} by the rank of q
 
-    def rbar(queries: np.ndarray) -> np.ndarray:
+    def rbar(queries: np.ndarray, ranks: np.ndarray) -> np.ndarray:
         # sum_i |q - theta_i| from the prefix sums of the thetas below q and above it
-        idx = np.searchsorted(sorted_thetas, queries, side="left")
+        idx = thetas_below[ranks]
         below = prefix[idx]
         return eta + scale * (queries * idx - below + (total - below) - queries * (m - idx)) / m
 
-    return rbar, np.concatenate(([0.0], sorted_thetas, [1.0]))
+    distinct = sorted_thetas[firsts]
+    kinks = np.concatenate(([0.0], distinct, [1.0]))
+    return rbar, kinks, rbar(kinks, np.searchsorted(distinct, kinks))
 
 
 def _threshold_sup_deviation(
-    xs: np.ndarray, ys: np.ndarray, rbar: Callable[[np.ndarray], np.ndarray], kinks: np.ndarray, kink_risks: np.ndarray
-) -> float:
-    """Exact sup over theta in [0,1] of |empirical loss - averaged true risk|.
+    xs: np.ndarray,
+    ys: np.ndarray,
+    rbar: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    kinks: np.ndarray,
+    kink_risks: np.ndarray,
+) -> np.ndarray:
+    """Exact sup over theta in [0,1] of |empirical loss - averaged true risk|
+    for each row of (rows, m) samples.
 
     The empirical term is constant between consecutive sorted sample points
     and the averaged risk is piecewise linear, so the supremum is attained (or
     approached one-sidedly) at a sample point, a risk kink, or an endpoint;
-    all are evaluated, including right-limits at sample points.  ``rbar`` and
-    ``kinks`` come from ``_averaged_risk`` and ``kink_risks`` is ``rbar(kinks)``.
+    all are evaluated, including right-limits at sample points.  ``rbar``,
+    ``kinks`` and ``kink_risks`` come from ``_averaged_risk``.
 
-    Threshold q labels 1 the sorted points from searchsorted(x, q, 'left') on:
-    at q = x_i that is the start of x_i's tie group, and the right-limit at x_i
-    cuts at the group's end, so one rbar per distinct x serves its group.  Only
-    tie-group boundaries are read, and their losses ignore the order of tied
-    points.  The right-limit at 0 is the value at 0 or the right-limit at x = 0.
+    Threshold q labels 1 the sorted points from searchsorted(x, q, 'left') on.
+    One search ranks every x among the distinct thetas, which is all rbar
+    needs.  Counting ranks (one bincount and a cumsum) gives #{x <= kink} for
+    every kink: its cut, unless an x equals it, which the x just below the
+    count shows.  A row of distinct x, none equal to a kink, is done: each x
+    is its own group, below 1, so both limits at each x are realizable.
+    Every other row searches the kinks into its x and reads tie groups: at
+    q = x_i the cut is the start of x_i's group and the right-limit at x_i
+    cuts at its end, so one rbar per distinct x serves its group.  Only group
+    boundaries are read, and their losses ignore the order of tied points.
+    The right-limit at 0 is the value at 0 or the right-limit at x = 0.
     """
-    m = xs.size
+    rows, m = xs.shape
     x, losses = cut_losses(xs, ys)
     emp = losses / m
-    best = float(np.max(np.abs(emp[np.searchsorted(x, kinks, side="left")] - kink_risks)))
-    bounds = np.flatnonzero(x[1:] != x[:-1]) + 1
-    if bounds.size == m - 1:  # distinct x: each point is its own group
-        distinct, at, after = x, emp[:-1], emp[1:]
-    else:
+    del losses  # losses and ranks are freed once read: the temporaries at the largest m set a verify run's peak memory
+    ranks = np.searchsorted(kinks[1:-1], x)
+    bins, row = kinks.size, np.arange(rows)[:, None]
+    # cuts[:, k] = #{j : ranks_j < k} = #{x <= kinks[k]}, which is #{x < kinks[k]} unless an x equals the kink
+    cuts = np.bincount((ranks + (row * bins + 1)).ravel(), minlength=rows * bins).reshape(rows, bins).cumsum(axis=1)
+    risks = rbar(x, ranks)
+    del ranks
+    tied = (x[:, 1:] == x[:, :-1]).any(axis=1) | (
+        x.ravel()[np.maximum(cuts[:, 1:] - 1, 0) + row * m] == kinks[1:]
+    ).any(axis=1)
+    best = np.maximum(
+        np.abs(emp.ravel()[cuts + row * (m + 1)] - kink_risks).max(axis=1),
+        np.maximum(np.abs(emp[:, :-1] - risks), np.abs(emp[:, 1:] - risks)).max(axis=1),
+    )
+    for r in np.flatnonzero(tied):
+        row_x, row_emp = x[r], emp[r]
+        value = float(np.max(np.abs(row_emp[np.searchsorted(row_x, kinks, side="left")] - kink_risks)))
+        bounds = np.flatnonzero(row_x[1:] != row_x[:-1]) + 1
         starts = np.append(0, bounds)
-        distinct, at, after = x[starts], emp[starts], emp[np.append(bounds, m)]
-    risks = rbar(distinct)
-    best = max(best, float(np.max(np.abs(at - risks))))
-    inner = distinct.size - int(distinct[-1] >= 1.0)  # a split to the right of x=1 is unrealizable
-    if inner:
-        best = max(best, float(np.max(np.abs(after[:inner] - risks[:inner]))))
+        at, after, row_risks = row_emp[starts], row_emp[np.append(bounds, m)], risks[r, starts]
+        value = max(value, float(np.max(np.abs(at - row_risks))))
+        inner = starts.size - int(row_x[-1] >= 1.0)  # a split to the right of x=1 is unrealizable
+        if inner:
+            value = max(value, float(np.max(np.abs(after[:inner] - row_risks[:inner]))))
+        best[r] = value
     return best
 
 
@@ -529,9 +570,16 @@ def verify_uniform_deviation(
     loss| over the class, and the per-m trial means are fitted log-log
     against m.  An envelope constant max_m estimate / sqrt(d/m) is reported.
     """
+
+    def integral(value) -> bool:
+        return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+    if not integral(trials):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
+    trials = int(trials)
     if trials < 2:
         raise ValueError(f"insufficient trials for a deviation estimate, got {trials}")
-    if not all(isinstance(m, numbers.Integral) for m in m_grid):
+    if not all(integral(m) for m in m_grid):
         raise ValueError(f"every m must be an integer, got {list(m_grid)}")
     grid = tuple(int(m) for m in m_grid)
     if len(grid) == 0:
@@ -551,14 +599,16 @@ def verify_uniform_deviation(
         eta = marginals.eta
         for m in grid:
             thetas = marginals.thetas[:m]
-            rbar, kinks = _averaged_risk(thetas, eta)
-            kink_risks = rbar(kinks)
+            averaged = _averaged_risk(thetas, eta)
+            batch = max(1, SUP_DEVIATION_BATCH_ELEMENTS // m)
             total = 0.0
-            for _ in range(trials):
-                xs = rng.random(m)
-                flips = rng.random(m) < eta
-                ys = ((xs >= thetas) ^ flips).astype(np.int64)
-                total += _threshold_sup_deviation(xs, ys, rbar, kinks, kink_risks)
+            for done in range(0, trials, batch):
+                # row r holds the xs and flip draws of one trial, in the order a trial draws them
+                draws = rng.random((min(batch, trials - done), 2, m))
+                xs = draws[:, 0]
+                ys = (xs >= thetas) ^ (draws[:, 1] < eta)
+                for value in _threshold_sup_deviation(xs, ys, *averaged).tolist():
+                    total += value
             estimates.append(total / trials)
     elif isinstance(function_class, FiniteExplicitClass):
         supports = list(marginals)

@@ -25,10 +25,8 @@ import inspect
 import itertools
 import json
 import math
-import multiprocessing
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Sequence
@@ -459,6 +457,9 @@ def run_config(resolved: dict, out_root: str | Path, jobs: int = 1) -> tuple[Run
     curve_files = [str(out_dir / f"curve-{seed}.csv") for seed in seeds]
     run_seed = functools.partial(_run_seed_streaming, model, learner, horizon, inf_risks)
     if jobs > 1 and len(seeds) > 1:
+        import multiprocessing  # imported here, where the pool needs it: about 30 ms of `import driftlab`
+        from concurrent.futures import ProcessPoolExecutor
+
         # fork: workers inherit the parent's modules as they stand, patched ones included
         fork = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(max_workers=min(jobs, len(seeds)), mp_context=fork) as pool:

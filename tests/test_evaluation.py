@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import json
 import math
 from dataclasses import dataclass
 from unittest import mock
@@ -638,21 +639,46 @@ def _reference_sup_deviation(xs, ys, thetas, eta):
 
 def _sup_deviation(xs, ys, thetas, eta):
     """The kernel driven as verify_uniform_deviation drives it at one size."""
-    rbar, kinks = evaluation._averaged_risk(thetas, eta)
-    return evaluation._threshold_sup_deviation(xs, ys, rbar, kinks, rbar(kinks))
+    (value,) = evaluation._threshold_sup_deviation(xs[None], ys[None], *evaluation._averaged_risk(thetas, eta))
+    return float(value)
 
 
-def _tie_heavy_case(rng, m, eta, constant_thetas):
+def _case_thetas(rng, m, constant_thetas):
+    """A constant theta, or thetas rounded to 1-3 decimals, so that some repeat."""
+    return np.full(m, 0.3) if constant_thetas else np.round(rng.random(m), int(rng.integers(1, 4)))
+
+
+def _tie_heavy_x(rng, thetas):
     """x on a one-decimal grid, with exact 0.0, 1.0 and copies of the thetas mixed in."""
-    thetas = np.full(m, 0.3) if constant_thetas else np.round(rng.random(m), int(rng.integers(1, 4)))
+    m = thetas.size
     xs = np.round(rng.random(m), 1)
     pick = rng.random(m)
     xs[pick < 0.15] = 0.0
     xs[(pick >= 0.15) & (pick < 0.3)] = 1.0
     copies = (pick >= 0.3) & (pick < 0.5)
     xs[copies] = thetas[rng.integers(0, m, m)][copies]
+    return xs
+
+
+def _tie_heavy_case(rng, m, eta, constant_thetas):
+    thetas = _case_thetas(rng, m, constant_thetas)
+    xs = _tie_heavy_x(rng, thetas)
     flips = rng.random(m) < eta
     return xs, ((xs >= thetas) ^ flips).astype(np.int64), thetas
+
+
+def _mixed_rows(rng, rows, thetas):
+    """Rows of x cycling through: tie-heavy; distinct; distinct with one x equal
+    to a theta; distinct with an x = 1.0; distinct with an x = 0.0."""
+    m = thetas.size
+    xs = rng.random((rows, m))
+    for r in range(rows):
+        kind, j = r % 5, int(rng.integers(0, m))
+        if kind == 0:
+            xs[r] = _tie_heavy_x(rng, thetas)
+        elif kind > 1:
+            xs[r, j] = (thetas[int(rng.integers(0, m))], 1.0, 0.0)[kind - 2]
+    return xs
 
 
 def _sup_deviation_oracle(xs, ys, thetas, eta):
@@ -717,6 +743,53 @@ class TestVerifyUniformDeviation:
                 ys = ((xs >= thetas) ^ (rng.random(m) < eta)).astype(np.int64)
                 assert _sup_deviation(xs, ys, thetas, eta) == _reference_sup_deviation(xs, ys, thetas, eta)
 
+    @pytest.mark.parametrize("rows", [1, 5, 37])
+    @pytest.mark.parametrize("constant_thetas", [True, False])
+    def test_batched_kernel_equals_reference_row_by_row(self, rows, constant_thetas):
+        rng = np.random.default_rng(96 + rows)
+        for case in range(60):
+            m = 1 if case % 10 == 0 else int(rng.integers(2, 60))
+            eta = (0.0, 0.1, 0.25, 0.49)[case % 4]
+            thetas = _case_thetas(rng, m, constant_thetas)
+            # one row takes each kind of row in turn across cases
+            xs = _mixed_rows(rng, rows, thetas) if rows > 1 else _mixed_rows(rng, case % 5 + 1, thetas)[-1:]
+            ys = ((xs >= thetas) ^ (rng.random(xs.shape) < eta)).astype(np.int64)
+            values = evaluation._threshold_sup_deviation(xs, ys, *evaluation._averaged_risk(thetas, eta))
+            assert values.shape == (xs.shape[0],)
+            for row, value in enumerate(values):
+                assert value == _reference_sup_deviation(xs[row], ys[row], thetas, eta)
+
+    @staticmethod
+    def _replayed_estimates(path, grid, trials, seed):
+        """Each trial drawn by itself, xs then flips, and scored by the reference kernel."""
+        rng = np.random.default_rng(seed)
+        estimates = []
+        for m in grid:
+            thetas = path.thetas[:m]
+            total = 0.0
+            for _ in range(trials):
+                xs = rng.random(m)
+                flips = rng.random(m) < path.eta
+                total += _reference_sup_deviation(xs, ((xs >= thetas) ^ flips).astype(np.int64), thetas, path.eta)
+            estimates.append(total / trials)
+        return tuple(estimates)
+
+    @pytest.mark.parametrize("constant_thetas", [True, False])
+    def test_threshold_estimates_equal_per_trial_replay(self, constant_thetas, monkeypatch):
+        monkeypatch.setattr(evaluation, "SUP_DEVIATION_BATCH_ELEMENTS", 64)
+        path = ConceptPath(_case_thetas(np.random.default_rng(97), 200, constant_thetas), 0.25)
+        # 64 // m rows per call: 64, 12 (two full batches and a part), 4, 1, 1 and 1
+        grid, trials = [1, 5, 16, 63, 64, 200], 30
+        report = verify_uniform_deviation(ThresholdClass(), path, grid, trials=trials, seed=5)
+        assert report.estimates == self._replayed_estimates(path, grid, trials, 5)
+
+    def test_threshold_estimates_equal_per_trial_replay_at_the_budget(self):
+        budget = evaluation.SUP_DEVIATION_BATCH_ELEMENTS
+        path = ConceptPath(_case_thetas(np.random.default_rng(98), budget, False), 0.1)
+        grid, trials = [budget // 4, budget // 2 + 1, budget], 5  # 4 rows (a batch and a part), 1 row, 1 row
+        report = verify_uniform_deviation(ThresholdClass(), path, grid, trials=trials, seed=6)
+        assert report.estimates == self._replayed_estimates(path, grid, trials, 6)
+
     def test_cut_losses_match_stable_sort_at_tie_group_boundaries(self):
         rng = np.random.default_rng(95)
         for case in range(500):
@@ -749,6 +822,20 @@ class TestVerifyUniformDeviation:
             verify_uniform_deviation(ThresholdClass(), path, [4, 32], trials=2, seed=0)
         with pytest.raises(ValueError, match="integer"):
             verify_uniform_deviation(ThresholdClass(), path, [4.5, 16], trials=2, seed=0)
+
+    def test_rejects_bool_and_fractional_trials_and_sizes(self):
+        path = ConceptPath(np.full(16, 0.3), 0.1)
+        for trials in (2.5, True, 3.0):
+            with pytest.raises(ValueError, match="trials must be an integer"):
+                verify_uniform_deviation(ThresholdClass(), path, [4, 16], trials=trials, seed=0)
+        with pytest.raises(ValueError, match=r"every m must be an integer, got \[True, 16\]"):
+            verify_uniform_deviation(ThresholdClass(), path, [True, 16], trials=2, seed=0)
+
+    def test_numpy_integer_trials_stored_as_int(self):
+        path = ConceptPath(np.full(16, 0.3), 0.1)
+        report = verify_uniform_deviation(ThresholdClass(), path, [4, 16], trials=np.int64(3), seed=0)
+        assert type(report.trials) is int and report.trials == 3
+        assert json.loads(json.dumps(report.to_json()))["trials"] == 3
 
     def test_finite_class_estimates_match_manual_replay(self):
         rng = np.random.default_rng(93)

@@ -387,7 +387,7 @@ class TestRunConfig:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        with mock.patch.object(harness_mod, "ProcessPoolExecutor", SerialPool):
+        with mock.patch("concurrent.futures.ProcessPoolExecutor", SerialPool):
             record2, _ = run_config(resolved, tmp_path, jobs=64)
         assert pools == [(len(resolved["seeds"]), "fork")]
         assert (Path(record2.out_dir) / "curve-mean.csv").read_bytes() == (Path(record.out_dir) / "curve-mean.csv").read_bytes()
