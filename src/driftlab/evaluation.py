@@ -22,16 +22,13 @@ from typing import Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .distributions import ConceptPath, FiniteSupport, Marginal
+from .distributions import ConceptPath, Marginal
 from .hypotheses import (
-    FiniteExplicitClass,
     FunctionClass,
     ThresholdClass,
     _rank_space,
     _sliding_threshold_erm,
     cut_losses,
-    inf_risk,
-    risk,
     threshold_erm_rows,
 )
 from .learners import Learner, _validate_alpha_r
@@ -40,7 +37,6 @@ from .processes import (
     ProcessModel,
     ProductProcess,
     SamplePath,
-    _inverse_cdf,
     beta_coefficient,
     sample_path,
 )
@@ -211,12 +207,6 @@ class RegretCurve:
             write_curve_rows(fh, (self.mean_risk, self.inf_risks, self.cum_excess, lo, hi), 0, self.horizon)
 
 
-def _inf_risk_path(function_class: FunctionClass, marginals: Sequence[Marginal], horizon: int) -> np.ndarray:
-    if isinstance(marginals, ConceptPath) and isinstance(function_class, ThresholdClass):
-        return np.full(horizon, marginals.eta)
-    return np.array([inf_risk(function_class, marginals[t]) for t in range(horizon)])
-
-
 def plan_group_starts(gaps: np.ndarray, windows: np.ndarray) -> np.ndarray:
     """0-based first steps of the runs of equal (gap, window) plan rows."""
     changed = (gaps[1:] != gaps[:-1]) | (windows[1:] != windows[:-1])
@@ -264,29 +254,24 @@ def run_single(
     ``checkpoint(t, risks)`` is invoked after each power-of-two step with
     ``risks`` filled through index t-1, so callers can flush partial results.
 
-    The steps are cut into runs of equal plan rows, also cut after every
-    power of two.  Threshold classes on concept paths solve each run's ERM
-    problems row-wise with ``threshold_erm_rows``; a finite class (on
-    finite-support marginals) steps through ``learner.fit`` one step at a
-    time, the scalar reference the batches must match.
+    The learner's class must be a ``ThresholdClass``.  The steps are cut
+    into runs of equal plan rows, also cut after every power of two, and
+    each run's ERM problems are solved together by ``_window_thetas``; the
+    per-step ``learner.step`` is the scalar reference they match.
     """
+    if not isinstance(learner.function_class, ThresholdClass):
+        raise ValueError(f"stream runs need a ThresholdClass learner, got {type(learner.function_class).__name__}")
     path = sample_path(model, horizon, seed)
     gaps, windows = learner.plan(horizon)
-    marginals = model.marginals
-    batched = isinstance(marginals, ConceptPath) and isinstance(learner.function_class, ThresholdClass)
+    marginals, eta = model.marginals, model.marginals.eta
     powers = 1 << np.arange(int(horizon).bit_length())
     starts = np.union1d(plan_group_starts(gaps, windows), powers[powers < horizon]).tolist()
     space = functools.cache(lambda: _rank_space(path.xs, path.ys))  # one argsort and tie check per path, on first use
     risks = np.empty(horizon)
     for start, stop in zip(starts, starts[1:] + [horizon]):
         gap, window = int(gaps[start]), int(windows[start])
-        if batched:
-            thetas = _window_thetas(path, start, stop, gap, window, space)
-            eta = marginals.eta
-            risks[start:stop] = eta + (1.0 - 2.0 * eta) * np.abs(thetas - marginals.thetas[start:stop])
-        else:
-            for t in range(start + 1, stop + 1):
-                risks[t - 1] = risk(learner.fit(path, t, gap, window), marginals[t - 1])
+        thetas = _window_thetas(path, start, stop, gap, window, space)
+        risks[start:stop] = eta + (1.0 - 2.0 * eta) * np.abs(thetas - marginals.thetas[start:stop])
         if checkpoint is not None and (stop & (stop - 1)) == 0:
             checkpoint(stop, risks)
     return risks
@@ -307,8 +292,7 @@ def run_experiment(
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     risks = np.stack([run_single(model, learner, horizon, seed) for seed in seeds])
-    inf_risks = _inf_risk_path(learner.function_class, model.marginals, horizon)
-    return RegretCurve(risks=risks, inf_risks=inf_risks, seeds=seeds)
+    return RegretCurve(risks=risks, inf_risks=np.full(horizon, model.marginals.eta), seeds=seeds)
 
 
 def theoretical_exponent(alpha: float, r: float) -> float:
@@ -567,8 +551,9 @@ def verify_uniform_deviation(
 
     Each trial draws the m points independently (marginals may differ across
     i), computes the exact supremum of |empirical mean loss - averaged true
-    loss| over the class, and the per-m trial means are fitted log-log
-    against m.  An envelope constant max_m estimate / sqrt(d/m) is reported.
+    loss| over a ``ThresholdClass`` (any other class raises ``TypeError``),
+    and the per-m trial means are fitted log-log against m.  An envelope
+    constant max_m estimate / sqrt(d/m) is reported.
     """
 
     def integral(value) -> bool:
@@ -609,21 +594,6 @@ def verify_uniform_deviation(
                 ys = (xs >= thetas) ^ (draws[:, 1] < eta)
                 for value in _threshold_sup_deviation(xs, ys, *averaged).tolist():
                     total += value
-            estimates.append(total / trials)
-    elif isinstance(function_class, FiniteExplicitClass):
-        supports = list(marginals)
-        for p in supports[: grid[-1]]:
-            if not isinstance(p, FiniteSupport) or p.support != function_class.support:
-                raise ValueError("finite classes require FiniteSupport marginals on the class support")
-        tables = function_class.table_array()
-        prob_rows = np.stack([p.prob_array for p in supports[: grid[-1]]])
-        cum_rows = np.cumsum(prob_rows, axis=1)
-        for m in grid:
-            mean_true = (tables @ prob_rows[:m].T).mean(axis=1)
-            total = 0.0
-            for _ in range(trials):
-                emp = tables[:, _inverse_cdf(cum_rows[:m], rng.random(m))].mean(axis=1)
-                total += float(np.max(np.abs(emp - mean_true)))
             estimates.append(total / trials)
     else:
         raise TypeError(f"unsupported function class {type(function_class).__name__}")

@@ -50,7 +50,6 @@ from .evaluation import (
     DEFAULT_CHECKPOINT_MIN,
     RateFit,
     RegretCurve,
-    _inf_risk_path,
     default_checkpoints,
     fit_growth_exponent,
     geometric_checkpoints,
@@ -453,7 +452,7 @@ def run_config(resolved: dict, out_root: str | Path, jobs: int = 1) -> tuple[Run
     _write_json(out_dir / "config.json", {k: v for k, v in resolved.items() if k != "sweep"})
 
     gaps, windows = learner.plan(horizon)  # computed once here, then shared by every seed and worker
-    inf_risks = _inf_risk_path(learner.function_class, model.marginals, horizon)
+    inf_risks = np.full(horizon, model.marginals.eta)
     curve_files = [str(out_dir / f"curve-{seed}.csv") for seed in seeds]
     run_seed = functools.partial(_run_seed_streaming, model, learner, horizon, inf_risks)
     if jobs > 1 and len(seeds) > 1:

@@ -15,12 +15,10 @@ import numpy as np
 
 from .distributions import DriftSchedule
 from .hypotheses import (
-    FiniteHypothesis,
     FunctionClass,
     Hypothesis,
     ThresholdClass,
     ThresholdHypothesis,
-    finite_erm_indices,
     initial_hypothesis,
     threshold_erm,
 )
@@ -135,16 +133,12 @@ def best_window(t: int, schedule: DriftSchedule, d: int, *, _cache: dict | None 
 
 
 def erm_step(function_class: FunctionClass, path: SamplePath, t: int, gap: int, window: int) -> Hypothesis:
-    """Exact ERM over the gap-spaced subsample of the last ``window`` points."""
-    times = subsample_times(t, gap, window)
-    pos = times - 1
-    xs = path.xs[pos]
-    ys = path.ys[pos]
-    if isinstance(function_class, ThresholdClass):
-        theta, _ = threshold_erm(xs, ys)
-        return ThresholdHypothesis(theta)
-    cols = function_class.support_indices(xs, ys)
-    return FiniteHypothesis(function_class, finite_erm_indices(function_class, cols))
+    """Exact threshold ERM over the gap-spaced subsample of the last ``window`` points."""
+    if not isinstance(function_class, ThresholdClass):
+        raise TypeError(f"unsupported function class {type(function_class).__name__}")
+    pos = subsample_times(t, gap, window) - 1
+    theta, _ = threshold_erm(path.xs[pos], path.ys[pos])
+    return ThresholdHypothesis(theta)
 
 
 class Learner:
@@ -186,16 +180,13 @@ class Learner:
         gaps, windows = self._longest
         return self._longest if horizon == gaps.size else (gaps[:horizon], windows[:horizon])
 
-    def fit(self, path: SamplePath, t: int, gap: int, window: int) -> Hypothesis:
-        """The hypothesis deployed at step t under plan row (gap, window)."""
-        if window == 0:
-            return self.initial
-        return erm_step(self.function_class, path, t, gap, window)
-
     def step(self, path: SamplePath, t: int) -> Hypothesis:
         """The hypothesis deployed at step t, for callers that step by hand."""
         gaps, windows = self.plan(t)
-        return self.fit(path, t, int(gaps[t - 1]), int(windows[t - 1]))
+        gap, window = int(gaps[t - 1]), int(windows[t - 1])
+        if window == 0:
+            return self.initial
+        return erm_step(self.function_class, path, t, gap, window)
 
 
 @dataclass

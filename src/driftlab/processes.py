@@ -10,11 +10,11 @@ marginal exactly while making the sequence dependent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
-from .distributions import ConceptPath, FiniteSupport
+from .distributions import ConceptPath
 
 __all__ = [
     "ProductProcess",
@@ -35,20 +35,14 @@ MIXING_LAGS = 64
 
 @dataclass(frozen=True)
 class ProductProcess:
-    """Independent draws: Z_t ~ P_t with no coupling across time.
+    """Independent draws: Z_t ~ P_t with no coupling across time, over a
+    ``ConceptPath`` of threshold marginals."""
 
-    The marginals are a ``ConceptPath`` or finite-support laws on one shared
-    support, the two families ``sample_path`` can draw from.
-    """
-
-    marginals: Union[ConceptPath, Sequence[FiniteSupport]]
+    marginals: ConceptPath
 
     def __post_init__(self) -> None:
-        laws = self.marginals
-        if not isinstance(laws, ConceptPath) and not (
-            len(laws) > 0 and all(isinstance(p, FiniteSupport) and p.support == laws[0].support for p in laws)
-        ):
-            raise ValueError("marginals must be a ConceptPath or a non-empty sequence of FiniteSupport on one support")
+        if not isinstance(self.marginals, ConceptPath):
+            raise ValueError("product processes require threshold marginal paths (a ConceptPath)")
 
 
 def _is_primitive(adjacency: np.ndarray) -> bool:
@@ -136,27 +130,10 @@ class SamplePath:
         return self.xs.size
 
 
-def _inverse_cdf(cum_rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """Row i's support position for uniform draw draws[i], given cumulative probabilities
-    cum_rows[i]: the number of entries <= the draw, capped at the last position."""
-    return np.minimum((cum_rows <= draws[:, None]).sum(axis=1), cum_rows.shape[1] - 1)
-
-
-def _sample_finite(rng: np.random.Generator, marginals: Sequence[FiniteSupport]) -> SamplePath:
-    horizon = len(marginals)
-    cum_rows = np.cumsum(np.stack([p.prob_array for p in marginals]), axis=1)
-    idx = _inverse_cdf(cum_rows, rng.random(horizon))
-    support = marginals[0].support
-    xs = np.array([z.x for z in support], dtype=float)[idx]
-    ys = np.array([z.y for z in support], dtype=np.int64)[idx]
-    return SamplePath(xs=xs, ys=ys, states=np.full(horizon, -1, dtype=np.int64))
-
-
 def sample_path(model: ProcessModel, horizon: int, seed: int) -> SamplePath:
     """Draw Z_1..Z_horizon; deterministic given (model, horizon, seed).
 
-    Draw order is fixed: product processes consume (x draws, label flips),
-    or one support draw per step for finite-support marginals;
+    Draw order is fixed: product processes consume (x draws, label flips);
     markov-modulated processes consume (initial state, transition draws,
     x offsets, label flips).
     """
@@ -169,13 +146,10 @@ def sample_path(model: ProcessModel, horizon: int, seed: int) -> SamplePath:
     rng = np.random.default_rng(seed)
     if isinstance(model, ProductProcess):
         marginals = model.marginals
-        if isinstance(marginals, ConceptPath):
-            thetas = marginals.thetas[:horizon]
-            xs = rng.random(horizon)
-            flips = rng.random(horizon) < marginals.eta
-            ys = ((xs >= thetas) ^ flips).astype(np.int64)
-            return SamplePath(xs=xs, ys=ys, states=np.full(horizon, -1, dtype=np.int64))
-        return _sample_finite(rng, list(marginals)[:horizon])
+        xs = rng.random(horizon)
+        flips = rng.random(horizon) < marginals.eta
+        ys = ((xs >= marginals.thetas[:horizon]) ^ flips).astype(np.int64)
+        return SamplePath(xs=xs, ys=ys, states=np.full(horizon, -1, dtype=np.int64))
     assert isinstance(model, MarkovModulatedProcess)
     states_n = model.states
     cum_rows = np.cumsum(model.transition_array(), axis=1)

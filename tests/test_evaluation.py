@@ -33,7 +33,6 @@ from driftlab import (
     default_checkpoints,
     fit_growth_exponent,
     geometric_checkpoints,
-    inf_risk,
     make_drift_schedule,
     risk,
     run_experiment,
@@ -145,25 +144,6 @@ class TestRunSingle:
             assert risks[t - 1] == risk(learner.step(sp, t), path[t - 1])
             step_gaps, step_windows = learner.plan(t)
             assert gaps[t - 1] == step_gaps[-1] and windows[t - 1] == step_windows[-1]
-
-    def test_finite_generic_path_matches_public_risk(self):
-        rng = np.random.default_rng(71)
-        xs = np.sort(rng.random(4))
-        support = tuple(Observation(float(x), int(y)) for x, y in zip(xs, (0, 1, 0, 1)))
-        tables = tuple(tuple(float(v) for v in rng.random(4)) for _ in range(4))
-        fclass = FiniteExplicitClass(support=support, tables=tables, d=2)
-        marginals = [
-            FiniteSupport(support=support, probs=tuple(rng.dirichlet(np.ones(4))))
-            for _ in range(40)
-        ]
-        model = ProductProcess(marginals=marginals)
-        learner = BaselineLearner(kind="full_history_erm", function_class=fclass)
-        risks = run_single(model, learner, 40, seed=5)
-        sp = sample_path(model, 40, seed=5)
-        for t in (1, 2, 25, 40):
-            h = learner.step(sp, t)
-            assert risks[t - 1] == pytest.approx(risk(h, marginals[t - 1]), abs=1e-15)
-        assert np.all(risks >= min(inf_risk(fclass, m) for m in marginals) - 1e-12)
 
     def test_checkpoint_callback_power_of_two(self):
         sched = make_drift_schedule("power_step", alpha=0.25, horizon=40)
@@ -454,6 +434,15 @@ class TestRunExperiment:
             run_experiment(model, learner, 8, seeds=(1, 1))
         with pytest.raises(ValueError):
             run_experiment(model, learner, 8, seeds=())
+
+    def test_finite_class_learner_rejected(self):
+        sched = make_drift_schedule("power_step", alpha=0.25, horizon=8)
+        model = ProductProcess(marginals=concept_path(sched, eta=0.1, theta0=0.5))
+        support = (Observation(0.2, 0), Observation(0.7, 1))
+        fclass = FiniteExplicitClass(support=support, tables=((0.0, 1.0), (1.0, 0.0)))
+        learner = BaselineLearner(kind="full_history_erm", function_class=fclass)
+        with pytest.raises(ValueError, match="stream runs need a ThresholdClass learner, got FiniteExplicitClass"):
+            run_experiment(model, learner, 8, seeds=(0,))
 
 
 class TestCheckpoints:
@@ -837,40 +826,12 @@ class TestVerifyUniformDeviation:
         assert type(report.trials) is int and report.trials == 3
         assert json.loads(json.dumps(report.to_json()))["trials"] == 3
 
-    def test_finite_class_estimates_match_manual_replay(self):
-        rng = np.random.default_rng(93)
-        xs = np.sort(rng.random(3))
-        support = tuple(Observation(float(x), int(y)) for x, y in zip(xs, (0, 1, 1)))
-        tables = tuple(tuple(float(v) for v in rng.random(3)) for _ in range(4))
-        fclass = FiniteExplicitClass(support=support, tables=tables, d=2)
-        marginals = [
-            FiniteSupport(support=support, probs=tuple(rng.dirichlet(np.ones(3))))
-            for _ in range(8)
-        ]
-        report = verify_uniform_deviation(fclass, marginals, [2, 4, 8], trials=50, seed=17)
-
-        # independent replay: same documented draw order, linear-scan inversion
-        rng2 = np.random.default_rng(17)
-        probs = np.stack([m.prob_array for m in marginals])
-        table = fclass.table_array()
-        for g, m in enumerate([2, 4, 8]):
-            mean_true = (table @ probs[:m].T).mean(axis=1)
-            total = 0.0
-            for _ in range(50):
-                draws = rng2.random(m)
-                idx = []
-                for i, u in enumerate(draws):
-                    acc = 0.0
-                    j = len(support) - 1
-                    for s, p in enumerate(probs[i]):
-                        acc += p
-                        if u < acc:
-                            j = s
-                            break
-                    idx.append(j)
-                emp = table[:, idx].mean(axis=1)
-                total += float(np.max(np.abs(emp - mean_true)))
-            assert report.estimates[g] == pytest.approx(total / 50, abs=1e-12)
+    def test_finite_class_rejected(self):
+        support = (Observation(0.2, 0), Observation(0.7, 1))
+        fclass = FiniteExplicitClass(support=support, tables=((0.0, 1.0), (1.0, 0.0)))
+        marginals = [FiniteSupport(support=support, probs=(0.5, 0.5))] * 8
+        with pytest.raises(TypeError, match="unsupported function class FiniteExplicitClass"):
+            verify_uniform_deviation(fclass, marginals, [2, 8], trials=4, seed=0)
 
     def test_report_ratios_and_json(self):
         path = ConceptPath(np.full(64, 0.3), 0.1)

@@ -13,8 +13,6 @@ from driftlab import (
     ConstantWindowLearner,
     DriftSchedule,
     FiniteExplicitClass,
-    FiniteHypothesis,
-    FiniteSupport,
     Observation,
     ProductProcess,
     SubsampledErmLearner,
@@ -23,7 +21,6 @@ from driftlab import (
     best_window,
     concept_path,
     constant_window_size,
-    erm,
     erm_step,
     make_drift_schedule,
     sample_path,
@@ -221,19 +218,11 @@ class TestErmStep:
         assert isinstance(h, ThresholdHypothesis)
         assert h.theta == theta
 
-    def test_finite_class_matches_erm_over_observations(self):
-        rng = np.random.default_rng(17)
-        support = (Observation(0.2, 0), Observation(0.2, 1), Observation(0.7, 1))
-        tables = tuple(tuple(float(v) for v in rng.random(3)) for _ in range(4))
-        fclass = FiniteExplicitClass(support=support, tables=tables, d=2)
-        law = FiniteSupport(support=support, probs=(0.3, 0.3, 0.4))
-        path = sample_path(ProductProcess(marginals=[law] * 60), 60, 5)
-        for t, gap, window in ((2, 1, 1), (30, 3, 20), (60, 1, 59), (60, 7, 50)):
-            pos = t - gap * np.arange(1, window // gap + 1) - 1
-            expected = erm(fclass, [Observation(x, y) for x, y in zip(path.xs[pos], path.ys[pos])])
-            h = erm_step(fclass, path, t, gap, window)
-            assert isinstance(h, FiniteHypothesis)
-            assert h.index == expected.index
+    def test_finite_class_rejected(self):
+        _, path = _random_product_path(20, 3)
+        fclass = FiniteExplicitClass(support=(Observation(0.2, 0), Observation(0.7, 1)), tables=((0.0, 1.0), (1.0, 0.0)))
+        with pytest.raises(TypeError, match="unsupported function class FiniteExplicitClass"):
+            erm_step(fclass, path, 10, 1, 5)
 
     def test_noiseless_erm_localizes_threshold(self):
         # with eta = 0 the ERM threshold lands within the sample gap around

@@ -21,7 +21,7 @@ from driftlab import (
     symmetric_chain,
     verify_mixing_rate,
 )
-from driftlab.processes import _inverse_cdf, _is_primitive
+from driftlab.processes import _is_primitive
 
 
 def _flat_path(theta: float, eta: float, horizon: int) -> ConceptPath:
@@ -259,45 +259,8 @@ class TestMarkovStates:
         assert set(moves.tolist()) == {1, 3}
 
 
-def _finite_path_oracle(marginals, horizon: int, seed: int):
-    """(xs, ys) of a finite-support product path drawn with a per-step loop."""
-    draws = np.random.default_rng(seed).random(horizon)
-    xs, ys = [], []
-    for t in range(horizon):
-        idx = int(np.searchsorted(np.cumsum(marginals[t].prob_array), draws[t], side="right"))
-        z = marginals[t].support[min(idx, len(marginals[t].support) - 1)]
-        xs.append(z.x)
-        ys.append(z.y)
-    return np.array(xs), np.array(ys, dtype=np.int64)
-
-
 class TestFiniteSamplePath:
     SUPPORT = (Observation(0.1, 0), Observation(0.4, 1), Observation(0.4, 0), Observation(0.9, 1))
-
-    def _marginals(self, rng, horizon: int):
-        laws = []
-        for _ in range(horizon):
-            probs = rng.dirichlet(np.ones(4)) * (rng.random(4) < 0.7)  # zero entries included
-            probs = probs / probs.sum() if probs.sum() > 0 else np.array([0.0, 1.0, 0.0, 0.0])
-            laws.append(FiniteSupport(support=self.SUPPORT, probs=tuple(float(p) for p in probs)))
-        return laws
-
-    @pytest.mark.parametrize("horizon", [1, 2, 3, 500])
-    def test_matches_per_step_loop(self, horizon):
-        marginals = self._marginals(np.random.default_rng(horizon), horizon)
-        model = ProductProcess(marginals=marginals)
-        for seed in (0, 1, 2):
-            sp = sample_path(model, horizon, seed)
-            xs_oracle, ys_oracle = _finite_path_oracle(marginals, horizon, seed)
-            assert np.array_equal(sp.xs, xs_oracle)
-            assert np.array_equal(sp.ys, ys_oracle)
-            assert np.all(sp.states == -1)
-
-    def test_inverse_cdf_caps_draws_past_the_last_cumulative_value(self):
-        cum_rows = np.array([[0.5, 1.0 - 1e-13], [0.0, 0.25]])
-        assert _inverse_cdf(cum_rows, np.array([1.0 - 1e-14, 0.9])).tolist() == [1, 1]
-        assert _inverse_cdf(cum_rows, np.array([0.5, 0.0])).tolist() == [1, 1]
-        assert _inverse_cdf(cum_rows, np.array([0.49, 0.0])).tolist() == [0, 1]
 
     @pytest.mark.parametrize(
         "marginals",
@@ -309,7 +272,7 @@ class TestFiniteSamplePath:
         ids=["threshold_concepts", "empty", "two_supports"],
     )
     def test_unsampleable_marginals_rejected(self, marginals):
-        with pytest.raises(ValueError, match="ConceptPath or a non-empty sequence of FiniteSupport"):
+        with pytest.raises(ValueError, match="product processes require threshold marginal paths"):
             ProductProcess(marginals=marginals)
 
 
