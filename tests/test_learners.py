@@ -220,7 +220,8 @@ class TestErmStep:
 
     def test_finite_class_rejected(self):
         _, path = _random_product_path(20, 3)
-        fclass = FiniteExplicitClass(support=(Observation(0.2, 0), Observation(0.7, 1)), tables=((0.0, 1.0), (1.0, 0.0)))
+        support = (Observation(0.2, 0), Observation(0.7, 1))
+        fclass = FiniteExplicitClass(support=support, tables=((0.0, 1.0), (1.0, 0.0)))
         with pytest.raises(TypeError, match="unsupported function class FiniteExplicitClass"):
             erm_step(fclass, path, 10, 1, 5)
 
