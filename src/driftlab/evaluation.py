@@ -254,13 +254,11 @@ def run_single(
     ``checkpoint(t, risks)`` is invoked after each power-of-two step with
     ``risks`` filled through index t-1, so callers can flush partial results.
 
-    The learner's class must be a ``ThresholdClass``.  The steps are cut
-    into runs of equal plan rows, also cut after every power of two, and
-    each run's ERM problems are solved together by ``_window_thetas``; the
-    per-step ``learner.step`` is the scalar reference they match.
+    The steps are cut into runs of equal plan rows, also cut after every
+    power of two, and each run's ERM problems are solved together by
+    ``_window_thetas``; the per-step ``learner.step`` is the scalar reference
+    they match.
     """
-    if not isinstance(learner.function_class, ThresholdClass):
-        raise ValueError(f"stream runs need a ThresholdClass learner, got {type(learner.function_class).__name__}")
     path = sample_path(model, horizon, seed)
     gaps, windows = learner.plan(horizon)
     marginals, eta = model.marginals, model.marginals.eta
@@ -336,14 +334,9 @@ def default_checkpoints(horizon: int) -> tuple[int, ...]:
     top = min(horizon, DEFAULT_CHECKPOINT_MAX)
     if top < DEFAULT_CHECKPOINT_MIN:
         raise ValueError(f"horizon {horizon} too short for checkpoints starting at {DEFAULT_CHECKPOINT_MIN}")
-    points = []
-    value = DEFAULT_CHECKPOINT_MIN
-    while value <= top:
-        points.append(value)
-        value *= 2
-    if points[-1] != top:
-        points.append(top)
-    return tuple(points)
+    if top == DEFAULT_CHECKPOINT_MIN:
+        return (top,)
+    return geometric_checkpoints(DEFAULT_CHECKPOINT_MIN, top, 2.0)
 
 
 def fit_growth_exponent(

@@ -237,7 +237,7 @@ def resolve_config(raw: dict) -> dict:
     process = {"kind": process_kind}
     if process_kind == "markov_modulated":
         states = _as_int(process_raw.get("states"), "process.states")
-        _require(2 <= states <= 16, "process.states", "must lie in [2,16]")
+        _require(2 <= states <= MAX_STATES, "process.states", f"must lie in [2,{MAX_STATES}]")
         flip = _as_float(process_raw.get("flip"), "process.flip")
         _require(0.0 < flip < 1.0, "process.flip", "must lie in (0,1)")
         process["states"] = states
@@ -247,11 +247,8 @@ def resolve_config(raw: dict) -> dict:
     _require(isinstance(fc_raw, dict), "function_class", "must be an object")
     _check_keys(fc_raw, ["kind"], "function_class")
     fc_kind = fc_raw.get("kind", "threshold")
-    _require(fc_kind in ("threshold", "finite_explicit"), "function_class.kind", "must be 'threshold' or 'finite_explicit'")
     _require(
-        fc_kind == "threshold",
-        "function_class.kind",
-        "finite_explicit classes cannot be driven by the threshold-concept stream processes",
+        fc_kind == "threshold", "function_class.kind", "must be 'threshold': the stream processes emit threshold-concept data"
     )
     function_class = {"kind": "threshold"}
 
@@ -846,28 +843,24 @@ def refit_rates(run_dir: str | Path, checkpoints: Sequence[int] | None = None) -
     resolved = resolve_config(load_config(run_dir / "config.json", "run_dir"))
     seeds = resolved["seeds"]
     cps = resolved["checkpoints"]
+    horizon = resolved["horizon"]
     if checkpoints is not None:
-        cps = _checkpoint_list(list(checkpoints), resolved["horizon"], "--checkpoints")
-    curves = {}
+        cps = _checkpoint_list(list(checkpoints), horizon, "--checkpoints")
+    data = []
     for seed in seeds:
         curve_path = run_dir / f"curve-{seed}.csv"
         if not curve_path.exists():
             raise ConfigError("run_dir", f"missing curve file {curve_path.name}")
         try:
-            data = np.loadtxt(curve_path, delimiter=",", skiprows=1, ndmin=2)
+            curve_rows = np.loadtxt(curve_path, delimiter=",", skiprows=1, ndmin=2)
         except ValueError as err:  # a row cut short or a value that is not a number
             raise ConfigError("run_dir", f"{curve_path.name} is malformed: {err}") from None
-        width = data.shape[1]  # a header-only curve is caught by the row count below
-        _require(data.size == 0 or width == 6, "run_dir", f"{curve_path.name} is malformed: {width} columns, expected 6")
-        curves[curve_path.name] = data
-    rows = {name: data.shape[0] for name, data in curves.items()}
-    short = min(rows, key=rows.get)
-    _require(
-        rows[short] == resolved["horizon"],
-        "run_dir",
-        f"{short} has {rows[short]} rows, fewer than the horizon {resolved['horizon']} (interrupted run?)",
-    )
-    data = list(curves.values())
+        rows, width = curve_rows.shape  # a header-only curve is caught by the row count below
+        _require(rows == 0 or width == 6, "run_dir", f"{curve_path.name} is malformed: {width} columns, expected 6")
+        count = f"{curve_path.name} has {rows} rows"
+        _require(rows >= horizon, "run_dir", f"{count}, fewer than the horizon {horizon} (interrupted run?)")
+        _require(rows <= horizon, "run_dir", f"{count}, more than the horizon {horizon}")
+        data.append(curve_rows)
     curve = RegretCurve(
         risks=np.stack([d[:, 1] for d in data]), inf_risks=data[-1][:, 2], seeds=tuple(seeds)
     )

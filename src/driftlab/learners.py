@@ -2,12 +2,14 @@
 
 All learners are pure functions of (parameters, observed history, t): at each
 step t they fit on points strictly before t, and the only state they keep is
-their memoised window plan, which depends on no data.  Runs are reproducible
-and steps can be recomputed in isolation.
+memoised work that depends on no data: their window plan and the adaptive
+window's drift sums.  Runs are reproducible and steps can be recomputed in
+isolation.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -142,39 +144,36 @@ def erm_step(function_class: FunctionClass, path: SamplePath, t: int, gap: int, 
 
 
 class Learner:
-    """ERM over {t - s*gap_t : s = 1..window_t // gap_t} with a data-independent plan.
+    """ERM over {t - s*gap_t : s = 1..window_t // gap_t} with a data-independent row rule.
 
-    Every learner kind differs only in its plan: ``plan(horizon)`` returns int64
-    arrays ``(gaps, windows)`` indexed by t-1, where a (0, 0) row deploys the
-    initial hypothesis.  Row t depends on t alone, so the plan of a shorter
-    horizon is a prefix of a longer one: the learner keeps only its longest
-    plan, computed on first use, and every replicate of a run shares it.
+    Every learner kind differs only in ``_rows(ts)``: the int64 ``(gaps,
+    windows)`` of steps ``ts >= 2``, a pure function of t.  Step 1 is always
+    (0, 0), and a (0, 0) row deploys the initial hypothesis.  ``plan(horizon)``
+    fills the rows of steps 1..horizon; the learner keeps its longest plan and
+    every replicate of a run shares it.  ``step(path, t)`` computes its own row.
     """
 
     function_class: FunctionClass
-    _plan_cap = math.inf  # the longest plan a learner can compute
 
     def __post_init__(self) -> None:
-        self.initial = initial_hypothesis(self.function_class)
+        if not isinstance(self.function_class, ThresholdClass):
+            raise TypeError(f"unsupported function class {type(self.function_class).__name__}")
         self._longest = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
 
-    def _plan(self, gaps: np.ndarray, windows: np.ndarray) -> None:
-        """Fill the rows of the zero-initialised plan arrays at which ERM runs."""
+    def _rows(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """int64 (gaps, windows) of the steps ``ts``, all at least 2."""
         raise NotImplementedError
 
     def plan(self, horizon: int) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (gaps, windows) for steps 1..horizon: the kept plan when
         ``horizon`` is its length, read-only prefix views of it when shorter.
 
-        A longer horizon replaces the kept plan by one of at least twice its
-        length (capped at ``_plan_cap``), so stepping 1..N computes O(log N) plans.
+        A longer horizon replaces the kept plan by one of exactly ``horizon`` rows.
         """
-        kept = self._longest[0].size
-        if horizon > kept:
-            size = max(horizon, min(2 * kept, self._plan_cap))
-            gaps = np.zeros(size, dtype=np.int64)
-            windows = np.zeros(size, dtype=np.int64)
-            self._plan(gaps, windows)
+        if horizon > self._longest[0].size:
+            gaps = np.zeros(horizon, dtype=np.int64)
+            windows = np.zeros(horizon, dtype=np.int64)
+            gaps[1:], windows[1:] = self._rows(np.arange(2, horizon + 1))
             gaps.flags.writeable = windows.flags.writeable = False
             self._longest = (gaps, windows)
         gaps, windows = self._longest
@@ -182,10 +181,9 @@ class Learner:
 
     def step(self, path: SamplePath, t: int) -> Hypothesis:
         """The hypothesis deployed at step t, for callers that step by hand."""
-        gaps, windows = self.plan(t)
-        gap, window = int(gaps[t - 1]), int(windows[t - 1])
+        gap, window = (int(rows[0]) for rows in self._rows(np.array([t]))) if t >= 2 else (0, 0)
         if window == 0:
-            return self.initial
+            return initial_hypothesis(self.function_class)
         return erm_step(self.function_class, path, t, gap, window)
 
 
@@ -202,9 +200,8 @@ class SubsampledErmLearner(Learner):
         _validate_alpha_r(self.alpha, self.r)
         super().__post_init__()
 
-    def _plan(self, gaps: np.ndarray, windows: np.ndarray) -> None:
-        ts = np.arange(2, gaps.size + 1)
-        gaps[1:], windows[1:] = subsample_schedule(ts, self.alpha, self.r)
+    def _rows(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return subsample_schedule(ts, self.alpha, self.r)
 
 
 @dataclass
@@ -214,20 +211,20 @@ class AdaptiveWindowLearner(Learner):
     function_class: FunctionClass
     schedule: DriftSchedule
 
-    @property
-    def _plan_cap(self) -> int:
-        return self.schedule.horizon  # best_window is defined up to it
-
-    def _plan(self, gaps: np.ndarray, windows: np.ndarray) -> None:
+    @functools.cached_property
+    def _terms(self) -> dict:
+        """best_window's prefix sums and sqrt(d/m), built once per learner."""
         d = self.function_class.d
-        cache = {
+        return {
             "prefix": self.schedule.prefix_sums(),
             "sqrt_dm": np.sqrt(float(d) / np.arange(1, self.schedule.horizon + 1, dtype=float)),
         }
-        gaps[1:] = 1
-        windows[1:] = [
-            best_window(t, self.schedule, d, _cache=cache) for t in range(2, gaps.size + 1)
-        ]
+
+    def _rows(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        d = self.function_class.d
+        windows = [best_window(t, self.schedule, d, _cache=self._terms) for t in ts.tolist()]
+        windows = np.array(windows, dtype=np.int64)
+        return np.ones_like(windows), windows
 
 
 @dataclass
@@ -239,12 +236,12 @@ class ConstantWindowLearner(Learner):
     gamma: float
 
     def __post_init__(self) -> None:
-        self.window = constant_window_size(self.function_class.d, self.gamma)
         super().__post_init__()
+        self.window = constant_window_size(self.function_class.d, self.gamma)
 
-    def _plan(self, gaps: np.ndarray, windows: np.ndarray) -> None:
-        gaps[self.window :] = 1
-        windows[self.window :] = self.window
+    def _rows(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        filled = (ts > self.window).astype(np.int64)  # (0, 0) until the window has filled
+        return filled, filled * self.window
 
 
 @dataclass
@@ -259,6 +256,6 @@ class BaselineLearner(Learner):
             raise ValueError(f"unknown baseline {self.kind!r}; choose from {BASELINE_KINDS}")
         super().__post_init__()
 
-    def _plan(self, gaps: np.ndarray, windows: np.ndarray) -> None:
-        gaps[1:] = 1
-        windows[1:] = np.arange(1, gaps.size) if self.kind == "full_history_erm" else 1
+    def _rows(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        ones = np.ones(ts.shape, dtype=np.int64)
+        return ones, ts - 1 if self.kind == "full_history_erm" else ones

@@ -145,35 +145,31 @@ def sample_path(model: ProcessModel, horizon: int, seed: int) -> SamplePath:
         )
     rng = np.random.default_rng(seed)
     if isinstance(model, ProductProcess):
-        marginals = model.marginals
         xs = rng.random(horizon)
-        flips = rng.random(horizon) < marginals.eta
-        ys = ((xs >= marginals.thetas[:horizon]) ^ flips).astype(np.int64)
-        return SamplePath(xs=xs, ys=ys, states=np.full(horizon, -1, dtype=np.int64))
-    assert isinstance(model, MarkovModulatedProcess)
-    states_n = model.states
-    cum_rows = np.cumsum(model.transition_array(), axis=1)
-    state = int(np.searchsorted(np.cumsum(model.stationary), rng.random(), side="right"))
-    state = min(state, states_n - 1)
-    moves = rng.random(horizon - 1) if horizon > 1 else np.empty(0)
-    # maps[t, s] is the state after move t from state s; an inclusive scan that
-    # composes them by doubling (Hillis & Steele 1986) leaves in maps[t] the
-    # state after moves 0..t from each starting state; int8 holds every state
-    # (at most MAX_STATES) in an eighth of int64's memory
-    maps = np.empty((horizon - 1, states_n), dtype=np.int8)
-    for s in range(states_n):
-        maps[:, s] = np.searchsorted(cum_rows[s], moves, side="right")
-    np.minimum(maps, states_n - 1, out=maps)
-    span = 1
-    while span < horizon - 1:
-        maps[span:] = np.take_along_axis(maps[span:], maps[:-span], axis=1)
-        span *= 2
-    states = np.concatenate(([state], maps[:, state])).astype(np.int64)
-    offsets = rng.random(horizon)
-    xs = (states + offsets) / states_n
-    thetas = model.marginals.thetas[:horizon]
+        states = np.full(horizon, -1, dtype=np.int64)
+    else:
+        states_n = model.states
+        cum_rows = np.cumsum(model.transition_array(), axis=1)
+        state = int(np.searchsorted(np.cumsum(model.stationary), rng.random(), side="right"))
+        state = min(state, states_n - 1)
+        moves = rng.random(horizon - 1) if horizon > 1 else np.empty(0)
+        # maps[t, s] is the state after move t from state s; an inclusive scan that
+        # composes them by doubling (Hillis & Steele 1986) leaves in maps[t] the
+        # state after moves 0..t from each starting state; int8 holds every state
+        # (at most MAX_STATES) in an eighth of int64's memory
+        maps = np.empty((horizon - 1, states_n), dtype=np.int8)
+        for s in range(states_n):
+            maps[:, s] = np.searchsorted(cum_rows[s], moves, side="right")
+        np.minimum(maps, states_n - 1, out=maps)
+        span = 1
+        while span < horizon - 1:
+            maps[span:] = np.take_along_axis(maps[span:], maps[:-span], axis=1)
+            span *= 2
+        states = np.concatenate(([state], maps[:, state])).astype(np.int64)
+        offsets = rng.random(horizon)
+        xs = (states + offsets) / states_n
     flips = rng.random(horizon) < model.marginals.eta
-    ys = ((xs >= thetas) ^ flips).astype(np.int64)
+    ys = ((xs >= model.marginals.thetas[:horizon]) ^ flips).astype(np.int64)
     return SamplePath(xs=xs, ys=ys, states=states)
 
 

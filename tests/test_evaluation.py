@@ -191,8 +191,10 @@ def _batched_run(model, learner, horizon: int, seed: int):
     return risks, flushed
 
 
-def _learner(kind: str, schedule):
-    fclass = ThresholdClass()
+LEARNER_KINDS = ["subsampled_erm", "adaptive_window", "constant_window", "full_history_erm", "last_point"]
+
+
+def _learner(kind: str, schedule, fclass=ThresholdClass()):
     if kind == "subsampled_erm":
         return SubsampledErmLearner(alpha=0.25, r=2.0, function_class=fclass)
     if kind == "adaptive_window":
@@ -210,11 +212,11 @@ class _BlockPlanLearner(Learner):
     rows: tuple[tuple[int, int], ...]
     block: int
 
-    def _plan(self, gaps: np.ndarray, windows: np.ndarray) -> None:
-        for i in range(1, gaps.size):  # step t = i + 1 sees i points
-            gap, window = self.rows[(i // self.block) % len(self.rows)]
-            windows[i] = min(window, i)
-            gaps[i] = min(gap, windows[i])
+    def _rows(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        seen = ts - 1  # step t sees t - 1 points
+        gap, window = np.array(self.rows, dtype=np.int64)[(seen // self.block) % len(self.rows)].T
+        windows = np.minimum(window, seen)
+        return np.minimum(gap, windows), windows
 
 
 class TestBatchedRun:
@@ -222,9 +224,7 @@ class TestBatchedRun:
 
     @pytest.mark.parametrize("budget", [evaluation.ERM_BATCH_ELEMENTS, 5])
     @pytest.mark.parametrize("process", ["product", "markov"])
-    @pytest.mark.parametrize(
-        "kind", ["subsampled_erm", "adaptive_window", "constant_window", "full_history_erm", "last_point"]
-    )
+    @pytest.mark.parametrize("kind", LEARNER_KINDS)
     def test_matches_stepwise_reference(self, kind, process, budget, monkeypatch):
         monkeypatch.setattr(evaluation, "ERM_BATCH_ELEMENTS", budget)  # 5: one block per block-kernel chunk
         monkeypatch.setattr(evaluation, "SLIDE_MIN_WINDOW", evaluation.SLIDE_BLOCK)  # windows of 22-40 take the block kernel
@@ -436,13 +436,13 @@ class TestRunExperiment:
             run_experiment(model, learner, 8, seeds=())
 
     def test_finite_class_learner_rejected(self):
+        # no learner kind can be built over it, so no run can score a finite class as a threshold run
         sched = make_drift_schedule("power_step", alpha=0.25, horizon=8)
-        model = ProductProcess(marginals=concept_path(sched, eta=0.1, theta0=0.5))
         support = (Observation(0.2, 0), Observation(0.7, 1))
         fclass = FiniteExplicitClass(support=support, tables=((0.0, 1.0), (1.0, 0.0)))
-        learner = BaselineLearner(kind="full_history_erm", function_class=fclass)
-        with pytest.raises(ValueError, match="stream runs need a ThresholdClass learner, got FiniteExplicitClass"):
-            run_experiment(model, learner, 8, seeds=(0,))
+        for kind in LEARNER_KINDS:
+            with pytest.raises(TypeError, match="unsupported function class FiniteExplicitClass"):
+                _learner(kind, sched, fclass)
 
 
 class TestCheckpoints:

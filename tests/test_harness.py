@@ -1004,6 +1004,20 @@ class TestCli:
         assert main(["rates", str(run_dir)]) == 2
         assert "config error: run_dir: curve-0.csv has 32 rows" in capsys.readouterr().err
 
+    def test_rates_long_curve_exits_2_and_keeps_fit(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(base_config(horizon=64, seeds=[0, 1], checkpoints=[8, 16, 32, 64])))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        run_dir = next(out.iterdir())
+        written = (run_dir / "fit.json").read_bytes()
+        lines = (run_dir / "curve-1.csv").read_text().splitlines(keepends=True)
+        (run_dir / "curve-1.csv").write_text("".join(lines + lines[-1:]))  # one row past the horizon
+        capsys.readouterr()
+        assert main(["rates", str(run_dir)]) == 2
+        assert "config error: run_dir: curve-1.csv has 65 rows, more than the horizon 64" in capsys.readouterr().err
+        assert (run_dir / "fit.json").read_bytes() == written
+
     def test_rates_bad_checkpoints_exit_2_and_keep_fit(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path)
         out = tmp_path / "out"

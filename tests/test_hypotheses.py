@@ -269,6 +269,16 @@ class TestFiniteClass:
         with pytest.raises(ValueError, match="support"):
             fclass.support_index(Observation(0.123456, 1))
 
+    def test_loss_reads_the_table_entry(self):
+        rng = np.random.default_rng(44)
+        fclass = _small_finite_class(rng)
+        table = fclass.table_array()
+        for i in range(len(fclass)):
+            h = FiniteHypothesis(function_class=fclass, index=i)
+            assert [loss(h, z) for z in fclass.support] == table[i].tolist()
+        with pytest.raises(ValueError, match="support"):
+            loss(FiniteHypothesis(function_class=fclass, index=0), Observation(0.123456, 1))
+
 
 class TestRisk:
     def test_closed_form_example(self):

@@ -240,6 +240,20 @@ class TestErmStep:
         assert float(errors.mean()) <= 2.0 / (n + 1)
 
 
+LEARNER_KINDS = ["subsampled_erm", "adaptive_window", "constant_window", "full_history_erm", "last_point"]
+
+
+def _build_learner(kind: str, schedule: DriftSchedule):
+    fclass = ThresholdClass()
+    if kind == "subsampled_erm":
+        return SubsampledErmLearner(alpha=0.25, r=2.0, function_class=fclass)
+    if kind == "adaptive_window":
+        return AdaptiveWindowLearner(function_class=fclass, schedule=schedule)
+    if kind == "constant_window":
+        return ConstantWindowLearner(function_class=fclass, gamma=0.01)  # window 22
+    return BaselineLearner(kind=kind, function_class=fclass)
+
+
 def _plan_row(learner, t):
     """(gap, window) of step t, the last row of plan(t)."""
     gaps, windows = learner.plan(t)
@@ -259,26 +273,27 @@ class TestPlan:
             assert not prefix_gaps.flags.writeable and not prefix_windows.flags.writeable
             assert np.array_equal(prefix_gaps, gaps[:k]) and np.array_equal(prefix_windows, windows[:k])
 
-    @pytest.mark.parametrize("kind", ["subsampled_erm", "adaptive_window", "constant_window"])
-    def test_stepping_by_hand_plans_log_times(self, kind):
-        horizon = 1000  # also the adaptive schedule's horizon, past which its plan cannot grow
+    @pytest.mark.parametrize("kind", LEARNER_KINDS)
+    def test_stepping_by_hand_computes_one_row_per_step(self, kind):
+        horizon = 300
         sched, path = _random_product_path(horizon, 17)
+        learner = _build_learner(kind, sched)
+        rule, calls = learner._rows, []
 
-        def build():
-            if kind == "subsampled_erm":
-                return SubsampledErmLearner(alpha=0.25, r=2.0, function_class=ThresholdClass())
-            if kind == "adaptive_window":
-                return AdaptiveWindowLearner(function_class=ThresholdClass(), schedule=sched)
-            return ConstantWindowLearner(function_class=ThresholdClass(), gamma=0.01)
+        def recorded(ts):
+            gaps, windows = rule(ts)
+            calls.append((ts.tolist(), gaps.tolist(), windows.tolist()))
+            return gaps, windows
 
-        learner = build()
-        with mock.patch.object(type(learner), "_plan", autospec=True, side_effect=type(learner)._plan) as plans:
-            for t in range(1, horizon + 1):
-                learner.step(path, t)
-        assert plans.call_count == math.ceil(math.log2(horizon)) + 1  # sizes 1, 2, 4, ..., 512, then 1024 (adaptive: 1000)
+        with mock.patch.object(learner, "_rows", recorded):
+            thetas = [learner.step(path, t).theta for t in range(1, horizon + 1)]
+        assert [ts for ts, _, _ in calls] == [[t] for t in range(2, horizon + 1)]  # step 1 is (0, 0), no call
+        assert learner._longest[0].size == 0  # stepping never built or grew a plan
         gaps, windows = learner.plan(horizon)
-        fresh_gaps, fresh_windows = build().plan(horizon)
-        assert np.array_equal(gaps, fresh_gaps) and np.array_equal(windows, fresh_windows)
+        assert [(g, w) for _, [g], [w] in calls] == list(zip(gaps[1:].tolist(), windows[1:].tolist()))
+        for t, theta in enumerate(thetas, start=1):
+            gap, window = int(gaps[t - 1]), int(windows[t - 1])
+            assert theta == (erm_step(ThresholdClass(), path, t, gap, window).theta if window else 0.0), t
 
 
 class TestLearnerEquivalences:
