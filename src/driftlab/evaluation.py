@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import itertools
 import math
 import numbers
 import os
@@ -61,6 +60,7 @@ EXCESS_TOL = 1e-12
 MIN_FIT_POINTS = 8
 DEFAULT_CHECKPOINT_MIN = 256
 DEFAULT_CHECKPOINT_MAX = 32768
+GRID_MAX_STEPS = 10**6  # multiplications a geometric checkpoint grid may take (about 0.4 s on a 2-vCPU host)
 
 BLOCKING_MAX_STATES = 4
 BLOCKING_MAX_BLOCKS = 4
@@ -87,6 +87,23 @@ SLIDE_BLOCK = 8
 # curve rows are converted and written this many at a time, bounding the text held in memory
 CSV_CHUNK_ROWS = 4096
 
+# Curve text.  A float64 value x with 1e-3 <= |x| < 2**53 is written from
+# c = |x| * 10**k, scaled into [1e16, 1e17) and held exactly as hi + lo
+# (Dekker's TwoProduct on Veltkamp halves); see ``_shortest_digits``.
+_POW10 = 10.0 ** np.arange(23)  # exact: 5**22 < 2**53
+_POW10_HI = _POW10 * 134217729.0 - (_POW10 * 134217729.0 - _POW10)  # Veltkamp split by 2**27 + 1
+_POW10_LO = _POW10 - _POW10_HI
+_POW10_U64 = 10 ** np.arange(20, dtype=np.uint64)
+_MANTISSA_BITS = np.uint64(2**52 - 1)
+_EXPONENT_BITS = np.uint64(0x7FF << 52)
+# ASCII of every 4-digit group "0000".."9999", one uint32 each (the two-digit
+# texts of g // 100 and g % 100), and masks that keep a group's bytes from j on
+# (_KEEP_FROM[j]) or before j (_KEEP_BELOW[j])
+_DIGIT_PAIRS = np.frombuffer(b"".join(b"%02d" % g for g in range(100)), dtype=np.uint16)
+_DIGIT_GROUPS = np.stack([np.repeat(_DIGIT_PAIRS, 100), np.tile(_DIGIT_PAIRS, 100)], axis=1).view(np.uint32)[:, 0]
+_KEEP_FROM = np.frombuffer(b"".join(b"\0" * j + b"\xff" * (4 - j) for j in range(5)), dtype=np.uint32)
+_KEEP_BELOW = np.frombuffer(b"".join(b"\xff" * j + b"\0" * (4 - j) for j in range(5)), dtype=np.uint32)
+
 
 @contextlib.contextmanager
 def _open_atomic(path: str | Path) -> Iterator[TextIO]:
@@ -108,15 +125,149 @@ def write_text_atomic(path: str | Path, text: str) -> None:
         fh.write(text)
 
 
+def _shortest_digits(values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Shortest round-trip decimal digits of float64 ``values``, as ``repr`` writes them.
+
+    Returns (decided, digits, k, cut): where ``decided``, repr(|x|) has the
+    17 digits of the int64 ``digits`` / 10**k less its last ``cut`` digits,
+    trailing zeros that repr drops; the other values are left to ``repr``.
+
+    c = |x| * 10**k lies in [1e16, 1e17), with k from log10, corrected by one
+    where log10 misrounds next to a power of ten.  The decimals that read
+    back as x are those within h of c, h being half the spacing of x times
+    10**k: exact (a power of two times 10**k), and above 1/2 since x has 53
+    bits.  So cint, the integer nearest c, is inside, and repr takes the
+    shortest candidate inside (the multiple of p = 10 or 100 nearest c) and,
+    among equally short ones, the nearest.  Decided are the values of
+    1e-3 <= |x| < 2**53 with a mantissa other than a power of two (whose
+    interval is lopsided), except an exact tie of two nearest candidates,
+    texts of 14 digits or fewer (the multiple of 1000 nearest c is inside)
+    and a c just below 1e16 whose product hi rounds up to 1e16.
+    No candidate is ever exactly h away: that midpoint of x and a neighbour
+    is a multiple of 10 only from 2**53 on.
+    """
+    a = np.abs(values)
+    decided = (a >= 1e-3) & (a < 2.0**53) & ((values.view(np.uint64) & _MANTISSA_BITS) != 0)
+    a = np.where(decided, a, 1.5)
+    k = 16 - np.floor(np.log10(a)).astype(np.intp)
+    hi = a * _POW10[k]
+    k += hi < 1e16
+    k -= hi >= 1e17
+    scale = _POW10[k]
+    hi = a * scale
+    halves = a * 134217729.0
+    a_hi = halves - (halves - a)
+    a_lo = a - a_hi
+    p_hi, p_lo = _POW10_HI[k], _POW10_LO[k]
+    lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo  # c = hi + lo exactly
+    decided &= (hi != 1e16) | (lo >= 0.0)  # c just below 1e16: k is one too small
+    rounded = np.rint(lo)
+    frac = lo - rounded  # exact (Sterbenz), in [-1/2, 1/2]
+    cint = hi.astype(np.int64) + rounded.astype(np.int64)  # c = cint + frac
+    h = ((a.view(np.uint64) & _EXPONENT_BITS) - np.uint64(53 << 52)).view(np.float64) * scale
+    decided &= np.abs(frac) != 0.5  # a tie of two 17-digit candidates
+    digits, cut = cint, np.zeros(k.shape, dtype=np.intp)
+    for p in (10, 100, 1000):
+        low = cint - cint // p * p  # c - low is the multiple of p below c
+        below = low + frac  # exact wherever it is within 16 of c, which is all that can be inside
+        up = below > p // 2
+        dist = np.where(up, (p - low) - frac, below)
+        inside = dist < h  # inside at p implies inside at p // 10
+        if p == 10:
+            decided &= ~inside | (below != 5)  # a tie of two 16-digit candidates
+        if p == 1000:
+            decided &= ~inside
+        else:
+            digits = np.where(inside, cint - low + up * p, digits)
+            cut += inside
+    return decided, digits, k, cut
+
+
+def _digit_slots(values: np.ndarray, width: int, first: np.ndarray | None = None, stop: np.ndarray | None = None) -> np.ndarray:
+    """(n, width) ASCII digits of uint64 ``values`` < 10**width, zero-padded on
+    the left, with 0 bytes outside the slots first..stop-1 of each row."""
+    groups = -(-width // 4)
+    pad = 4 * groups - width
+    out = np.empty((values.size, groups), dtype=np.uint32)
+    for g in range(groups - 1, -1, -1):
+        rest = values // np.uint64(10000)
+        text = _DIGIT_GROUPS[(values - rest * np.uint64(10000)).astype(np.intp)]
+        # the group holds slots 4g - pad .. 4g - pad + 3; masks by slot bound 0..width
+        bounds = np.clip(np.arange(width + 1) + pad - 4 * g, 0, 4)
+        if first is not None:
+            text &= _KEEP_FROM[bounds][first]
+        if stop is not None:
+            text &= _KEEP_BELOW[bounds][stop]
+        out[:, g] = text
+        values = rest
+    return out.view(np.uint8)[:, pad:]
+
+
+def _int_slots(values: np.ndarray) -> np.ndarray:
+    """Text slots of uint64 ``values``: their digits, leading zeros as 0 bytes."""
+    width = len(str(int(values.max())))
+    shown = np.ones(values.shape, dtype=np.intp)
+    for e in range(1, width):
+        shown += values >= _POW10_U64[e]
+    return _digit_slots(values, width, first=width - shown)
+
+
+def _signed(slots: np.ndarray, negative: np.ndarray) -> np.ndarray:
+    """``slots`` behind a sign slot, "-" where ``negative``; unchanged when no row is."""
+    if not negative.any():
+        return slots
+    return np.concatenate([(negative * ord("-")).astype(np.uint8)[:, None], slots], axis=1)
+
+
+def _repr_slots(slots: np.ndarray, rows: np.ndarray | slice, values: list) -> np.ndarray:
+    """``slots`` with ``rows`` replaced by the repr text of ``values``, widened to fit it."""
+    texts = [repr(v).encode() for v in values]
+    width = max(slots.shape[1], *map(len, texts))
+    if width > slots.shape[1]:
+        slots = np.concatenate([slots, np.zeros((slots.shape[0], width - slots.shape[1]), dtype=np.uint8)], axis=1)
+    slots[rows] = np.frombuffer(b"".join(t.ljust(width, b"\0") for t in texts), dtype=np.uint8).reshape(-1, width)
+    return slots
+
+
+def _text_slots(column: np.ndarray) -> np.ndarray:
+    """(n, slots) uint8 text of each value of ``column`` as repr writes it, 0 bytes in unused slots.
+
+    float64: sign, the digits of floor(|x|), ".", then the fraction digits of
+    ``_shortest_digits``.  Below 2**53, floor(|x|) is exact and is also the
+    integer part of the shortest decimal: an integer between the two would be
+    within x's rounding interval, yet reads back as itself.  Undecided values
+    are written by ``repr``.  Integers: sign and digits.  Other dtypes: ``repr``.
+    """
+    if column.dtype == np.float64:
+        decided, digits, k, cut = _shortest_digits(column)
+        whole = np.floor(np.abs(column), where=decided, out=np.zeros(column.shape)).astype(np.uint64)
+        frac_width = int(k.max(initial=1, where=decided))
+        # the fraction digits, scaled to frac_width digits (uint64: up to 19 of them)
+        fraction = (digits * decided).astype(np.uint64) - whole * _POW10_U64[np.minimum(k, 18)]
+        fraction *= _POW10_U64[frac_width - k]
+        frac_slots = _digit_slots(fraction, frac_width, stop=np.clip(k - cut, 1, frac_width))
+        point = np.full((column.size, 1), ord("."), dtype=np.uint8)
+        slots = _signed(np.concatenate([_int_slots(whole), point, frac_slots], axis=1), np.signbit(column) & decided)
+        undecided = np.flatnonzero(~decided)
+        return _repr_slots(slots, undecided, column[undecided].tolist()) if undecided.size else slots
+    if column.dtype.kind in "iu":
+        negative = column < 0
+        magnitude = column.astype(np.uint64)
+        return _signed(_int_slots(np.where(negative, -magnitude, magnitude)), negative)  # -(-2**63) wraps to 2**63
+    return _repr_slots(np.zeros((column.size, 1), dtype=np.uint8), slice(None), column.tolist())
+
+
 def write_curve_rows(fh: TextIO, columns: Sequence[np.ndarray], start: int, stop: int) -> None:
     """Write curve rows start..stop-1 as ``t,<column values>`` lines with t = row + 1.
 
-    Every value is written as its repr (shortest round-trip float, plain int),
-    each chunk as one ``%`` format of a row template.  Chunks are compared by
-    their bits (dtype and bytes): one repeated value (``inf_risk`` of a
-    threshold run, or all -0.0) enters the template as that value's repr, and
-    equal chunks (``cum_excess``, ``ci_lo`` and ``ci_hi`` of a one-seed mean
-    curve) share one formatted ``%s`` text.  Mixed 0.0/-0.0 stay per value.
+    Every value is written as its repr (shortest round-trip float, plain int).
+    Each chunk of rows is built as one uint8 matrix, a row of text slots per
+    curve row (``_text_slots`` per column, commas, newline), and written as
+    its bytes less the 0 bytes of unused slots.  Chunks are compared by their
+    bits (dtype and bytes): one repeated value (``inf_risk`` of a threshold
+    run, or all -0.0) is that value's repr in every row, and equal chunks
+    (``cum_excess``, ``ci_lo`` and ``ci_hi`` of a one-seed mean curve) share
+    one slot matrix.  Mixed 0.0/-0.0 stay per value.
     """
     for lo in range(start, stop, CSV_CHUNK_ROWS):
         hi = min(lo + CSV_CHUNK_ROWS, stop)
@@ -124,20 +275,18 @@ def write_curve_rows(fh: TextIO, columns: Sequence[np.ndarray], start: int, stop
         # compared as views: copying the bits out as bytes grew the heap and raised later peak RSS
         bits = [(chunk.dtype, chunk.view(f"u{chunk.itemsize}")) for chunk in chunks]
         firsts = [next(j for j, (d, b) in enumerate(bits) if d == dtype and np.array_equal(b, own)) for dtype, own in bits]
-        fields, values, texts = ["%r"], [range(lo + 1, hi + 1)], {}
+        comma = np.broadcast_to(np.uint8(ord(",")), (hi - lo, 1))
+        parts, texts = [_text_slots(np.arange(lo + 1, hi + 1, dtype=np.int64))], {}
         for chunk, (_, own), first in zip(chunks, bits, firsts):
-            if (own == own[0]).all():
-                fields.append(repr(chunk[:1].tolist()[0]).replace("%", "%%"))
-            elif firsts.count(first) > 1:
-                if first not in texts:
-                    texts[first] = list(map(repr, chunk.tolist()))
-                fields.append("%s")
-                values.append(texts[first])
-            else:
-                fields.append("%r")
-                values.append(chunk.tolist())
-        row = ",".join(fields) + "\n"
-        fh.write((row * (hi - lo)) % tuple(itertools.chain.from_iterable(zip(*values))))
+            if first not in texts:
+                if (own == own[0]).all():
+                    literal = np.frombuffer(repr(chunk[:1].tolist()[0]).encode(), dtype=np.uint8)
+                    texts[first] = np.broadcast_to(literal, (hi - lo, literal.size))
+                else:
+                    texts[first] = _text_slots(chunk)
+            parts += [comma, texts[first]]
+        parts.append(np.broadcast_to(np.uint8(ord("\n")), (hi - lo, 1)))
+        fh.write(np.concatenate(parts, axis=1).tobytes().translate(None, b"\0").decode())
 
 
 class DegenerateCurveError(ValueError):
@@ -315,11 +464,22 @@ class RateFit:
 
 
 def geometric_checkpoints(t_min: int, t_max: int, ratio: float = math.sqrt(2.0)) -> tuple[int, ...]:
-    """Geometric integer grid from t_min to t_max (both included)."""
+    """Geometric integer grid from t_min to t_max (both included).
+
+    The grid rounds t_min * ratio**i, built by repeated multiplication.  A
+    ratio that would take more than GRID_MAX_STEPS multiplications is either
+    one whose steps stay below one up to t_max (t_max * (ratio - 1) <= 1/2),
+    whose grid is every integer of [t_min, t_max] as no rounding skips one,
+    or is rejected with ValueError.
+    """
     if not 1 <= t_min < t_max:
         raise ValueError(f"need 1 <= t_min < t_max, got {t_min}, {t_max}")
     if ratio <= 1.0:
         raise ValueError(f"ratio must exceed 1, got {ratio}")
+    if math.log(t_max / t_min) / math.log1p(ratio - 1.0) > GRID_MAX_STEPS:
+        if t_max * (ratio - 1.0) <= 0.5 and t_max - t_min < GRID_MAX_STEPS:
+            return tuple(range(t_min, t_max + 1))
+        raise ValueError(f"ratio {ratio!r} is too close to 1: over {GRID_MAX_STEPS} steps from {t_min} to {t_max}")
     points = []
     value = float(t_min)
     while value < t_max:

@@ -263,6 +263,8 @@ def resolve_config(raw: dict) -> dict:
         _require(0.0 <= l_alpha < 1.0, "learner.alpha", "must lie in [0,1)")
         l_r = _as_float(learner_raw.get("r"), "learner.r")
         _require(l_r > 0.0, "learner.r", "must be positive")
+        # from about 4.5e307 on, 3+4r overflows and the window exponent (3+2r)/(3+4r) is inf/inf
+        _require(math.isfinite(3.0 + 4.0 * l_r), "learner.r", "too large: the window exponents are not finite")
         learner["alpha"] = l_alpha
         learner["r"] = l_r
     elif learner_kind == "constant_window":
@@ -288,7 +290,10 @@ def resolve_config(raw: dict) -> dict:
         ratio = _as_float(checkpoints_raw.get("ratio", math.sqrt(2.0)), "checkpoints.ratio")
         _require(1 <= t_min < t_max <= horizon, "checkpoints.t_min", "need 1 <= t_min < t_max <= horizon")
         _require(ratio > 1.0, "checkpoints.ratio", "must exceed 1")
-        checkpoints = list(geometric_checkpoints(t_min, t_max, ratio))
+        try:
+            checkpoints = list(geometric_checkpoints(t_min, t_max, ratio))
+        except ValueError as err:  # a ratio too close to 1 for its range
+            raise ConfigError("checkpoints.ratio", str(err)) from None
     else:
         raise ConfigError("checkpoints", "must be a list or an object")
 
@@ -836,6 +841,12 @@ def run_verify(kind: str, options: dict | None = None) -> tuple[dict, bool]:
     return report, report["ok"]
 
 
+# the six fields of a seed curve row as refit_rates reads them: only risk and
+# inf_risk are used, the others are held as one byte each; six fields make
+# loadtxt reject a row of any other width
+_CURVE_FIELDS = [("t", "S1"), ("risk", "f8"), ("inf_risk", "f8"), ("cum_excess", "S1"), ("win_k", "S1"), ("win_m", "S1")]
+
+
 def refit_rates(run_dir: str | Path, checkpoints: Sequence[int] | None = None) -> dict:
     """Recompute the growth-exponent fit from the CSVs of an existing run."""
     run_dir = Path(run_dir)
@@ -846,22 +857,18 @@ def refit_rates(run_dir: str | Path, checkpoints: Sequence[int] | None = None) -
     horizon = resolved["horizon"]
     if checkpoints is not None:
         cps = _checkpoint_list(list(checkpoints), horizon, "--checkpoints")
-    data = []
+    risks = []
     for seed in seeds:
         curve_path = run_dir / f"curve-{seed}.csv"
         if not curve_path.exists():
             raise ConfigError("run_dir", f"missing curve file {curve_path.name}")
         try:
-            curve_rows = np.loadtxt(curve_path, delimiter=",", skiprows=1, ndmin=2)
-        except ValueError as err:  # a row cut short or a value that is not a number
+            curve_rows = np.loadtxt(curve_path, dtype=_CURVE_FIELDS, delimiter=",", skiprows=1, ndmin=1)
+        except ValueError as err:  # a row of another width, or a risk that is not a number
             raise ConfigError("run_dir", f"{curve_path.name} is malformed: {err}") from None
-        rows, width = curve_rows.shape  # a header-only curve is caught by the row count below
-        _require(rows == 0 or width == 6, "run_dir", f"{curve_path.name} is malformed: {width} columns, expected 6")
-        count = f"{curve_path.name} has {rows} rows"
-        _require(rows >= horizon, "run_dir", f"{count}, fewer than the horizon {horizon} (interrupted run?)")
-        _require(rows <= horizon, "run_dir", f"{count}, more than the horizon {horizon}")
-        data.append(curve_rows)
-    curve = RegretCurve(
-        risks=np.stack([d[:, 1] for d in data]), inf_risks=data[-1][:, 2], seeds=tuple(seeds)
-    )
+        count = f"{curve_path.name} has {curve_rows.size} rows"
+        _require(curve_rows.size >= horizon, "run_dir", f"{count}, fewer than the horizon {horizon} (interrupted run?)")
+        _require(curve_rows.size <= horizon, "run_dir", f"{count}, more than the horizon {horizon}")
+        risks.append(curve_rows["risk"].copy())
+    curve = RegretCurve(risks=np.stack(risks), inf_risks=curve_rows["inf_risk"].copy(), seeds=tuple(seeds))
     return _write_fit(run_dir, resolved, config_hash(resolved), curve, cps)[0]

@@ -241,7 +241,8 @@ class ConstantWindowLearner(Learner):
 
     def _rows(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         filled = (ts > self.window).astype(np.int64)  # (0, 0) until the window has filled
-        return filled, filled * self.window
+        # capped at the last step, a window that never fills (tiny gamma) stays within int64
+        return filled, filled * min(self.window, int(ts.max(initial=0)))
 
 
 @dataclass

@@ -1,9 +1,11 @@
 """Exact regret accounting, rate fits, blocking and uniform-deviation verifiers."""
 
 import functools
+import io
 import itertools
 import json
 import math
+import time
 from dataclasses import dataclass
 from unittest import mock
 
@@ -34,7 +36,9 @@ from driftlab import (
     fit_growth_exponent,
     geometric_checkpoints,
     make_drift_schedule,
+    resolve_config,
     risk,
+    run_config,
     run_experiment,
     run_single,
     sample_path,
@@ -412,6 +416,141 @@ class TestWriteCurveRows:
             assert target.read_bytes() == self._plain(columns, start, stop).encode()
 
 
+def _near_powers_of_ten() -> np.ndarray:
+    """10**e and the 100 floats on either side of it, e = -4..16."""
+    values = []
+    for e in range(-4, 17):
+        for direction in (np.inf, -np.inf):
+            value = 10.0**e
+            for _ in range(101):
+                values.append(value)
+                value = np.nextafter(value, direction)
+    return np.array(values)
+
+
+def _digit_counts() -> np.ndarray:
+    """Floats read from decimals of 1..17 significant digits, from 1e-4 up to 1e16."""
+    rng = np.random.default_rng(17)
+    return np.array(
+        [float(f"{rng.integers(10 ** (d - 1), 10**d)}e{rng.integers(-d - 3, 17 - d)}") for d in range(1, 18) for _ in range(300)]
+    )
+
+
+class TestCurveText:
+    """The vectorised curve text against repr, one value at a time (``TestWriteCurveRows._plain``)."""
+
+    @staticmethod
+    def _check(values: np.ndarray, chunk_rows: int = 4096) -> None:
+        columns = [values, -values[::-1].copy()]
+        with mock.patch.object(evaluation, "CSV_CHUNK_ROWS", chunk_rows):
+            for start, stop in ((0, values.size), (values.size // 3, values.size)):
+                out = io.StringIO()
+                evaluation.write_curve_rows(out, columns, start, stop)
+                # compared as lists of lines: a failure names its first differing row
+                assert out.getvalue().splitlines() == TestWriteCurveRows._plain(columns, start, stop).splitlines()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        floats=st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), min_size=1, max_size=60),
+        bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=60),
+        chunk_rows=st.sampled_from([1, 7, 4096]),
+    )
+    def test_drawn_floats_and_bit_patterns(self, floats, bits, chunk_rows):
+        self._check(np.array(floats, dtype=np.float64), chunk_rows)
+        self._check(np.array(bits, dtype=np.uint64).view(np.float64), chunk_rows)
+
+    def test_special_values(self):
+        self._check(np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]))
+
+    @pytest.mark.parametrize("chunk_rows", [4096, 61])
+    def test_next_to_powers_of_ten(self, chunk_rows):
+        self._check(_near_powers_of_ten(), chunk_rows)
+
+    def test_kernel_digits_are_seventeen(self):
+        """A decided value's digits have 17 digits and end in a non-zero digit after the ``cut`` zeros."""
+        values = np.concatenate([_near_powers_of_ten(), _digit_counts()])
+        decided, digits, k, cut = evaluation._shortest_digits(values)
+        digits, cut = digits[decided], cut[decided]
+        assert np.all((digits >= 10**16) & (digits < 10**17))
+        assert np.all(digits // 10**cut % 10 != 0) and np.all(digits % 10**cut == 0)
+        texts = [repr(v) for v in np.abs(values[decided]).tolist()]
+        assert [len(t.replace(".", "").strip("0")) for t in texts] == (17 - cut).tolist()
+
+    def test_range_edges(self):
+        edges = []
+        for edge in (1e-3, 2.0**53):
+            value = edge
+            for _ in range(200):
+                value = np.nextafter(value, 0.0)
+            for _ in range(400):
+                edges.append(value)
+                value = np.nextafter(value, np.inf)
+        self._check(np.array(edges))
+
+    def test_powers_of_two(self):
+        self._check(np.ldexp(1.0, np.arange(-1074, 1024)))
+
+    def test_decimal_ties(self):
+        # ..., 2**49 + 0.25 + i and 2**49 + 0.75 + i: 16-digit ties, the even neighbour ending in 2 and in 8
+        ties = [2.0**49 + 0.25 + i / 2 for i in range(400)]
+        ties += [1.0 + (2 * i + 1) / 2**17 for i in range(400)]  # ties of two 17-digit candidates
+        ties += [m / 2.0**s for m in range(1, 80, 2) for s in range(1, 40)]  # dyadic values: short texts and ties
+        self._check(np.array(ties))
+
+    def test_significant_digit_counts(self):
+        self._check(_digit_counts())
+
+    def test_short_texts_beside_long_ones(self):
+        # undecided values (short texts, powers of two) in chunks whose decided values have few fraction digits
+        rng = np.random.default_rng(6)
+        long = 1e6 + rng.random(400)
+        short = rng.choice([0.5, 0.25, 0.1, 3.0, 1e-5, 2.0**60, -0.0], 400)
+        self._check(np.where(np.arange(400) % 3 == 0, short, long), chunk_rows=7)
+
+    def test_uniform_and_wide_ranges(self):
+        rng = np.random.default_rng(4)
+        self._check(rng.random(5000))
+        self._check(np.exp(rng.uniform(math.log(1e-4), math.log(2.0**54), 5000)), chunk_rows=700)
+
+    def test_integer_columns(self):
+        rng = np.random.default_rng(8)
+        edges = [0, 1, -1, 9, 10, -10, 10**18 - 1, 10**18, -(10**18), 2**63 - 1, -(2**63), -(2**63) + 1]
+        ints = np.concatenate([np.array(edges, dtype=np.int64), rng.integers(-(2**63), 2**63 - 1, 2000, dtype=np.int64)])
+        columns = [ints, ints // 10**9, np.abs(ints[2:] // 2), rng.integers(0, 2**64 - 1, ints.size, dtype=np.uint64)]
+        columns[2] = np.concatenate([columns[2], [7, 7]])
+        for chunk_rows in (4096, 5):
+            with mock.patch.object(evaluation, "CSV_CHUNK_ROWS", chunk_rows):
+                out = io.StringIO()
+                evaluation.write_curve_rows(out, columns, 0, ints.size)
+                assert out.getvalue().splitlines() == TestWriteCurveRows._plain(columns, 0, ints.size).splitlines()
+
+    def test_repr_fallback_is_rare_on_curves(self, tmp_path):
+        """Of the float values a reduced Markov run writes through the kernel, at most 1% go to repr."""
+        config = {
+            "horizon": 4096,
+            "seeds": [0, 1],
+            "drift": {"kind": "power_step", "alpha": 0.25},
+            "concept": {"eta": 0.1, "theta0": 0.5},
+            "process": {"kind": "markov_modulated", "states": 4, "flip": 0.25},
+            "checkpoints": {"t_min": 64, "t_max": 4096, "ratio": 1.4142135623730951},
+            "learner": {"kind": "subsampled_erm", "alpha": 0.25, "r": 2.0},
+        }
+        decided = []
+        kernel = evaluation._shortest_digits
+
+        def spy(values):
+            result = kernel(values)
+            decided.append(result[0])
+            return result
+
+        with mock.patch.object(evaluation, "_shortest_digits", spy):
+            run_config(resolve_config(config), tmp_path)
+        decided = np.concatenate(decided)
+        # per seed risk and cum_excess, and four mean-curve columns, less the chunks written as one literal
+        assert decided.size > 0.99 * (2 * 2 + 4) * 4096
+        assert np.count_nonzero(~decided) <= 0.01 * decided.size
+
+
 class TestRunExperiment:
     def test_stacks_replicates(self):
         sched = make_drift_schedule("power_step", alpha=0.25, horizon=64)
@@ -457,6 +596,30 @@ class TestCheckpoints:
             geometric_checkpoints(10, 10)
         with pytest.raises(ValueError):
             geometric_checkpoints(10, 100, ratio=1.0)
+
+    @staticmethod
+    def _stepped(t_min, t_max, ratio):
+        """The grid by repeated multiplication, the reference geometric_checkpoints keeps."""
+        points, value = [], float(t_min)
+        while value < t_max:
+            points.append(int(round(value)))
+            value *= ratio
+        return tuple(sorted(set(points + [t_max])))
+
+    @pytest.mark.parametrize(
+        "t_min,t_max,ratio", [(1, 300, 1.001), (7, 400, 1.00125), (1024, 32768, 2**0.5), (64, 4096, 1.1)]
+    )
+    def test_geometric_grid_matches_stepping(self, monkeypatch, t_min, t_max, ratio):
+        assert geometric_checkpoints(t_min, t_max, ratio) == self._stepped(t_min, t_max, ratio)
+        monkeypatch.setattr(evaluation, "GRID_MAX_STEPS", 1000)  # the first two now take the every-integer branch
+        assert geometric_checkpoints(t_min, t_max, ratio) == self._stepped(t_min, t_max, ratio)
+
+    def test_ratio_next_to_one_is_bounded(self):
+        start = time.monotonic()
+        assert geometric_checkpoints(1, 512, 1.0000000000000002) == tuple(range(1, 513))
+        with pytest.raises(ValueError, match="too close to 1"):
+            geometric_checkpoints(1, 10**8, 1.000001)
+        assert time.monotonic() - start < 1.0
 
     def test_default_power_of_two(self):
         assert default_checkpoints(40000) == (256, 512, 1024, 2048, 4096, 8192, 16384, 32768)

@@ -5,17 +5,24 @@ code with itself across refactors.  Every learner kind runs on
 ``configs/minimal.json`` and on a reduced Markov-modulated config (2 seeds x
 4096 steps), and each output file must hash to the value pinned here.  The
 four ``verify`` reports are pinned the same way, as the bytes ``verify --out``
-writes (uniform deviation at 8 trials).  A digest may change only with an
-intended change of the output bytes.
+writes (uniform deviation at 8 trials).  Three more runs pin shapes those
+miss: a one-seed ``constant`` drift ``constant_window`` run (a mean curve with
+shared and constant columns, and a skipped fit), a two-seed ``triangle_wave``
+run, and a config with no ``checkpoints`` key together with the stdout and
+``fit.json`` of ``rates --checkpoints`` on its run.  A digest may change only
+with an intended change of the output bytes.
 """
 
 import hashlib
+import io
 import json
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
 from driftlab import resolve_config, run_config, run_verify
+from driftlab.cli import main
 from driftlab.harness import json_text
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -155,3 +162,77 @@ def test_verify_report_matches_golden_digest(kind):
     report, ok = run_verify(kind, dict(options))
     assert ok
     assert hashlib.sha256(json_text(report).encode()).hexdigest() == digest
+
+
+SHAPES = {
+    "constant": {
+        "horizon": 4096,
+        "seeds": [0],
+        "drift": {"kind": "constant", "gamma": 0.0001},
+        "concept": {"eta": 0.1, "theta0": 0.5},
+        "process": {"kind": "product"},
+        "learner": {"kind": "constant_window"},
+    },
+    "triangle_wave": {
+        "horizon": 4096,
+        "seeds": [0, 1],
+        "drift": {"kind": "triangle_wave", "alpha": 0.25, "seed": 3},
+        "concept": {"eta": 0.1, "theta0": 0.5},
+        "process": {"kind": "product"},
+        "learner": {"kind": "subsampled_erm", "alpha": 0.25, "r": 2.0},
+        "checkpoints": {"t_min": 64, "t_max": 4096},
+    },
+    "default_checkpoints": {
+        "horizon": 2048,
+        "seeds": [0, 1],
+        "drift": {"kind": "power_step", "alpha": 0.25},
+        "concept": {"eta": 0.1, "theta0": 0.5},
+        "process": {"kind": "markov_modulated", "states": 4, "flip": 0.25},
+        "learner": {"kind": "subsampled_erm", "alpha": 0.25, "r": 2.0},
+    },
+}
+
+SHAPES_GOLDEN = {
+    "constant": {
+        "config.json": "a71cbedf453155921073fcfc7ed9b5114c0e09040dbddceb7fa9ae662ec4a2c7",
+        "curve-0.csv": "71ad9a0685d0f2884dd74730a0d71d863a65ebbea7b783ba2ad6ea9b803564f0",
+        "curve-mean.csv": "c3a6312c438d3ebaf31dbf5b83892a1b245b515cfea4fc3c9743412aead7fe23",
+        "fit.json": "c09832a09718996687e80ca217e5fa6176d8f25f993dd0f56fc62750fdd460b2",
+        "summary.txt": "15ad5f36fd2bdae2bcf9e63716f39733fa89a76422e2776675b15db67da128ad",
+    },
+    "triangle_wave": {
+        "config.json": "a2236ecbc277dc48648b6ae68103f4b55586902aa50024d283afbd067c04f51d",
+        "curve-0.csv": "1d1913f2e1bb9b801f33f524934707d37097244a00a2466366e6cfbc565049f4",
+        "curve-1.csv": "bdc37e31af9e9ce8520ee3d37810a51a355cce96c4e125c0ddb350f338e4af01",
+        "curve-mean.csv": "da7b0aa304573f337f6ba74c76b52ceb03faee5afc59a4390f75a6bb59cd284c",
+        "fit.json": "a389f396a7ccd36596f7b0a6482c39427da7f764ff55085ad73f6d88b22cc81c",
+        "summary.txt": "80ec92f5ae102ae348dd5d8c4addd130bd0bb6536980bfe796c0ef11dd590d0a",
+    },
+    "default_checkpoints": {
+        "config.json": "2dba882a4ae3c91a6cec7d8648faa389f9ccb36683e3891a8e08b67eca46c405",
+        "curve-0.csv": "4f2146ebba2235f10fffa682fd96f6c79ee1674420479ae9eccb733dbfc5efc7",
+        "curve-1.csv": "40c7be95166d4e7ac0f422b60df17887a43ad6367195eddbeca7d0d2894a38f8",
+        "curve-mean.csv": "216dd0afcf8a89d6d7f09f626bf7f32995e3c00657bbf7dfe2a7e84ad9141b9e",
+        "fit.json": "3935d85e28a4b6fadc93226aec068df5dd6d31e8859012ce799b86cbbf112e99",
+        "summary.txt": "209e4b1e8f6fc53c01eb9befa8b38f74c23f4e3c3d15fccde804a24d287a6b55",
+    },
+}
+
+# ``rates --checkpoints`` on the default_checkpoints run: its stdout, and the fit.json it rewrites (the same bytes)
+RATES_CHECKPOINTS = "16,32,64,128,256,512,1024,2048"
+RATES_GOLDEN = "89f600cc08cb401360bd0136faeace0adc4876776421adf7c7dbcd0e23bee7b1"
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_shape_outputs_match_golden_digests(shape, tmp_path):
+    record, _ = run_config(resolve_config(SHAPES[shape]), tmp_path)
+    assert output_digests(Path(record.out_dir)) == SHAPES_GOLDEN[shape]
+
+
+def test_rates_checkpoints_match_golden_digest(tmp_path):
+    record, _ = run_config(resolve_config(SHAPES["default_checkpoints"]), tmp_path)
+    stdout = io.StringIO()
+    with redirect_stdout(stdout):
+        assert main(["rates", record.out_dir, "--checkpoints", RATES_CHECKPOINTS]) == 0
+    assert hashlib.sha256(stdout.getvalue().encode()).hexdigest() == RATES_GOLDEN
+    assert hashlib.sha256((Path(record.out_dir) / "fit.json").read_bytes()).hexdigest() == RATES_GOLDEN

@@ -4,6 +4,7 @@ import copy
 import errno
 import json
 import subprocess
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -92,6 +93,12 @@ class TestResolveDefaults:
         cps = resolved["checkpoints"]
         assert cps[0] == 64 and cps[-1] == 512
         assert all(b > a for a, b in zip(cps, cps[1:]))
+
+    def test_ratio_next_to_one_resolves_in_bounded_time(self):
+        start = time.monotonic()
+        checkpoints = {"t_min": 1, "t_max": 512, "ratio": 1.0000000000000002}
+        assert resolve_config(base_config(checkpoints=checkpoints))["checkpoints"] == list(range(1, 513))
+        assert time.monotonic() - start < 2.0
 
     def test_resolved_config_is_idempotent(self):
         resolved = resolve_config(base_config())
@@ -781,7 +788,7 @@ class TestRefitRates:
         resolved = resolve_config(base_config(drift=drift, learner=spec, checkpoints=None))
         assert resolve_config(resolved) == resolved
 
-    @pytest.mark.parametrize("cut", ["mid_row", "every_row"])
+    @pytest.mark.parametrize("cut", ["mid_row", "every_row", "four_fields", "seven_fields"])
     def test_malformed_curve_keeps_fit(self, tmp_path, cut):
         resolved = resolve_config(base_config(seeds=[0]))
         record, _ = run_config(resolved, tmp_path)
@@ -790,8 +797,12 @@ class TestRefitRates:
         lines = (run_dir / "curve-0.csv").read_text().splitlines(keepends=True)
         if cut == "mid_row":
             text = "".join(lines[:300]) + lines[300][:7]
-        else:  # only the first two columns of every row
+        elif cut == "every_row":  # only the first two columns of every row
             text = lines[0] + "".join(",".join(line.split(",")[:2]) + "\n" for line in lines[1:])
+        elif cut == "four_fields":  # one row without win_k and win_m, risk and inf_risk still in place
+            text = "".join(lines[:300]) + ",".join(lines[300].split(",")[:4]) + "\n" + "".join(lines[301:])
+        else:  # one row with a seventh field
+            text = "".join(lines[:300]) + lines[300].rstrip("\n") + ",7\n" + "".join(lines[301:])
         (run_dir / "curve-0.csv").write_text(text)
         with pytest.raises(ConfigError, match="curve-0.csv is malformed"):
             refit_rates(run_dir)
@@ -870,6 +881,30 @@ class TestCli:
         cfg.write_text(json.dumps(base_config(learner={"kind": "subsampled_erm", "r": -1})))
         assert main(["simulate", "--config", str(cfg)]) == 2
         assert "config error: learner.r" in capsys.readouterr().err
+
+    def test_huge_r_exits_2_and_names_key(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(base_config(learner={"kind": "subsampled_erm", "alpha": 0.25, "r": 1e308})))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "config error: learner.r: too large" in capsys.readouterr().err
+
+    def test_ratio_next_to_one_exits_2_and_names_key(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        checkpoints = {"t_min": 1, "t_max": 10**8, "ratio": 1.000001}
+        cfg.write_text(json.dumps(base_config(horizon=10**8, checkpoints=checkpoints)))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "config error: checkpoints.ratio: ratio 1.000001 is too close to 1" in capsys.readouterr().err
+
+    def test_window_that_never_fills_runs(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        config = base_config(
+            seeds=[0], drift={"kind": "constant", "gamma": 1e-300}, learner={"kind": "constant_window"}
+        )
+        cfg.write_text(json.dumps(config))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert "fit exponent" in capsys.readouterr().out
+        (curve,) = (tmp_path / "out").glob("*/curve-0.csv")
+        assert all(line.endswith(",0,0") for line in curve.read_text().splitlines()[1:])  # the initial hypothesis throughout
 
     def test_bad_seed_list_exits_2(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path)
