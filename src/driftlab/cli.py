@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 verification check failed, 2 config/usage error
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 import traceback
 
@@ -142,6 +143,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as err:
         # argparse exits 2 on usage errors, which matches the config-error code
         return int(err.code or 0)
+    # SIGTERM takes SIGINT's exit path, a KeyboardInterrupt, so --jobs workers are shut down first
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         return args.func(args)
     except ConfigError as err:
@@ -150,6 +153,8 @@ def main(argv: list[str] | None = None) -> int:
     except Exception:
         traceback.print_exc()
         return EXIT_RUNTIME
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

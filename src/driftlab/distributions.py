@@ -88,7 +88,7 @@ class FiniteSupport:
 Marginal = Union[ThresholdConcept, FiniteSupport]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DriftSchedule:
     """Per-step drift budget: discrepancy(P_t, P_{t-1}) <= deltas[t-1].
 
@@ -96,41 +96,46 @@ class DriftSchedule:
     is no step into t = 1).  ``growth_constant`` is the smallest C such that
     sum_{t<=T} deltas[t-1] <= C * T**alpha holds for every prefix T of the
     generated horizon.  ``directions`` carries optional +/-1 metadata used by
-    triangle-wave schedules to steer concept paths.
+    triangle-wave schedules to steer concept paths.  Both are held as
+    read-only arrays, float64 ``deltas`` and int64 ``directions``.
     """
 
     kind: str
     alpha: float
-    deltas: tuple[float, ...]
+    deltas: np.ndarray
     growth_constant: float
-    directions: tuple[int, ...] | None = None
+    directions: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError(f"alpha must lie in [0,1), got {self.alpha}")
-        if len(self.deltas) == 0:
-            raise ValueError("deltas must be non-empty")
-        if self.deltas[0] != 0.0:
+        # private read-only copies: a caller's array is never frozen or shared
+        deltas = np.array(self.deltas, dtype=np.float64)
+        if deltas.ndim != 1 or deltas.size == 0:
+            raise ValueError("deltas must be a non-empty 1-d sequence")
+        if deltas[0] != 0.0:
             raise ValueError("deltas[0] (the step into t=1) must be 0")
-        d = np.asarray(self.deltas, dtype=float)
-        if not np.all((d >= 0.0) & (d <= 1.0)):
+        if not np.all((deltas >= 0.0) & (deltas <= 1.0)):
             raise ValueError("every delta must lie in [0,1]")
-        if self.directions is not None and len(self.directions) != len(self.deltas):
-            raise ValueError("directions must match deltas in length")
+        deltas.flags.writeable = False
+        object.__setattr__(self, "deltas", deltas)
+        if self.directions is not None:
+            directions = np.array(self.directions, dtype=np.int64)
+            if directions.shape != deltas.shape:
+                raise ValueError("directions must match deltas in length")
+            directions.flags.writeable = False
+            object.__setattr__(self, "directions", directions)
 
     @property
     def horizon(self) -> int:
-        return len(self.deltas)
-
-    def delta_array(self) -> np.ndarray:
-        return np.asarray(self.deltas, dtype=float)
+        return self.deltas.size
 
     def prefix_sums(self) -> np.ndarray:
         """S with S[0] = 0 and S[t] = sum of deltas for steps 1..t."""
         out = np.zeros(self.horizon + 1)
-        np.cumsum(self.delta_array(), out=out[1:])
+        np.cumsum(self.deltas, out=out[1:])
         return out
 
 
@@ -164,38 +169,28 @@ def make_drift_schedule(
         if gamma is None or not 0.0 < gamma <= 1.0:
             raise ValueError(f"constant schedules need gamma in (0,1], got {gamma}")
         deltas = np.full(horizon, float(gamma))
-        deltas[0] = 0.0
     else:
         if c0 <= 0.0:
             raise ValueError(f"c0 must be positive, got {c0}")
         t = np.arange(1, horizon + 1, dtype=float)
         deltas = np.minimum(1.0, c0 * t ** (alpha - 1.0))
-        deltas[0] = 0.0
+    deltas[0] = 0.0
 
-    directions: tuple[int, ...] | None = None
+    directions = None
     if kind == "triangle_wave":
-        rng = np.random.default_rng(seed)
-        direction = 1 if rng.integers(0, 2) == 0 else -1
-        dirs = np.empty(horizon, dtype=np.int64)
-        dirs[0] = direction
+        direction = 1 if np.random.default_rng(seed).integers(0, 2) == 0 else -1
+        directions = np.empty(horizon, dtype=np.int64)
+        directions[0] = direction
         position = 0.5
         for i in range(1, horizon):
             step = deltas[i]
             if not 0.0 <= position + direction * step <= 1.0:
                 direction = -direction
             position = min(1.0, max(0.0, position + direction * step))
-            dirs[i] = direction
-        directions = tuple(dirs.tolist())
+            directions[i] = direction
 
-    # one expression, so its horizon-long temporaries are freed before the deltas tuple is built
     growth = float(np.max(np.cumsum(deltas) / np.arange(1, horizon + 1, dtype=float) ** alpha))
-    return DriftSchedule(
-        kind=kind,
-        alpha=alpha,
-        deltas=tuple(deltas.tolist()),
-        growth_constant=growth,
-        directions=directions,
-    )
+    return DriftSchedule(kind=kind, alpha=alpha, deltas=deltas, growth_constant=growth, directions=directions)
 
 
 class ConceptPath(Sequence[ThresholdConcept]):
@@ -249,19 +244,11 @@ def concept_path(schedule: DriftSchedule, eta: float, theta0: float) -> ConceptP
     if not 0.0 <= theta0 <= 1.0:
         raise ValueError(f"theta0 must lie in [0,1], got {theta0}")
     scale = 1.0 - 2.0 * eta
-    deltas = schedule.delta_array()
-    steps = deltas / scale
-    too_big = np.nonzero(steps > 1.0)[0]
-    if too_big.size:
-        t = int(too_big[0]) + 1
-        raise ValueError(
-            f"schedule too aggressive for eta={eta}: step {steps[too_big[0]]:.6g} > 1 at t={t}"
-        )
-    if schedule.directions is not None:
-        signs = np.asarray(schedule.directions, dtype=float)
-    else:
-        signs = np.ones(schedule.horizon)
-    displacements = signs * steps
+    steps = schedule.deltas / scale
+    if np.any(steps > 1.0):
+        i = int(np.argmax(steps > 1.0))
+        raise ValueError(f"schedule too aggressive for eta={eta}: step {steps[i]:.6g} > 1 at t={i + 1}")
+    displacements = steps if schedule.directions is None else schedule.directions * steps
     displacements[0] = 0.0
     thetas = _fold_unit(theta0 + np.cumsum(displacements))
     return ConceptPath(thetas, eta)

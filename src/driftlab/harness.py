@@ -27,6 +27,7 @@ import json
 import math
 import sys
 import time
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Sequence
@@ -349,9 +350,9 @@ def _write_json(path: Path, payload: dict) -> None:
     write_text_atomic(path, json_text(payload))
 
 
-def _build_schedule(resolved: dict) -> DriftSchedule:
+def build_model(resolved: dict) -> tuple[ProcessModel, DriftSchedule]:
     drift = resolved["drift"]
-    return make_drift_schedule(
+    schedule = make_drift_schedule(
         kind=drift["kind"],
         alpha=drift["alpha"],
         horizon=resolved["horizon"],
@@ -359,10 +360,6 @@ def _build_schedule(resolved: dict) -> DriftSchedule:
         c0=drift.get("c0", 1.0),
         seed=drift.get("seed", 0),
     )
-
-
-def build_model(resolved: dict) -> tuple[ProcessModel, DriftSchedule]:
-    schedule = _build_schedule(resolved)
     concept = resolved["concept"]
     path = concept_path(schedule, eta=concept["eta"], theta0=concept["theta0"])
     process = resolved["process"]
@@ -863,7 +860,9 @@ def refit_rates(run_dir: str | Path, checkpoints: Sequence[int] | None = None) -
         if not curve_path.exists():
             raise ConfigError("run_dir", f"missing curve file {curve_path.name}")
         try:
-            curve_rows = np.loadtxt(curve_path, dtype=_CURVE_FIELDS, delimiter=",", skiprows=1, ndmin=1)
+            with warnings.catch_warnings():  # a header-only curve is reported below as having 0 rows
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                curve_rows = np.loadtxt(curve_path, dtype=_CURVE_FIELDS, delimiter=",", skiprows=1, ndmin=1)
         except ValueError as err:  # a row of another width, or a risk that is not a number
             raise ConfigError("run_dir", f"{curve_path.name} is malformed: {err}") from None
         count = f"{curve_path.name} has {curve_rows.size} rows"

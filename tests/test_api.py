@@ -1,6 +1,7 @@
 """The public API: each module's ``__all__`` and the top-level ``driftlab`` names agree."""
 
 import importlib
+import json
 import pkgutil
 import subprocess
 import sys
@@ -48,3 +49,32 @@ def test_perfbench_tracer_installs():
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_simulate_run_does_not_import_numpy_ma(tmp_path):
+    """A run and its refit stay off ``numpy.ma``, whose import alone costs about 18 ms.
+
+    Run in a subprocess, where no other test has imported it first.
+    """
+    config = {
+        "horizon": 2048,
+        "seeds": [0, 1],
+        "drift": {"kind": "power_step", "alpha": 0.25},
+        "concept": {"eta": 0.1, "theta0": 0.5},
+        "process": {"kind": "markov_modulated", "states": 4, "flip": 0.25},
+        "learner": {"kind": "subsampled_erm", "alpha": 0.25, "r": 2.0},
+        "checkpoints": {"t_min": 16, "t_max": 2048},
+    }
+    code = (
+        "import json, sys; sys.path.insert(0, sys.argv[1]); import driftlab; "
+        "record, _ = driftlab.run_config(driftlab.resolve_config(json.loads(sys.argv[2])), sys.argv[3]); "
+        "driftlab.refit_rates(record.out_dir); print('numpy.ma' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(ROOT / "src"), json.dumps(config), str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"

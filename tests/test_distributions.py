@@ -131,16 +131,19 @@ class TestDriftSchedule:
     def test_triangle_wave_magnitudes_and_directions(self):
         tri = make_drift_schedule("triangle_wave", alpha=0.3, horizon=300, seed=2)
         pow_ = make_drift_schedule("power_step", alpha=0.3, horizon=300)
-        assert tri.deltas == pow_.deltas
-        assert tri.directions is not None
-        assert set(tri.directions) <= {-1, 1}
+        assert np.array_equal(tri.deltas, pow_.deltas)
+        assert pow_.directions is None
+        assert tri.directions.dtype == np.int64 and tri.directions.shape == (300,)
+        assert set(tri.directions.tolist()) <= {-1, 1}
 
     def test_triangle_wave_deterministic_and_seed_dependent(self):
         a = make_drift_schedule("triangle_wave", alpha=0.0, horizon=50, seed=3)
         b = make_drift_schedule("triangle_wave", alpha=0.0, horizon=50, seed=3)
-        assert a == b
+        assert np.array_equal(a.deltas, b.deltas)
+        assert np.array_equal(a.directions, b.directions)
+        assert a.growth_constant == b.growth_constant
         starts = {
-            make_drift_schedule("triangle_wave", alpha=0.0, horizon=50, seed=s).directions[0]
+            int(make_drift_schedule("triangle_wave", alpha=0.0, horizon=50, seed=s).directions[0])
             for s in range(8)
         }
         assert starts == {-1, 1}
@@ -154,7 +157,7 @@ class TestDriftSchedule:
 
     @staticmethod
     def _generator_built(kind, alpha, horizon, gamma=None, c0=1.0, seed=0):
-        """Schedule tuples built element by element from the arrays of the documented rules."""
+        """Schedule arrays built step by step from the documented rules."""
         if kind == "constant":
             deltas = np.full(horizon, float(gamma))
         else:
@@ -163,27 +166,57 @@ class TestDriftSchedule:
         directions = None
         if kind == "triangle_wave":
             direction = 1 if np.random.default_rng(seed).integers(0, 2) == 0 else -1
-            dirs, position = np.empty(horizon, dtype=np.int64), 0.5
-            dirs[0] = direction
+            directions, position = np.empty(horizon, dtype=np.int64), 0.5
+            directions[0] = direction
             for i in range(1, horizon):
                 if not 0.0 <= position + direction * deltas[i] <= 1.0:
                     direction = -direction
                 position = min(1.0, max(0.0, position + direction * deltas[i]))
-                dirs[i] = direction
-            directions = tuple(int(v) for v in dirs)
-        return tuple(float(v) for v in deltas), directions
+                directions[i] = direction
+        return deltas, directions
 
     @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
-    def test_tuples_hold_python_scalars_of_the_reference(self, kind):
+    def test_arrays_hold_the_reference_values(self, kind):
         params = dict(alpha=0.3, horizon=700, gamma=0.01, c0=0.8, seed=3)
         sched = make_drift_schedule(kind, **params)
         deltas, directions = self._generator_built(kind, **params)
-        assert sched.deltas == deltas
-        assert all(type(v) is float for v in sched.deltas)
-        assert sched.directions == directions
+        assert sched.deltas.dtype == np.float64 and not sched.deltas.flags.writeable
+        assert sched.deltas.tobytes() == deltas.tobytes()
         if kind == "triangle_wave":
-            assert all(type(v) is int for v in sched.directions)
-            assert set(directions) == {-1, 1}
+            assert sched.directions.dtype == np.int64 and not sched.directions.flags.writeable
+            assert np.array_equal(sched.directions, directions)
+            assert set(directions.tolist()) == {-1, 1}
+        else:
+            assert sched.directions is None
+
+    def test_arrays_are_read_only_private_copies(self):
+        deltas = np.array([0.0, 0.1, 0.2])
+        directions = np.array([1, -1, 1])
+        sched = DriftSchedule(
+            kind="triangle_wave", alpha=0.0, deltas=deltas, growth_constant=1.0, directions=directions
+        )
+        with pytest.raises(ValueError, match="read-only"):
+            sched.deltas[1] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            sched.directions[1] = 1
+        # the caller's arrays stay writable and their later changes do not reach the schedule
+        deltas[1] = 0.9
+        directions[1] = 1
+        assert sched.deltas.tolist() == [0.0, 0.1, 0.2]
+        assert sched.directions.tolist() == [1, -1, 1]
+        assert not np.shares_memory(sched.deltas, deltas)
+
+    def test_sequences_are_converted_once(self):
+        sched = DriftSchedule(
+            kind="constant", alpha=0.0, deltas=[0, 1, 0.5], growth_constant=1.0, directions=(1.0, -1.0, 1.0)
+        )
+        assert sched.deltas.dtype == np.float64 and sched.deltas.tolist() == [0.0, 1.0, 0.5]
+        assert sched.directions.dtype == np.int64 and sched.directions.tolist() == [1, -1, 1]
+        assert sched.horizon == 3
+        with pytest.raises(ValueError, match="1-d"):
+            DriftSchedule(kind="constant", alpha=0.0, deltas=[[0.0, 0.1]], growth_constant=1.0)
+        with pytest.raises(ValueError, match="match deltas"):
+            DriftSchedule(kind="constant", alpha=0.0, deltas=[0.0, 0.1], growth_constant=1.0, directions=[1])
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -216,7 +249,7 @@ class TestConceptPath:
     def test_successive_tv_matches_budget_without_reflection(self):
         sched = make_drift_schedule("power_step", alpha=0.25, horizon=64)
         path = concept_path(sched, eta=0.1, theta0=0.5)
-        deltas = sched.delta_array()
+        deltas = sched.deltas
         for t in range(1, 64):
             moved = abs(path.thetas[t] - path.thetas[t - 1])
             if moved > 0:  # no reflection shortened the move
@@ -225,6 +258,13 @@ class TestConceptPath:
                     assert tv == pytest.approx(deltas[t], abs=1e-12)
                 else:
                     assert tv <= deltas[t] + 1e-12
+
+    def test_directions_match_float_signs_bit_for_bit(self):
+        sched = make_drift_schedule("triangle_wave", alpha=0.25, horizon=3000, seed=5)
+        displacements = np.asarray(sched.directions, dtype=float) * (sched.deltas / 0.8)
+        displacements[0] = 0.0
+        reference = 1.0 - np.abs(1.0 - np.mod(0.3 + np.cumsum(displacements), 2.0))
+        assert concept_path(sched, eta=0.1, theta0=0.3).thetas.tobytes() == reference.tobytes()
 
     def test_thetas_stay_in_unit_interval(self):
         for seed in range(4):

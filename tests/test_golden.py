@@ -9,8 +9,10 @@ writes (uniform deviation at 8 trials).  Three more runs pin shapes those
 miss: a one-seed ``constant`` drift ``constant_window`` run (a mean curve with
 shared and constant columns, and a skipped fit), a two-seed ``triangle_wave``
 run, and a config with no ``checkpoints`` key together with the stdout and
-``fit.json`` of ``rates --checkpoints`` on its run.  A digest may change only
-with an intended change of the output bytes.
+``fit.json`` of ``rates --checkpoints`` on its run.  A three-cell constant
+drift sweep, one of whose cells fails at run time, pins the sweep table and
+its failure manifest.  A digest may change only with an intended change of the
+output bytes.
 """
 
 import hashlib
@@ -21,7 +23,8 @@ from pathlib import Path
 
 import pytest
 
-from driftlab import resolve_config, run_config, run_verify
+import driftlab.harness as harness_mod
+from driftlab import resolve_config, run_config, run_sweep, run_verify
 from driftlab.cli import main
 from driftlab.harness import json_text
 
@@ -236,3 +239,43 @@ def test_rates_checkpoints_match_golden_digest(tmp_path):
         assert main(["rates", record.out_dir, "--checkpoints", RATES_CHECKPOINTS]) == 0
     assert hashlib.sha256(stdout.getvalue().encode()).hexdigest() == RATES_GOLDEN
     assert hashlib.sha256((Path(record.out_dir) / "fit.json").read_bytes()).hexdigest() == RATES_GOLDEN
+
+
+# shaped like configs/gamma-sweep.json at short horizons; the middle cell fails at run time
+SWEEP = {
+    "horizon": 4096,
+    "seeds": [0, 1],
+    "drift": {"kind": "constant", "gamma": 0.01},
+    "concept": {"eta": 0.1, "theta0": 0.5},
+    "process": {"kind": "product"},
+    "learner": {"kind": "constant_window"},
+    "checkpoints": {"t_min": 16, "t_max": 4096},
+    "sweep": {
+        "cells": [
+            {"drift.gamma": 0.001, "horizon": 8192},
+            {"drift.gamma": 0.0031622776601683794, "horizon": 4096},
+            {"drift.gamma": 0.01, "horizon": 4096},
+        ]
+    },
+}
+SWEEP_FAILING_GAMMA = 0.0031622776601683794
+
+SWEEP_GOLDEN = {
+    "sweep-03a46cb846f5.csv": "72fcab83144c4496dfd15bbb7fa58d51bc4ea0e054bad25af92c8de9486e97cd",
+    "sweep-03a46cb846f5.failures.json": "7d2d1cceb4065e959b5f6cc440c4c7eaf9e2245b3bf0f7e87899baa7ee8d2a20",
+}
+
+
+def test_sweep_table_and_manifest_match_golden_digests(tmp_path, monkeypatch):
+    real_run_config = harness_mod.run_config
+
+    def failing_cell(resolved, out_root, jobs=1):
+        if resolved["drift"]["gamma"] == SWEEP_FAILING_GAMMA:
+            raise RuntimeError("cell failed on purpose")
+        return real_run_config(resolved, out_root, jobs=jobs)
+
+    monkeypatch.setattr(harness_mod, "run_config", failing_cell)
+    record = run_sweep(json.loads(json.dumps(SWEEP)), tmp_path)
+    assert len(record.failures) == 1
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("sweep-*")}
+    assert digests == SWEEP_GOLDEN

@@ -1,9 +1,13 @@
 """Config validation, deterministic run orchestration, sweeps, verify and CLI."""
 
+import contextlib
 import copy
 import errno
 import json
+import os
+import signal
 import subprocess
+import sys
 import time
 from pathlib import Path
 from unittest import mock
@@ -809,6 +813,28 @@ class TestRefitRates:
         assert (run_dir / "fit.json").read_bytes() == written
 
 
+def _cli_command(*args: str) -> list[str]:
+    return [sys.executable, "-m", "driftlab.cli", *args]
+
+
+def _cli_env() -> dict:
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def _session_processes(sid: int) -> list[int]:
+    """Pids of the live (not zombie) processes of session ``sid``."""
+    pids = []
+    for name in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            state = Path(f"/proc/{name}/stat").read_text().rsplit(")", 1)[1].split()[0]
+            if os.getsid(int(name)) == sid and state != "Z":
+                pids.append(int(name))
+        except OSError:  # the process is gone
+            pass
+    return pids
+
+
 class TestCli:
     def _write_config(self, tmp_path, **overrides):
         cfg = base_config(
@@ -1104,6 +1130,55 @@ class TestCli:
         capsys.readouterr()
         assert main(["rates", str(run_dir)]) == 3
         assert "RuntimeError: simulated failure" in capsys.readouterr().err
+
+    def test_rates_header_only_curve_prints_only_the_config_error(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(base_config(horizon=300, seeds=[0], checkpoints=[16, 32, 64, 128, 256])))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        run_dir = next(out.iterdir())
+        curve = run_dir / "curve-0.csv"
+        curve.write_text(curve.read_text().splitlines(keepends=True)[0])
+        # a subprocess, so that numpy's warnings reach stderr as they would from the shell
+        args = _cli_command("rates", str(run_dir))
+        done = subprocess.run(args, env=_cli_env(), capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2
+        assert done.stderr == (
+            "config error: run_dir: curve-0.csv has 0 rows, fewer than the horizon 300 (interrupted run?)\n"
+        )
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="lists a session's processes through /proc")
+    def test_sigterm_leaves_no_worker_and_whole_curves(self, tmp_path):
+        raw = json.loads((CONFIGS / "markov-subsampled.json").read_text())
+        raw.update(horizon=16384, seeds=list(range(16)), checkpoints={"t_min": 1024, "t_max": 16384})
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        args = _cli_command("simulate", "--config", str(cfg), "--out", str(out), "--jobs", "2")
+        with open(tmp_path / "stderr.txt", "w") as err:
+            proc = subprocess.Popen(args, env=_cli_env(), stdout=subprocess.DEVNULL, stderr=err, start_new_session=True)
+        try:
+            deadline = time.monotonic() + 60
+            while not list(out.glob("*/curve-*.csv")) and proc.poll() is None and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert proc.poll() is None, "the run ended before its first curve file was seen"
+            os.kill(proc.pid, signal.SIGTERM)
+            proc.wait(timeout=10)
+            deadline = time.monotonic() + 5
+            while _session_processes(proc.pid) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert _session_processes(proc.pid) == []
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+        curves = sorted(out.glob("*/curve-[0-9]*.csv"))
+        assert 1 <= len(curves) < len(raw["seeds"])  # interrupted: the seeds not yet started never ran
+        for curve in curves:
+            text = curve.read_text()
+            assert text.endswith("\n")
+            rows = text.splitlines()[1:]
+            assert [row.split(",")[0] for row in rows] == [str(t) for t in range(1, len(rows) + 1)]
+            assert all(len(row.split(",")) == 6 for row in rows)
 
     def test_console_script_installed(self, tmp_path):
         result = subprocess.run(
