@@ -150,6 +150,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_RUNTIME
     except Exception:
         traceback.print_exc()
         return EXIT_RUNTIME

@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import errno
+import inspect
 import json
 import os
 import signal
@@ -36,8 +37,8 @@ from driftlab import (
     run_sweep,
     run_verify,
 )
-from driftlab.cli import main
-from driftlab.harness import write_text_atomic
+from driftlab.cli import build_parser, main
+from driftlab.harness import VERIFY_FAMILIES, VERIFY_FLAGS, write_text_atomic
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -138,6 +139,9 @@ ERROR_CASES = [
     ({"process": {"kind": "markov_modulated", "states": 17, "flip": 0.3}}, "process.states"),
     ({"process": {"kind": "markov_modulated", "states": 4}}, "process.flip"),
     ({"process": {"kind": "markov_modulated", "states": 4, "flip": 1.0}}, "process.flip"),
+    # flip/(states-1) rounds to 0, so the chain would not be irreducible
+    ({"process": {"kind": "markov_modulated", "states": 3, "flip": 5e-324}}, "process.flip"),
+    ({"process": {"kind": "markov_modulated", "states": 16, "flip": 1e-323}}, "process.flip"),
     ({"function_class": {"kind": "finite_explicit"}}, "function_class.kind"),
     ({"function_class": {"kind": "nope"}}, "function_class.kind"),
     ({"function_class": {"kind": "threshold", "path": "classes.json"}}, "function_class.path"),
@@ -625,25 +629,22 @@ class TestRunSweep:
 
 class TestRunVerify:
     def test_blocking_small_grid(self):
-        report, ok = run_verify(
-            "blocking",
-            {"states": [2], "blocks": [2, 3], "gaps": [1, 2], "ts": [1], "flips": [0.3]},
-        )
+        report, ok = run_verify("blocking")
         assert ok is True
-        assert report["cases"] == 4
+        assert report["cases"] == 1080  # 3 state counts x 3 flips x 3 block counts x 8 gaps x 5 ts
         assert report["min_slack"] >= -1e-12
         assert report["worst"]["slack"] == report["min_slack"]
 
     def test_discrepancy_small(self):
-        report, ok = run_verify("discrepancy", {"pairs": 200, "grid_pairs": 50})
+        report, ok = run_verify("discrepancy", {"pairs": 200})
         assert ok is True
         assert report["max_rho_minus_tv"] <= 1e-9
         assert report["max_closed_form_vs_grid"] <= 1e-9
 
     def test_mixing_rate_small(self):
-        report, ok = run_verify("mixing_rate", {"states": [2], "flips": [0.3], "r": [1.0]})
+        report, ok = run_verify("mixing_rate")
         assert ok is True
-        assert len(report["cases"]) == 2  # product + one chain
+        assert len(report["cases"]) == 14  # product + six chains, two rates each
 
     def test_uniform_deviation_small(self):
         report, ok = run_verify(
@@ -662,11 +663,6 @@ class TestRunVerify:
     def test_insufficient_trials(self):
         with pytest.raises(ConfigError, match="trials"):
             run_verify("uniform_deviation", {"trials": 1})
-
-    def test_non_positive_grid_pairs(self):
-        with pytest.raises(ConfigError) as excinfo:
-            run_verify("discrepancy", {"pairs": 10, "grid_pairs": 0})
-        assert excinfo.value.key == "grid_pairs"
 
     @pytest.mark.parametrize("cap", [float("nan"), float("inf"), 0.0, -1.0])
     def test_mixing_rate_bad_cap_names_cap(self, cap):
@@ -704,12 +700,29 @@ class TestRunVerify:
             ("uniform_deviation", {"seed": 1.5}, "--seed"),
             ("mixing_rate", {"r": ["a"]}, "r"),
             ("mixing_rate", {"cap": "1e3"}, "cap"),
+            ("discrepancy", {"pairs": 10, "grid_pairs": 0}, "grid_pairs"),
         ],
     )
     def test_bad_list_option_names_option(self, kind, options, key):
+        # a family reads only its CLI flags: any other option is rejected under its own name
         with pytest.raises(ConfigError) as excinfo:
             run_verify(kind, options)
         assert excinfo.value.key == key
+        if not key.startswith("--"):
+            assert str(excinfo.value) == f"{key}: not read by --kind {kind}"
+
+    def test_families_read_exactly_the_verify_flags(self):
+        params = {kind: tuple(inspect.signature(family).parameters) for kind, family in VERIFY_FAMILIES.items()}
+        assert params == {
+            "blocking": (),
+            "uniform_deviation": ("trials", "seed", "m_grid"),
+            "discrepancy": ("pairs", "seed"),
+            "mixing_rate": (),
+        }
+        assert set().union(*params.values()) == set(VERIFY_FLAGS)
+        for name, flag in VERIFY_FLAGS.items():
+            args = build_parser().parse_args(["verify", "--kind", "blocking", flag, "2"])
+            assert getattr(args, name) is not None, flag
 
     @pytest.mark.parametrize(
         "kind,option",
@@ -1163,7 +1176,8 @@ class TestCli:
                 time.sleep(0.01)
             assert proc.poll() is None, "the run ended before its first curve file was seen"
             os.kill(proc.pid, signal.SIGTERM)
-            proc.wait(timeout=10)
+            assert proc.wait(timeout=10) == 3
+            assert (tmp_path / "stderr.txt").read_text() == "interrupted\n"  # one line, no traceback
             deadline = time.monotonic() + 5
             while _session_processes(proc.pid) and time.monotonic() < deadline:
                 time.sleep(0.05)
