@@ -130,11 +130,11 @@ def loss(h: Hypothesis, z: Observation) -> float:
     raise TypeError(f"unsupported hypothesis {type(h).__name__}")
 
 
-def initial_hypothesis(function_class: FunctionClass) -> Hypothesis:
-    """Smallest-parameter class member, used as the fixed t=1 predictor."""
+def initial_hypothesis(function_class: FunctionClass) -> ThresholdHypothesis:
+    """Smallest threshold, the fixed t=1 predictor; learners take only threshold classes."""
     if isinstance(function_class, ThresholdClass):
         return ThresholdHypothesis(0.0)
-    return FiniteHypothesis(function_class, 0)
+    raise TypeError(f"unsupported function class {type(function_class).__name__}")
 
 
 def cut_losses(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -120,11 +120,11 @@ def symmetric_chain(states: int, flip: float) -> tuple[tuple[float, ...], ...]:
 
 @dataclass(frozen=True)
 class SamplePath:
-    """A realized trajectory; states[t] = -1 marks stateless (product) draws."""
+    """A realized trajectory; states holds the hidden chain's states, None for product draws."""
 
     xs: np.ndarray
     ys: np.ndarray
-    states: np.ndarray
+    states: np.ndarray | None
 
     def __len__(self) -> int:
         return self.xs.size
@@ -146,26 +146,24 @@ def sample_path(model: ProcessModel, horizon: int, seed: int) -> SamplePath:
     rng = np.random.default_rng(seed)
     if isinstance(model, ProductProcess):
         xs = rng.random(horizon)
-        states = np.full(horizon, -1, dtype=np.int64)
+        states = None
     else:
         states_n = model.states
         cum_rows = np.cumsum(model.transition_array(), axis=1)
         state = int(np.searchsorted(np.cumsum(model.stationary), rng.random(), side="right"))
         state = min(state, states_n - 1)
         moves = rng.random(horizon - 1) if horizon > 1 else np.empty(0)
-        # maps[t, s] is the state after move t from state s; an inclusive scan that
-        # composes them by doubling (Hillis & Steele 1986) leaves in maps[t] the
-        # state after moves 0..t from each starting state; int8 holds every state
-        # (at most MAX_STATES) in an eighth of int64's memory
-        maps = np.empty((horizon - 1, states_n), dtype=np.int8)
-        for s in range(states_n):
-            maps[:, s] = np.searchsorted(cum_rows[s], moves, side="right")
-        np.minimum(maps, states_n - 1, out=maps)
-        span = 1
-        while span < horizon - 1:
-            maps[span:] = np.take_along_axis(maps[span:], maps[:-span], axis=1)
-            span *= 2
-        states = np.concatenate(([state], maps[:, state])).astype(np.int64)
+        # a move u from state s goes to the count of row-s breakpoints <= u (at most S-1);
+        # that count is constant between consecutive merged breakpoints, so table[s][b]
+        # holds it for bin b (breaks[b-1] <= u < breaks[b]) and one walk draws the states
+        breaks = np.sort(cum_rows, axis=None)
+        lows = np.concatenate(([-np.inf], breaks))
+        table = [np.minimum(np.searchsorted(row, lows, side="right"), states_n - 1).tolist() for row in cum_rows]
+        walk = [state]
+        for b in np.searchsorted(breaks, moves, side="right").tolist():
+            state = table[state][b]
+            walk.append(state)
+        states = np.array(walk, dtype=np.int64)
         offsets = rng.random(horizon)
         xs = (states + offsets) / states_n
     flips = rng.random(horizon) < model.marginals.eta

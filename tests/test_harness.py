@@ -701,6 +701,9 @@ class TestRunVerify:
             ("mixing_rate", {"r": ["a"]}, "r"),
             ("mixing_rate", {"cap": "1e3"}, "cap"),
             ("discrepancy", {"pairs": 10, "grid_pairs": 0}, "grid_pairs"),
+            ("blocking", {"states": []}, "states"),
+            ("blocking", {"ts": []}, "ts"),
+            ("mixing_rate", {"r": []}, "r"),
         ],
     )
     def test_bad_list_option_names_option(self, kind, options, key):
@@ -723,15 +726,6 @@ class TestRunVerify:
         for name, flag in VERIFY_FLAGS.items():
             args = build_parser().parse_args(["verify", "--kind", "blocking", flag, "2"])
             assert getattr(args, name) is not None, flag
-
-    @pytest.mark.parametrize(
-        "kind,option",
-        [("blocking", "states"), ("blocking", "ts"), ("mixing_rate", "r")],
-    )
-    def test_empty_list_option_rejected(self, kind, option):
-        with pytest.raises(ConfigError) as excinfo:
-            run_verify(kind, {option: []})
-        assert excinfo.value.key == option
 
 
 class TestRefitRates:

@@ -340,5 +340,5 @@ class TestRisk:
         assert isinstance(h, ThresholdHypothesis) and h.theta == 0.0
         rng = np.random.default_rng(54)
         fclass = _small_finite_class(rng)
-        h2 = initial_hypothesis(fclass)
-        assert isinstance(h2, FiniteHypothesis) and h2.index == 0
+        with pytest.raises(TypeError, match="unsupported function class FiniteExplicitClass"):
+            initial_hypothesis(fclass)

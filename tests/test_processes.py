@@ -6,6 +6,8 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from driftlab import (
     ConceptPath,
@@ -21,7 +23,10 @@ from driftlab import (
     symmetric_chain,
     verify_mixing_rate,
 )
-from driftlab.processes import _is_primitive
+from driftlab.processes import MAX_STATES, _is_primitive
+
+
+BELOW_ONE = 1.0 - 2.0**-53  # the largest float Generator.random returns
 
 
 def _flat_path(theta: float, eta: float, horizon: int) -> ConceptPath:
@@ -157,7 +162,7 @@ class TestSamplePath:
     def test_product_states_are_stateless_markers(self):
         path = _flat_path(0.5, 0.1, 50)
         sp = sample_path(ProductProcess(marginals=path), 50, seed=0)
-        assert np.all(sp.states == -1)
+        assert sp.states is None
 
     def test_markov_x_lands_in_state_bucket(self):
         path = _flat_path(0.5, 0.1, 500)
@@ -231,15 +236,45 @@ def _circulant(first_row: list[float]) -> tuple[tuple[float, ...], ...]:
     return tuple(tuple(float(v) for v in np.roll(first_row, shift)) for shift in range(len(first_row)))
 
 
+def _permutation_mixture(perms: list, weights: list) -> np.ndarray:
+    """sum_i weights[i] * P_i / sum(weights), P_i the matrix sending s to perms[i][s]: doubly stochastic."""
+    n = len(perms[0])
+    matrix = np.zeros((n, n))
+    for perm, weight in zip(perms, weights):
+        matrix[np.arange(n), perm] += weight / sum(weights)
+    return matrix
+
+
+def _as_transition(matrix: np.ndarray) -> tuple[tuple[float, ...], ...]:
+    return tuple(tuple(float(v) for v in row) for row in matrix)
+
+
+class _ScriptedMoves(np.random.Generator):
+    """PCG64(0) draws, except that a draw of ``moves.size`` floats returns ``moves``."""
+
+    def __init__(self, moves: np.ndarray):
+        super().__init__(np.random.PCG64(0))
+        self._moves = moves
+
+    def random(self, size=None):
+        return self._moves if size == self._moves.size else super().random(size)
+
+
+_SHIFT_16 = np.roll(np.arange(MAX_STATES), -1)
+_SHUFFLE_16 = np.random.default_rng(16).permutation(MAX_STATES)
+_MIXTURE_16 = _permutation_mixture([_SHIFT_16, _SHIFT_16[::-1], _SHUFFLE_16], [5, 3, 2])
+
+
 class TestMarkovStates:
     CHAINS = {
         1: [((1.0,),)],
         2: [symmetric_chain(2, 0.3), symmetric_chain(2, 0.9)],
         3: [symmetric_chain(3, 0.25), _circulant([0.5, 0.5, 0.0])],
         5: [symmetric_chain(5, 0.4), _circulant([0.0, 0.7, 0.0, 0.3, 0.0]), _circulant([0.25, 0.0, 0.75, 0.0, 0.0])],
+        MAX_STATES: [symmetric_chain(MAX_STATES, 0.35), _as_transition(_MIXTURE_16)],
     }
 
-    @pytest.mark.parametrize("states", [1, 2, 3, 5])
+    @pytest.mark.parametrize("states", [1, 2, 3, 5, MAX_STATES])
     @pytest.mark.parametrize("horizon", [1, 2, 3, 1000])
     def test_states_match_per_step_loop(self, states, horizon):
         path = _flat_path(0.5, 0.1, horizon)
@@ -251,12 +286,54 @@ class TestMarkovStates:
                 assert np.array_equal(sp.states, states_oracle)
                 assert np.array_equal(sp.xs, xs_oracle)
 
+    def test_moves_on_breakpoints_match_per_step_loop(self):
+        # random moves almost never equal a breakpoint: these hit each one and its neighbours
+        for chains in self.CHAINS.values():
+            for transition in chains:
+                breaks = np.cumsum(transition, axis=1).ravel()
+                points = np.concatenate(([0.0], breaks, np.nextafter(breaks, 0.0), np.nextafter(breaks, 1.0)))
+                moves = np.random.default_rng(7).permutation(np.tile(np.minimum(points, BELOW_ONE), 4))
+                horizon = moves.size + 1
+                model = MarkovModulatedProcess(transition=transition, marginals=_flat_path(0.5, 0.1, horizon))
+                sp = sample_path(model, horizon, _ScriptedMoves(moves))
+                states_oracle, xs_oracle = _markov_path_oracle(model, horizon, _ScriptedMoves(moves))
+                assert sp.states.tobytes() == states_oracle.tobytes()
+                assert sp.xs.tobytes() == xs_oracle.tobytes()
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        perms=st.integers(1, MAX_STATES).flatmap(
+            lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=4)
+        ),
+        data=st.data(),
+        horizon=st.integers(1, 400),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_permutation_mixtures_match_per_step_loop(self, perms, data, horizon, seed):
+        # the cyclic shift makes every mixture irreducible; periodic ones are not valid chains
+        n = len(perms[0])
+        perms = [list(np.roll(np.arange(n), -1)), *perms]
+        weights = data.draw(st.lists(st.integers(1, 9), min_size=len(perms), max_size=len(perms)))
+        matrix = _permutation_mixture(perms, weights)
+        assume(n == 1 or _is_primitive(matrix > 0.0))
+        model = MarkovModulatedProcess(transition=_as_transition(matrix), marginals=_flat_path(0.5, 0.1, horizon))
+        sp = sample_path(model, horizon, seed)
+        states_oracle, xs_oracle = _markov_path_oracle(model, horizon, seed)
+        assert sp.states.tobytes() == states_oracle.tobytes()
+        assert sp.xs.tobytes() == xs_oracle.tobytes()
+
     def test_zero_entries_are_never_taken(self):
         transition = _circulant([0.0, 0.7, 0.0, 0.3, 0.0])
         model = MarkovModulatedProcess(transition=transition, marginals=_flat_path(0.5, 0.1, 1000))
         sp = sample_path(model, 1000, seed=4)
         moves = (sp.states[1:] - sp.states[:-1]) % 5
         assert set(moves.tolist()) == {1, 3}
+        model = MarkovModulatedProcess(transition=_as_transition(_MIXTURE_16), marginals=_flat_path(0.5, 0.1, 4000))
+        sp = sample_path(model, 4000, seed=4)
+        taken = np.zeros_like(_MIXTURE_16, dtype=bool)
+        taken[sp.states[:-1], sp.states[1:]] = True
+        assert np.count_nonzero(_MIXTURE_16 == 0.0) > MAX_STATES
+        assert np.array_equal(taken, _MIXTURE_16 > 0.0)
 
 
 class TestFiniteSamplePath:
