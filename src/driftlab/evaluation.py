@@ -66,10 +66,11 @@ BLOCKING_MAX_STATES = 4
 BLOCKING_MAX_BLOCKS = 4
 BLOCKING_MAX_GAP = 8
 
-# elements of one batch of threshold ERM solves: gathered points (rows x points
-# per row) of the row kernel, core and edge keys of the block kernel; bounds the
-# memory of a batch (block kernel batches of 2**16 raised constant_window_long's
-# peak RSS by 4 MB and saved a tenth of its run)
+# size of one batch of threshold ERM solves, bounding its memory: gathered points
+# (rows x points per row) of the row kernel; int64s' worth of bytes of the block
+# kernel's core and step keys, which are int32 for windows of up to 32,767 points,
+# so its chunks hold twice as many keys.  2**16 moved neither constant_window_long's
+# peak RSS (50.74-50.80 MB either way) nor its wall time (three alternating pairs)
 ERM_BATCH_ELEMENTS = 2**14
 
 # sample points per sup-deviation kernel call: a uniform-deviation size m runs

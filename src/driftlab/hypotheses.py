@@ -229,61 +229,61 @@ def _sliding_threshold_erm(
     steps shares the K = m-B+1 points of its core, sorted once.  Its 2B-2
     edges (left edge k is held by steps j <= k, right edge k by steps j > k)
     cut the sorted core into 2B-1 segments, whose least core key does not
-    depend on the step; each step adds the weights and counts of the edges it
-    holds below each segment.  Blocks go in chunks that hold about ``budget``
-    core and edge keys.  Needs 2 <= B <= m.
+    depend on the step; each step adds the edges it holds below each segment
+    (edge-major, so sums over edges run along rows), and every pick is a flat
+    gather.  Keys, within 2(m+1)m, and search keys, below (2n+2) per block of a
+    chunk, are int32 while both fit (at the run loop's budget, every m <= 32,767
+    on paths of up to 5*10**6 points), else int64.  A chunk of blocks holds at
+    most ``budget`` int64s' worth of keys.  Needs 2 <= B <= m.
     """
     packed, x = space
     n, edges, core = x.size, 2 * block - 2, m - block + 1
-    steps = np.arange(block)[:, None]
-    held = np.concatenate([np.arange(block - 1) >= steps, np.arange(block - 1) < steps], axis=1)  # (step, edge)
+    per_block = core + 1 + (edges + 1) * block  # core and step keys
+    rows = min(blocks, max(1, 2 * budget // per_block))  # blocks per chunk, at 4 bytes a key
+    dt = np.int32 if max(2 * (m + 1) * m, (2 * n + 2) * rows) < 2**31 else np.int64
+    rows = min(rows, max(1, 8 * budget // (np.dtype(dt).itemsize * per_block)))
+    held = np.concatenate([np.arange(block - 1)[:, None] >= np.arange(block), np.arange(block - 1)[:, None] < np.arange(block)])
     core_windows = np.lib.stride_tricks.sliding_window_view(packed, core)
     edge_windows = np.lib.stride_tricks.sliding_window_view(packed, block - 1)
-    rows = max(1, budget // (core + 1 + (edges + 1) * block))
+    ramp, sorted_edge = m * np.arange(core + 1, dtype=dt), np.arange(edges)[:, None, None]
+    row_ids, lanes = np.arange(rows, dtype=dt)[:, None], np.arange(rows * block).reshape(rows, block)
+    # sorted cores between a point of rank -1 and one of rank n; segment bounds as flat indices of keys
+    padded = np.empty((rows, core + 2), dtype=packed.dtype)
+    padded[:, 0], padded[:, -1] = -2, 2 * n
+    all_bounds = (core + 1) * row_ids + np.where(np.arange(edges + 2) > edges, core, 0)
     thetas = np.empty((blocks, block))
     for lo in range(0, blocks, rows):
         starts = first + block * np.arange(lo, min(lo + rows, blocks))
         nb = starts.size
-        row = np.arange(nb)[:, None]
-        cr = core_windows[starts + block - 1 - m]
-        cr.sort(axis=1)
-        # key S*(K+1) + q of core cut q, as 2*(K+1)*(ones below q) - K*q
-        keys = np.zeros((nb, core + 1), dtype=np.int64)
-        np.cumsum(cr & 1, axis=1, out=keys[:, 1:])
-        keys *= 2 * core + 2
-        keys -= core * np.arange(core + 1)
+        row, cp, bounds = row_ids[:nb], padded[:nb], all_bounds[:nb]
+        cp[:, 1:-1] = core_windows[starts + block - 1 - m]
+        cp[:, 1:-1].sort(axis=1)
         er = np.concatenate([edge_windows[starts - m], edge_windows[starts]], axis=1)
         perm = np.argsort(er, axis=1)
-        er = np.take_along_axis(er, perm, axis=1)
-        # segment s holds the core cuts bounds[s]..bounds[s+1]; bounds[e+1] = core points below sorted edge e
-        bounds = np.zeros((nb, edges + 2), dtype=np.int64)
-        below_edge = np.searchsorted((cr + 2 * n * row).ravel(), (er + 2 * n * row).ravel())
-        bounds[:, 1:-1] = below_edge.reshape(nb, edges) - core * row
-        bounds[:, -1] = core
-        bounds += (core + 1) * row
+        er = er[row, perm]
+        offset = (2 * n + 2) * row  # keeps the padded rows apart in one flat search
+        bounds[:, 1:-1] = np.searchsorted((cp + offset).ravel(), (er + offset).ravel()).reshape(nb, edges) - row - 1
+        # key S*(m+1) + q of core cut q, as 2*(m+1)*(ones below q) - m*q
+        keys = np.zeros((nb, core + 1), dtype=dt)
+        np.cumsum(cp[:, 1:-1] & 1, axis=1, out=keys[:, 1:])
+        keys *= 2 * m + 2
+        keys -= ramp
         flat = keys.ravel()
-        seg = np.minimum(np.minimum.reduceat(flat, bounds[:, :-1].ravel()), flat[bounds[:, 1:].ravel()])
-        sums, q = np.divmod(seg.reshape(nb, edges + 1), core + 1)
-        # per step: S*(m+1) + c at each segment's best core cut, plus the edges held below it
-        inc = held[:, perm]  # (step, nb, edge)
-        key = np.zeros((block, nb, edges + 1), dtype=np.int64)
-        np.cumsum(inc * ((er & 1) * np.int64(2 * m + 2) - m), axis=2, out=key[:, :, 1:])
-        key += sums * (m + 1) + q
-        best = np.argmin(key, axis=2)[:, :, None]
-        cut = np.take_along_axis(key, best, axis=2)[:, :, 0] % (m + 1)
-        qb = np.take_along_axis(q, best[:, :, 0].T, axis=1).T
-        # the cut's neighbours: the nearer of a core point and an edge the step holds
-        er >>= 1
-        below = np.full((block, nb, edges + 1), -1, dtype=np.int64)
-        np.maximum.accumulate(np.where(inc, er, -1), axis=2, out=below[:, :, 1:])
-        above = np.full((block, nb, edges + 1), n, dtype=np.int64)
-        np.minimum.accumulate(np.where(inc, er, n)[:, :, ::-1], axis=2, out=above[:, :, -2::-1])
-        core_below = np.where(qb > 0, cr[row.T, qb - 1] >> 1, -1)
-        core_above = np.where(qb < core, cr[row.T, np.minimum(qb, core - 1)] >> 1, n)
-        below = np.maximum(np.take_along_axis(below, best, axis=2)[:, :, 0], core_below)
-        above = np.minimum(np.take_along_axis(above, best, axis=2)[:, :, 0], core_above)
+        seg = np.minimum(np.minimum.reduceat(flat, bounds.ravel()).reshape(nb, edges + 2)[:, :-1], flat[bounds[:, 1:]])
+        # per step: each segment's least core key plus the edges the step holds below it
+        inc = np.take(held, perm.T, axis=0)  # (edge, nb, step)
+        key = np.zeros((edges + 1, nb, block), dtype=dt)
+        np.cumsum(inc * ((er & 1) * (2 * m + 2) - m).T[:, :, None], axis=0, out=key[1:])
+        key += seg.T[:, :, None]
+        best = key.argmin(axis=0)
+        cut = key.ravel()[best * (nb * block) + lanes[:nb]] % (m + 1)
+        # the cut's neighbours: the nearer of a held edge and a core point (cp's flat q is the one below core cut q)
+        q = seg.ravel()[best + (edges + 1) * row] % (m + 1) + (core + 2) * row
+        ranks, below_best = (er >> 1).T[:, :, None], sorted_edge < best
+        below = np.maximum(np.where(inc & below_best, ranks, -1).max(axis=0), cp.ravel()[q] >> 1)
+        above = np.minimum(np.where(inc > below_best, ranks, n).min(axis=0), cp.ravel()[q + 1] >> 1)
         both = 0.5 * (x[below] + x[np.minimum(above, n - 1)])  # x[-1] and x[n-1] stand in at c = 0 and c = m
-        thetas[lo : lo + nb] = np.where(cut == 0, 0.0, np.where(cut == m, 1.0, both)).T
+        thetas[lo : lo + nb] = np.where(cut == 0, 0.0, np.where(cut == m, 1.0, both))
     return thetas.ravel()
 
 

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import time
+import tracemalloc
 from dataclasses import dataclass
 from unittest import mock
 
@@ -289,7 +290,9 @@ def _drifting_path(process: str, horizon: int, seed: int):
 
 
 class TestSlidingWindowErm:
-    @pytest.mark.parametrize("budget", [1, evaluation.ERM_BATCH_ELEMENTS])  # 1: one block per chunk
+    # budgets count int64s of key memory; on these 700-step paths 1 puts one block in each chunk, 2**9
+    # several blocks in each of many chunks (one at window 100), ERM_BATCH_ELEMENTS every block in one chunk
+    @pytest.mark.parametrize("budget", [1, evaluation.ERM_BATCH_ELEMENTS, 2**9])
     @pytest.mark.parametrize("window, block", [(8, 8), (9, 8), (2, 2), (23, 2), (47, 3), (64, 8), (100, 16)])
     @pytest.mark.parametrize("process", ["product", "markov"])
     def test_matches_per_window_reference(self, process, window, block, budget):
@@ -300,6 +303,36 @@ class TestSlidingWindowErm:
             blocks = (700 - first) // block
             thetas = _sliding_threshold_erm(space, first, blocks, window, block, budget)
             assert np.array_equal(thetas, _per_window_thetas(sp.xs, sp.ys, first, first + blocks * block, window))
+
+    @pytest.mark.parametrize("labels", ["drifting", "ones"])
+    @pytest.mark.parametrize("window", [32767, 32768, 46341])
+    def test_keys_on_both_sides_of_the_int32_bound(self, window, labels):
+        # keys reach 2(m+1)m: int32 up to m = 32,767 and int64 above; at 46,341 all-one labels
+        # drive int32 keys past 2**31, so a wrong dtype rule shows
+        rng = np.random.default_rng(window)
+        xs = rng.random(window + 45)
+        ys = np.ones(xs.size, dtype=np.int64) if labels == "ones" else (rng.random(xs.size) < 0.2 + 0.6 * xs).astype(np.int64)
+        space = _rank_space(xs, ys)
+        expected = _per_window_thetas(xs, ys, window + 3, window + 43, window)
+        # 1: one block per chunk; ERM_BATCH_ELEMENTS: one block per chunk at these windows; 2**16: 3 (int32) or 1 (int64)
+        for budget in (1, evaluation.ERM_BATCH_ELEMENTS, 2**16):
+            assert np.array_equal(_sliding_threshold_erm(space, window + 3, 5, window, 8, budget), expected)
+
+    def test_peak_traced_memory_of_one_call(self):
+        sp = _drifting_path("product", 8000, seed=465)
+        space = _rank_space(sp.xs, sp.ys)
+        blocks = (8000 - 465) // evaluation.SLIDE_BLOCK
+        call = functools.partial(_sliding_threshold_erm, space, 465, blocks, 465, evaluation.SLIDE_BLOCK, evaluation.ERM_BATCH_ELEMENTS)
+        call()  # warm numpy's lazy set-up outside the trace
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the int64 kernel of commit 1c96211 peaked at 616,562-619,062 bytes here over 35 calls (Python 3.11.7,
+        # numpy 2.4.6); its least is the cap, so a larger chunk cannot raise the kernel's memory unseen
+        assert peak <= 616_562
 
     @pytest.mark.parametrize("seed", range(6))
     def test_labels_all_one_side_and_extreme_x(self, seed):

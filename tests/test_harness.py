@@ -664,18 +664,6 @@ class TestRunVerify:
         with pytest.raises(ConfigError, match="trials"):
             run_verify("uniform_deviation", {"trials": 1})
 
-    @pytest.mark.parametrize("cap", [float("nan"), float("inf"), 0.0, -1.0])
-    def test_mixing_rate_bad_cap_names_cap(self, cap):
-        with pytest.raises(ConfigError) as excinfo:
-            run_verify("mixing_rate", {"cap": cap, "r": [1.0]})
-        assert excinfo.value.key == "cap"
-
-    @pytest.mark.parametrize("rate", [-1.0, 0.0, float("nan"), float("inf")])
-    def test_mixing_rate_bad_rate_names_r(self, rate):
-        with pytest.raises(ConfigError) as excinfo:
-            run_verify("mixing_rate", {"r": [1.0, rate]})
-        assert excinfo.value.key == "r"
-
     @pytest.mark.parametrize(
         "kind,options,key",
         [
@@ -704,6 +692,8 @@ class TestRunVerify:
             ("blocking", {"states": []}, "states"),
             ("blocking", {"ts": []}, "ts"),
             ("mixing_rate", {"r": []}, "r"),
+            *[("mixing_rate", {"cap": cap, "r": [1.0]}, "cap") for cap in (float("nan"), float("inf"), 0.0, -1.0)],
+            *[("mixing_rate", {"r": [1.0, rate]}, "r") for rate in (-1.0, 0.0, float("nan"), float("inf"))],
         ],
     )
     def test_bad_list_option_names_option(self, kind, options, key):
