@@ -307,11 +307,15 @@ class TestSlidingWindowErm:
     @pytest.mark.parametrize("labels", ["drifting", "ones"])
     @pytest.mark.parametrize("window", [32767, 32768, 46341])
     def test_keys_on_both_sides_of_the_int32_bound(self, window, labels):
-        # keys reach 2(m+1)m: int32 up to m = 32,767 and int64 above; at 46,341 all-one labels
-        # drive int32 keys past 2**31, so a wrong dtype rule shows
+        # keys reach 2(m+1)m: int32 up to m = 32,767 and int64 above.  With all-one labels on rising x,
+        # each step's top segment holds its whole window, whose key (m+2)m passes 2**31 at m = 46,341,
+        # so int32 keys there would wrap and pick theta 1 over theta 0
         rng = np.random.default_rng(window)
         xs = rng.random(window + 45)
-        ys = np.ones(xs.size, dtype=np.int64) if labels == "ones" else (rng.random(xs.size) < 0.2 + 0.6 * xs).astype(np.int64)
+        if labels == "ones":
+            xs, ys = np.sort(xs), np.ones(xs.size, dtype=np.int64)
+        else:
+            ys = (rng.random(xs.size) < 0.2 + 0.6 * xs).astype(np.int64)
         space = _rank_space(xs, ys)
         expected = _per_window_thetas(xs, ys, window + 3, window + 43, window)
         # 1: one block per chunk; ERM_BATCH_ELEMENTS: one block per chunk at these windows; 2**16: 3 (int32) or 1 (int64)
