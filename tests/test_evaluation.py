@@ -322,6 +322,17 @@ class TestSlidingWindowErm:
         for budget in (1, evaluation.ERM_BATCH_ELEMENTS, 2**16):
             assert np.array_equal(_sliding_threshold_erm(space, window + 3, 5, window, 8, budget), expected)
 
+    def test_long_path_puts_search_keys_in_int64(self):
+        # on a 2**20-point path, a chunk of 1,024 or more blocks puts the row-separated search keys past
+        # 2**31, so budget 2**17 (1,100 blocks by int32 keys) must run int64 although window 48 keeps the
+        # keys small; ERM_BATCH_ELEMENTS (202 blocks a chunk) stays int32
+        rng = np.random.default_rng(20)
+        xs, ys = rng.random(2**20), rng.integers(0, 2, 2**20)
+        space = _rank_space(xs, ys)
+        wide = _sliding_threshold_erm(space, 48, 1100, 48, 8, 2**17)
+        assert np.array_equal(wide, _sliding_threshold_erm(space, 48, 1100, 48, 8, evaluation.ERM_BATCH_ELEMENTS))
+        assert np.array_equal(wide[-96:], _per_window_thetas(xs, ys, 8752, 8848, 48))
+
     def test_peak_traced_memory_of_one_call(self):
         sp = _drifting_path("product", 8000, seed=465)
         space = _rank_space(sp.xs, sp.ys)
