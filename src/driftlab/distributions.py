@@ -178,39 +178,19 @@ def make_drift_schedule(
 
     directions = None
     if kind == "triangle_wave":
-        directions = _triangle_directions(deltas, 1 if np.random.default_rng(seed).integers(0, 2) == 0 else -1)
+        direction = 1 if np.random.default_rng(seed).integers(0, 2) == 0 else -1
+        directions = np.empty(horizon, dtype=np.int64)
+        directions[0] = direction
+        position = 0.5
+        for i in range(1, horizon):
+            step = deltas[i]
+            if not 0.0 <= position + direction * step <= 1.0:
+                direction = -direction
+            position = min(1.0, max(0.0, position + direction * step))
+            directions[i] = direction
 
     growth = float(np.max(np.cumsum(deltas) / np.arange(1, horizon + 1, dtype=float) ** alpha))
     return DriftSchedule(kind=kind, alpha=alpha, deltas=deltas, growth_constant=growth, directions=directions)
-
-
-def _triangle_directions(deltas: np.ndarray, direction: int) -> np.ndarray:
-    """+/-1 per step, starting with ``direction``: a position that starts at 0.5
-    moves by direction * deltas[i] at step i, and the direction flips first
-    whenever that move would leave [0,1] (the position is then clamped).
-
-    A stretch without a flip is one ``np.cumsum``, which adds in the per-step
-    order, so the positions are the same floats.  Its lookahead doubles while
-    no flip turns up.  The step that flips, and the 16 after it, are walked
-    one at a time, so a schedule that flips at every step costs what the
-    per-step walk does.
-    """
-    directions = np.empty(deltas.size, dtype=np.int64)
-    directions[0] = direction
-    position, i, ahead = 0.5, 1, 0
-    while i < deltas.size:
-        if ahead < 16:
-            if not 0.0 <= position + direction * deltas[i] <= 1.0:
-                direction, ahead = -direction, -1
-            position = min(1.0, max(0.0, position + direction * deltas[i]))
-            directions[i], i, ahead = direction, i + 1, ahead + 1
-            continue
-        path = np.cumsum(np.concatenate(([position], direction * deltas[i : i + ahead])))
-        out = np.flatnonzero((path < 0.0) | (path > 1.0))
-        steps = (out[0] if out.size else path.size) - 1  # steps before the first that would leave [0,1]
-        directions[i : i + steps] = direction
-        position, i, ahead = path[steps], i + steps, 0 if out.size else 2 * ahead
-    return directions
 
 
 class ConceptPath(Sequence[ThresholdConcept]):

@@ -281,7 +281,7 @@ def _sliding_threshold_erm(
         q = seg.ravel()[best + (edges + 1) * row] % (m + 1) + (core + 2) * row
         ranks, below_best = (er >> 1).T[:, :, None], sorted_edge < best
         below = np.maximum(np.where(inc & below_best, ranks, -1).max(axis=0), cp.ravel()[q] >> 1)
-        above = np.minimum(np.where(inc > below_best, ranks, n).min(axis=0), cp.ravel()[q + 1] >> 1)
+        above = np.minimum(np.where(inc & ~below_best, ranks, n).min(axis=0), cp.ravel()[q + 1] >> 1)
         both = 0.5 * (x[below] + x[np.minimum(above, n - 1)])  # x[-1] and x[n-1] stand in at c = 0 and c = m
         thetas[lo : lo + nb] = np.where(cut == 0, 0.0, np.where(cut == m, 1.0, both))
     return thetas.ravel()
