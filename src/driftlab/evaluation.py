@@ -87,6 +87,7 @@ SLIDE_BLOCK = 8
 
 # curve rows are converted and written this many at a time, bounding the text held in memory
 CSV_CHUNK_ROWS = 4096
+CSV_REPR_ROWS = 32  # ranges of at most this many rows are written by repr, cheaper there than one kernel call
 
 # Curve text.  A float64 value x with 1e-3 <= |x| < 2**53 is written from
 # c = |x| * 10**k, scaled into [1e16, 1e17) and held exactly as hi + lo
@@ -104,6 +105,12 @@ _DIGIT_PAIRS = np.frombuffer(b"".join(b"%02d" % g for g in range(100)), dtype=np
 _DIGIT_GROUPS = np.stack([np.repeat(_DIGIT_PAIRS, 100), np.tile(_DIGIT_PAIRS, 100)], axis=1).view(np.uint32)[:, 0]
 _KEEP_FROM = np.frombuffer(b"".join(b"\0" * j + b"\xff" * (4 - j) for j in range(5)), dtype=np.uint32)
 _KEEP_BELOW = np.frombuffer(b"".join(b"\xff" * j + b"\0" * (4 - j) for j in range(5)), dtype=np.uint32)
+# _SLOT_MASKS[w]: those masks, (groups, w + 1) by group g and slot bound 0..w, of a _digit_slots text of
+# w <= 20 slots (every uint64), built once: group g holds slots 4g - pad .. 4g - pad + 3, pad = -w % 4
+_SLOT_MASKS = [
+    (_KEEP_FROM[bounds], _KEEP_BELOW[bounds])
+    for bounds in (np.clip(np.arange(w + 1) + (-w % 4) - 4 * np.arange(-(-w // 4))[:, None], 0, 4) for w in range(21))
+]
 
 
 @contextlib.contextmanager
@@ -189,16 +196,15 @@ def _digit_slots(values: np.ndarray, width: int, first: np.ndarray | None = None
     the left, with 0 bytes outside the slots first..stop-1 of each row."""
     groups = -(-width // 4)
     pad = 4 * groups - width
+    keep_from, keep_below = _SLOT_MASKS[width]
     out = np.empty((values.size, groups), dtype=np.uint32)
     for g in range(groups - 1, -1, -1):
         rest = values // np.uint64(10000)
         text = _DIGIT_GROUPS[(values - rest * np.uint64(10000)).astype(np.intp)]
-        # the group holds slots 4g - pad .. 4g - pad + 3; masks by slot bound 0..width
-        bounds = np.clip(np.arange(width + 1) + pad - 4 * g, 0, 4)
         if first is not None:
-            text &= _KEEP_FROM[bounds][first]
+            text &= keep_from[g][first]
         if stop is not None:
-            text &= _KEEP_BELOW[bounds][stop]
+            text &= keep_below[g][stop]
         out[:, g] = text
         values = rest
     return out.view(np.uint8)[:, pad:]
@@ -261,15 +267,19 @@ def _text_slots(column: np.ndarray) -> np.ndarray:
 def write_curve_rows(fh: TextIO, columns: Sequence[np.ndarray], start: int, stop: int) -> None:
     """Write curve rows start..stop-1 as ``t,<column values>`` lines with t = row + 1.
 
-    Every value is written as its repr (shortest round-trip float, plain int).
-    Each chunk of rows is built as one uint8 matrix, a row of text slots per
-    curve row (``_text_slots`` per column, commas, newline), and written as
-    its bytes less the 0 bytes of unused slots.  Chunks are compared by their
-    bits (dtype and bytes): one repeated value (``inf_risk`` of a threshold
-    run, or all -0.0) is that value's repr in every row, and equal chunks
-    (``cum_excess``, ``ci_lo`` and ``ci_hi`` of a one-seed mean curve) share
-    one slot matrix.  Mixed 0.0/-0.0 stay per value.
+    Every value is written as its repr (shortest round-trip float, plain int),
+    a range of at most CSV_REPR_ROWS rows by ``repr`` itself.  A longer range
+    goes in chunks, each one uint8 matrix of a row of text slots per curve row
+    (``_text_slots`` per column, slot masks built once per width; commas;
+    newline) written as its bytes less the 0 bytes of unused slots.
+    Chunks equal by bits (dtype and bytes) share one slot matrix, and a chunk
+    of one repeated value (``inf_risk``, or all -0.0) is its repr in every
+    row.  Mixed 0.0/-0.0 stay per value.
     """
+    if stop - start <= CSV_REPR_ROWS:
+        rows = zip(range(start + 1, stop + 1), *(column[start:stop].tolist() for column in columns))
+        fh.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
+        return
     for lo in range(start, stop, CSV_CHUNK_ROWS):
         hi = min(lo + CSV_CHUNK_ROWS, stop)
         chunks = [column[lo:hi] for column in columns]
@@ -320,11 +330,11 @@ class RegretCurve:
     def replicates(self) -> int:
         return self.risks.shape[0]
 
-    @property
+    @functools.cached_property
     def mean_risk(self) -> np.ndarray:
         return self.risks.mean(axis=0)
 
-    @property
+    @functools.cached_property
     def cum_excess(self) -> np.ndarray:
         return np.cumsum(self.mean_risk - self.inf_risks)
 
@@ -333,10 +343,14 @@ class RegretCurve:
 
     def ci_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Normal-approximation 95% CI for the replicate-mean cumulative excess."""
+        return self._ci  # computed once per curve, as are mean_risk and cum_excess: shared arrays, not to be written
+
+    @functools.cached_property
+    def _ci(self) -> tuple[np.ndarray, np.ndarray]:
         per_rep = self.replicate_cum_excess()
         center = per_rep.mean(axis=0)
         if self.replicates < 2:
-            return center.copy(), center.copy()
+            return center, center
         se = per_rep.std(axis=0, ddof=1) / math.sqrt(self.replicates)
         return center - 1.96 * se, center + 1.96 * se
 

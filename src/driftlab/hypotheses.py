@@ -197,11 +197,11 @@ def threshold_erm_rows(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     reachable[:, 0] = True
     reachable[:, 1:n] = x[:, :-1] < x[:, 1:]
     reachable[:, n] = x[:, -1] < 1.0
-    best = np.argmin(np.where(reachable, losses, n + 1), axis=1)[:, None]
-    below = np.take_along_axis(x, np.maximum(best - 1, 0), axis=1)
-    above = np.take_along_axis(x, np.minimum(best, n - 1), axis=1)
-    thetas = np.where(best == 0, 0.0, np.where(best == n, 1.0, 0.5 * (below + above)))
-    return thetas[:, 0]
+    best = np.argmin(np.where(reachable, losses, n + 1), axis=1)
+    row_start = n * np.arange(rows)  # flat gathers: the rows of x.ravel() start here
+    below = x.ravel()[row_start + np.maximum(best - 1, 0)]
+    above = x.ravel()[row_start + np.minimum(best, n - 1)]
+    return np.where(best == 0, 0.0, np.where(best == n, 1.0, 0.5 * (below + above)))
 
 
 def _rank_space(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:

@@ -32,6 +32,8 @@ from driftlab import (
     SubsampledErmLearner,
     ThresholdClass,
     beta_coefficient,
+    build_learner,
+    build_model,
     concept_path,
     default_checkpoints,
     fit_growth_exponent,
@@ -419,6 +421,7 @@ class TestWriteCurveRows:
     @pytest.mark.parametrize("chunk_rows", [3, 4096])
     def test_constant_columns_write_the_same_bytes(self, chunk_rows, monkeypatch, tmp_path):
         monkeypatch.setattr(evaluation, "CSV_CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr(evaluation, "CSV_REPR_ROWS", 0)  # every range through the kernel
         n = 11
         columns = [
             np.full(n, 0.1),  # inf_risk
@@ -441,6 +444,7 @@ class TestWriteCurveRows:
     @pytest.mark.parametrize("chunk_rows", [4, 7])
     def test_bitwise_equal_columns_write_the_same_bytes(self, chunk_rows, monkeypatch, tmp_path):
         monkeypatch.setattr(evaluation, "CSV_CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr(evaluation, "CSV_REPR_ROWS", 0)
         n = 23
         rng = np.random.default_rng(5)
         a, b = rng.random(n), rng.random(n) - 0.5
@@ -462,6 +466,42 @@ class TestWriteCurveRows:
             with open(target, "w", encoding="utf-8", newline="") as fh:
                 evaluation.write_curve_rows(fh, columns, start, stop)
             assert target.read_bytes() == self._plain(columns, start, stop).encode()
+
+    def test_flushes_of_every_length_on_both_sides_of_the_repr_bound(self):
+        """A curve written in ranges of 1..70 rows: short ranges go through repr, the
+        others through the kernel, and both write every value as repr does."""
+        assert 1 <= evaluation.CSV_REPR_ROWS < 70
+        n = 150
+        rng = np.random.default_rng(21)
+        special = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 2.2250738585072014e-308 / 3, 0.0, 1e-300, 2.0**60]
+        risks = rng.random(n)
+        risks[rng.choice(n, 3 * len(special), replace=False)] = special * 3
+        gaps = np.repeat(np.arange(1, 16, dtype=np.int64), 10)
+        columns = [
+            risks,
+            np.full(n, 0.1),  # a constant column
+            np.cumsum(np.nan_to_num(risks, posinf=1.0, neginf=0.0)),
+            risks.copy(),  # bit-equal to ``risks``
+            gaps,
+            np.where(gaps > 3, gaps * 10**15, 0),  # int64 plan columns, 0 and 17-digit values
+        ]
+        expected = self._plain(columns, 0, n).splitlines()
+        for rows in range(1, 71):
+            out = io.StringIO()
+            for start in range(0, n, rows):
+                evaluation.write_curve_rows(out, columns, start, min(start + rows, n))
+            assert out.getvalue().splitlines() == expected, rows
+
+    def test_slot_masks_match_per_group_clip(self):
+        for width in range(1, 21):
+            groups = -(-width // 4)
+            pad = 4 * groups - width
+            keep_from, keep_below = evaluation._SLOT_MASKS[width]
+            assert keep_from.shape == keep_below.shape == (groups, width + 1)
+            for g in range(groups):
+                bounds = np.clip(np.arange(width + 1) + pad - 4 * g, 0, 4)
+                assert np.array_equal(keep_from[g], evaluation._KEEP_FROM[bounds])
+                assert np.array_equal(keep_below[g], evaluation._KEEP_BELOW[bounds])
 
 
 def _near_powers_of_ten() -> np.ndarray:
@@ -490,7 +530,8 @@ class TestCurveText:
     @staticmethod
     def _check(values: np.ndarray, chunk_rows: int = 4096) -> None:
         columns = [values, -values[::-1].copy()]
-        with mock.patch.object(evaluation, "CSV_CHUNK_ROWS", chunk_rows):
+        # CSV_REPR_ROWS 0: ranges of 32 rows or fewer go through the kernel, not repr
+        with mock.patch.object(evaluation, "CSV_CHUNK_ROWS", chunk_rows), mock.patch.object(evaluation, "CSV_REPR_ROWS", 0):
             for start, stop in ((0, values.size), (values.size // 3, values.size)):
                 out = io.StringIO()
                 evaluation.write_curve_rows(out, columns, start, stop)
@@ -630,6 +671,50 @@ class TestRunExperiment:
         for kind in LEARNER_KINDS:
             with pytest.raises(TypeError, match="unsupported function class FiniteExplicitClass"):
                 _learner(kind, sched, fclass)
+
+
+class TestLastPointOracle:
+    """A whole run (config, sample path, plan, ERM, exact risk, seed mean) against a law derived by hand.
+
+    ``last_point`` fits the one point (x, y) of step t-1: theta 0 when y = 1 and
+    theta 1 when y = 0 (x < 1 almost surely).  Every x is uniform, for the
+    Markov process too (its doubly stochastic chain starts at its uniform
+    stationary law), so y_{t-1} = 1 with p = eta + (1-2 eta)(1 - theta_{t-1}) and
+    E[risk_t] = p (eta + (1-2 eta) theta_t) + (1-p)(eta + (1-2 eta)(1 - theta_t));
+    step 1 deploys theta 0.  Runs go under the paper's slow power-step drift and
+    under a constant drift fast enough that a wrong time index of a label or a
+    risk shows.
+    """
+
+    SEEDS = tuple(range(100, 164))  # fixed before the first run
+    HORIZON = 8192
+    CHECKPOINTS = np.array([512, 2048, 8192])
+
+    @pytest.mark.parametrize("process", [{"kind": "product"}, {"kind": "markov_modulated", "states": 4, "flip": 0.25}])
+    @pytest.mark.parametrize("drift", [{"kind": "power_step", "alpha": 0.25}, {"kind": "constant", "gamma": 0.3}])
+    def test_seed_mean_cumulative_excess_matches_closed_form(self, drift, process):
+        eta = 0.1
+        resolved = resolve_config(
+            {
+                "horizon": self.HORIZON,
+                "seeds": list(self.SEEDS),
+                "drift": drift,
+                "concept": {"eta": eta, "theta0": 0.5},
+                "process": process,
+                "learner": {"kind": "last_point"},
+            }
+        )
+        model, schedule = build_model(resolved)
+        curve = run_experiment(model, build_learner(resolved, schedule), self.HORIZON, self.SEEDS)
+        theta = model.marginals.thetas[: self.HORIZON]
+        p = eta + (1 - 2 * eta) * (1 - theta[:-1])
+        rest = p * (eta + (1 - 2 * eta) * theta[1:]) + (1 - p) * (eta + (1 - 2 * eta) * (1 - theta[1:]))
+        expected = np.cumsum(np.concatenate(([eta + (1 - 2 * eta) * theta[0]], rest)) - eta)[self.CHECKPOINTS - 1]
+        # the seed spread from the raw risks, not from RegretCurve's own aggregates
+        per_seed = np.cumsum(curve.risks - eta, axis=1)[:, self.CHECKPOINTS - 1]
+        se = per_seed.std(axis=0, ddof=1) / math.sqrt(len(self.SEEDS))
+        z = (curve.cum_excess[self.CHECKPOINTS - 1] - expected) / se
+        assert np.all(np.abs(z) <= 4.0), z
 
 
 class TestCheckpoints:
