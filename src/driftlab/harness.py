@@ -19,9 +19,11 @@ survive interruption, and every other file is replaced atomically.
 from __future__ import annotations
 
 import copy
+import csv
 import functools
 import hashlib
 import inspect
+import io
 import itertools
 import json
 import math
@@ -30,7 +32,7 @@ import time
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Collection, Sequence
 
 import numpy as np
 
@@ -61,6 +63,7 @@ from .evaluation import (
 )
 from .hypotheses import ThresholdClass
 from .learners import (
+    BASELINE_KINDS,
     AdaptiveWindowLearner,
     BaselineLearner,
     ConstantWindowLearner,
@@ -94,16 +97,6 @@ __all__ = [
 # verify options set by a CLI flag are named by that flag in errors
 VERIFY_FLAGS = {"trials": "--trials", "pairs": "--pairs", "seed": "--seed", "m_grid": "--m-grid"}
 
-DRIFT_KINDS = ("power_step", "constant", "triangle_wave")
-PROCESS_KINDS = ("product", "markov_modulated")
-LEARNER_KINDS = (
-    "subsampled_erm",
-    "adaptive_window",
-    "constant_window",
-    "full_history_erm",
-    "last_point",
-)
-
 
 class ConfigError(ValueError):
     """Validation failure; ``key`` names the offending config key or flag."""
@@ -118,7 +111,7 @@ def _require(condition: bool, key: str, message: str) -> None:
         raise ConfigError(key, message)
 
 
-def _check_keys(section: dict, allowed: Sequence[str], prefix: str) -> None:
+def _check_keys(section: dict, allowed: Collection[str], prefix: str) -> None:
     for key in section:
         if key not in allowed:
             raise ConfigError(f"{prefix}.{key}" if prefix else key, "unknown key")
@@ -141,10 +134,83 @@ def _as_int(value: Any, key: str) -> int:
     return int(value)
 
 
+def _as_int_list(value: Any, key: str) -> list[int]:
+    _require(isinstance(value, list) and len(value) > 0, key, "must be a non-empty list")
+    return [_as_int(v, key) for v in value]
+
+
+# Every numeric config key: (type, default, range check, message when the check fails). A default of
+# None marks a required key; one that names another key inherits that key's value, and without one is required.
+KEYS = {
+    "horizon": (_as_int, None, lambda v: v >= 1, "must be >= 1"),
+    "seeds": (_as_int_list, None, lambda v: min(v) >= 0, "must be non-negative integers"),
+    "drift.alpha": (_as_float, None, lambda v: 0.0 <= v < 1.0, "must lie in [0,1)"),
+    "drift.gamma": (_as_float, None, lambda v: 0.0 < v <= 1.0, "must lie in (0,1]"),
+    "drift.c0": (_as_float, 1.0, lambda v: v > 0.0, "must be positive"),
+    "drift.seed": (_as_int, 0, lambda v: v >= 0, "must be >= 0"),
+    "concept.eta": (_as_float, 0.1, lambda v: 0.0 <= v < 0.5, "must lie in [0, 0.5)"),
+    "concept.theta0": (_as_float, 0.5, lambda v: 0.0 <= v <= 1.0, "must lie in [0,1]"),
+    "process.states": (_as_int, None, lambda v: 2 <= v <= MAX_STATES, f"must lie in [2,{MAX_STATES}]"),
+    "process.flip": (_as_float, None, lambda v: 0.0 < v < 1.0, "must lie in (0,1)"),
+    "learner.alpha": (_as_float, "drift.alpha", lambda v: 0.0 <= v < 1.0, "must lie in [0,1)"),
+    "learner.r": (_as_float, None, lambda v: v > 0.0, "must be positive"),
+    "learner.gamma": (_as_float, "drift.gamma", lambda v: 0.0 < v <= 1.0, "must lie in (0,1]"),
+}
+# the keys each kind reads besides "kind", in the order they are checked
+KINDS = {
+    "drift": {
+        "power_step": ("c0", "alpha", "seed"),
+        "constant": ("gamma", "alpha", "seed"),
+        "triangle_wave": ("c0", "alpha", "seed"),
+    },
+    "process": {"product": (), "markov_modulated": ("states", "flip")},
+    "learner": {
+        "subsampled_erm": ("alpha", "r"),
+        "adaptive_window": (),
+        "constant_window": ("gamma",),
+        **dict.fromkeys(BASELINE_KINDS, ()),
+    },
+}
+# constant drift moves by gamma alone, so its alpha is optional
+KIND_DEFAULTS = {"drift.constant": {"alpha": 0.0}}
+
+
+def _resolve_key(section: dict, key: str, default: Any = None) -> Any:
+    """``key`` read from its raw ``section`` by its row in KEYS; ``default``, when not None, replaces the row's."""
+    convert, row_default, check, message = KEYS[key]
+    value = convert(section.get(key.rpartition(".")[2], row_default if default is None else default), key)
+    _require(check(value), key, message)
+    return value
+
+
+def _resolve_section(raw: dict, name: str, default: dict | None = None, inherit: dict | None = None) -> dict:
+    """Section ``name`` of ``raw``: its kind and the keys that kind reads, or all its keys if it has no kinds."""
+    section = raw.get(name, default)
+    _require(isinstance(section, dict), name, "must be an object")
+    leaves = [key.partition(".")[2] for key in KEYS if key.startswith(f"{name}.")]
+    if name not in KINDS:
+        _check_keys(section, leaves, name)
+        return {leaf: _resolve_key(section, f"{name}.{leaf}") for leaf in leaves}
+    _check_keys(section, ["kind", *leaves], name)
+    kinds = tuple(KINDS[name])
+    kind = section.get("kind")
+    # a tuple, not the dict: an unhashable kind is a config error, not a TypeError
+    _require(kind in kinds, f"{name}.kind", f"must be one of {kinds}")
+    resolved = {"kind": kind}
+    for leaf in KINDS[name][kind]:
+        key = f"{name}.{leaf}"
+        default = KIND_DEFAULTS.get(f"{name}.{kind}", {}).get(leaf, KEYS[key][1])
+        if default in KEYS:
+            source, _, source_leaf = default.partition(".")
+            _require(leaf in section or source_leaf in inherit[source], key, f"required (no {default} to inherit)")
+            default = inherit[source].get(source_leaf)
+        resolved[leaf] = _resolve_key(section, key, default)
+    return resolved
+
+
 def _checkpoint_list(values: Any, horizon: int, key: str) -> list[int]:
     """Validate an explicit checkpoint list: non-empty, strictly increasing ints in [1, horizon]."""
-    checkpoints = [_as_int(v, key) for v in values]
-    _require(len(checkpoints) > 0, key, "must be non-empty")
+    checkpoints = _as_int_list(values, key)
     _require(all(1 <= v <= horizon for v in checkpoints), key, "must lie in [1, horizon]")
     _require(all(b > a for a, b in zip(checkpoints, checkpoints[1:])), key, "must be strictly increasing")
     return checkpoints
@@ -173,106 +239,44 @@ def resolve_config(raw: dict) -> dict:
     stream processes, and constant-window learners need a usable gamma.
     """
     _require(isinstance(raw, dict), "config", "must be a JSON object")
-    _check_keys(
-        raw,
-        ["horizon", "seeds", "out", "checkpoints", "drift", "concept", "process", "function_class", "learner", "sweep"],
-        "",
-    )
-
-    horizon = _as_int(raw.get("horizon"), "horizon")
-    _require(horizon >= 1, "horizon", "must be >= 1")
-
-    seeds_raw = raw.get("seeds")
-    _require(isinstance(seeds_raw, list) and len(seeds_raw) > 0, "seeds", "must be a non-empty list")
-    seeds = [_as_int(s, "seeds") for s in seeds_raw]
-    _require(all(s >= 0 for s in seeds), "seeds", "must be non-negative integers")
+    _check_keys(raw, {key.partition(".")[0] for key in KEYS} | {"out", "checkpoints", "function_class", "sweep"}, "")
+    horizon = _resolve_key(raw, "horizon")
+    seeds = _resolve_key(raw, "seeds")
     _require(len(set(seeds)) == len(seeds), "seeds", "must be distinct")
-
     out = raw.get("out", "out")
     _require(isinstance(out, str) and out, "out", "must be a non-empty string")
 
-    drift_raw = raw.get("drift")
-    _require(isinstance(drift_raw, dict), "drift", "must be an object")
-    _check_keys(drift_raw, ["kind", "alpha", "gamma", "c0", "seed"], "drift")
-    drift_kind = drift_raw.get("kind")
-    _require(drift_kind in DRIFT_KINDS, "drift.kind", f"must be one of {DRIFT_KINDS}")
-    drift = {"kind": drift_kind}
-    if drift_kind == "constant":
-        gamma = _as_float(drift_raw.get("gamma"), "drift.gamma")
-        _require(0.0 < gamma <= 1.0, "drift.gamma", "must lie in (0,1]")
-        drift["gamma"] = gamma
-        alpha = _as_float(drift_raw.get("alpha", 0.0), "drift.alpha")
-    else:
-        alpha = _as_float(drift_raw.get("alpha"), "drift.alpha")
-        drift["c0"] = _as_float(drift_raw.get("c0", 1.0), "drift.c0")
-        _require(drift["c0"] > 0.0, "drift.c0", "must be positive")
-    _require(0.0 <= alpha < 1.0, "drift.alpha", "must lie in [0,1)")
-    drift["alpha"] = alpha
-    drift["seed"] = _as_int(drift_raw.get("seed", 0), "drift.seed")
-    _require(drift["seed"] >= 0, "drift.seed", "must be >= 0")
-
-    concept_raw = raw.get("concept", {})
-    _require(isinstance(concept_raw, dict), "concept", "must be an object")
-    _check_keys(concept_raw, ["eta", "theta0"], "concept")
-    eta = _as_float(concept_raw.get("eta", 0.1), "concept.eta")
-    _require(0.0 <= eta < 0.5, "concept.eta", "must lie in [0, 0.5)")
-    theta0 = _as_float(concept_raw.get("theta0", 0.5), "concept.theta0")
-    _require(0.0 <= theta0 <= 1.0, "concept.theta0", "must lie in [0,1]")
+    drift = _resolve_section(raw, "drift")
+    concept = _resolve_section(raw, "concept", default={})
+    eta = concept["eta"]
     max_delta = drift.get("gamma", 0.0)
-    if drift_kind != "constant":
-        max_delta = min(1.0, drift["c0"] * 2.0 ** (alpha - 1.0)) if horizon >= 2 else 0.0
+    if drift["kind"] != "constant":
+        max_delta = min(1.0, drift["c0"] * 2.0 ** (drift["alpha"] - 1.0)) if horizon >= 2 else 0.0
     _require(
         max_delta <= 1.0 - 2.0 * eta,
         "concept.eta",
         f"largest drift step {max_delta:.6g} exceeds the concept range (1-2*eta)={1 - 2 * eta:.6g}",
     )
 
-    process_raw = raw.get("process")
-    _require(isinstance(process_raw, dict), "process", "must be an object")
-    _check_keys(process_raw, ["kind", "states", "flip"], "process")
-    process_kind = process_raw.get("kind")
-    _require(process_kind in PROCESS_KINDS, "process.kind", f"must be one of {PROCESS_KINDS}")
-    process = {"kind": process_kind}
-    if process_kind == "markov_modulated":
-        states = _as_int(process_raw.get("states"), "process.states")
-        _require(2 <= states <= MAX_STATES, "process.states", f"must lie in [2,{MAX_STATES}]")
-        flip = _as_float(process_raw.get("flip"), "process.flip")
-        _require(0.0 < flip < 1.0, "process.flip", "must lie in (0,1)")
+    process = _resolve_section(raw, "process")
+    if process["kind"] == "markov_modulated":
+        states = process["states"]
         # a subnormal flip/(states-1) can round to 0, which leaves the chain reducible
-        _require(flip / (states - 1) > 0.0, "process.flip", f"too small: flip/(states-1) is 0 with {states} states")
-        process["states"] = states
-        process["flip"] = flip
+        _require(process["flip"] / (states - 1) > 0.0, "process.flip", f"too small: flip/(states-1) is 0 with {states} states")
 
-    fc_raw = raw.get("function_class", {"kind": "threshold"})
+    fc_raw = raw.get("function_class", {})
     _require(isinstance(fc_raw, dict), "function_class", "must be an object")
     _check_keys(fc_raw, ["kind"], "function_class")
-    fc_kind = fc_raw.get("kind", "threshold")
     _require(
-        fc_kind == "threshold", "function_class.kind", "must be 'threshold': the stream processes emit threshold-concept data"
+        fc_raw.get("kind", "threshold") == "threshold",
+        "function_class.kind",
+        "must be 'threshold': the stream processes emit threshold-concept data",
     )
-    function_class = {"kind": "threshold"}
 
-    learner_raw = raw.get("learner")
-    _require(isinstance(learner_raw, dict), "learner", "must be an object")
-    _check_keys(learner_raw, ["kind", "alpha", "r", "gamma"], "learner")
-    learner_kind = learner_raw.get("kind")
-    _require(learner_kind in LEARNER_KINDS, "learner.kind", f"must be one of {LEARNER_KINDS}")
-    learner = {"kind": learner_kind}
-    if learner_kind == "subsampled_erm":
-        l_alpha = _as_float(learner_raw.get("alpha", drift["alpha"]), "learner.alpha")
-        _require(0.0 <= l_alpha < 1.0, "learner.alpha", "must lie in [0,1)")
-        l_r = _as_float(learner_raw.get("r"), "learner.r")
-        _require(l_r > 0.0, "learner.r", "must be positive")
+    learner = _resolve_section(raw, "learner", inherit={"drift": drift})
+    if learner["kind"] == "subsampled_erm":
         # from about 4.5e307 on, 3+4r overflows and the window exponent (3+2r)/(3+4r) is inf/inf
-        _require(math.isfinite(3.0 + 4.0 * l_r), "learner.r", "too large: the window exponents are not finite")
-        learner["alpha"] = l_alpha
-        learner["r"] = l_r
-    elif learner_kind == "constant_window":
-        l_gamma = learner_raw.get("gamma", drift.get("gamma"))
-        _require(l_gamma is not None, "learner.gamma", "required (no constant drift gamma to inherit)")
-        l_gamma = _as_float(l_gamma, "learner.gamma")
-        _require(0.0 < l_gamma <= 1.0, "learner.gamma", "must lie in (0,1]")
-        learner["gamma"] = l_gamma
+        _require(math.isfinite(3.0 + 4.0 * learner["r"]), "learner.r", "too large: the window exponents are not finite")
 
     checkpoints_raw = raw.get("checkpoints")
     if checkpoints_raw is None:
@@ -303,31 +307,24 @@ def resolve_config(raw: dict) -> dict:
         "out": out,
         "checkpoints": checkpoints,
         "drift": drift,
-        "concept": {"eta": eta, "theta0": theta0},
+        "concept": concept,
         "process": process,
-        "function_class": function_class,
+        "function_class": {"kind": "threshold"},
         "learner": learner,
     }
     if "sweep" in raw:
-        sweep_raw = raw["sweep"]
-        _require(isinstance(sweep_raw, dict), "sweep", "must be an object")
-        _check_keys(sweep_raw, ["grid", "cells"], "sweep")
-        sweep: dict[str, Any] = {}
-        if "grid" in sweep_raw:
-            grid = sweep_raw["grid"]
-            _require(isinstance(grid, dict), "sweep.grid", "must be an object")
-            for key, values in grid.items():
-                _require(isinstance(values, list) and len(values) > 0, f"sweep.grid.{key}", "must be a non-empty list")
-                _require(key != "seeds", "sweep.grid.seeds", "seeds are shared across cells and cannot be swept")
-            sweep["grid"] = grid
-        if "cells" in sweep_raw:
-            cells = sweep_raw["cells"]
-            _require(isinstance(cells, list), "sweep.cells", "must be a list")
-            for cell in cells:
-                _require(isinstance(cell, dict), "sweep.cells", "every cell must be an object")
-                _require("seeds" not in cell, "sweep.cells", "seeds are shared across cells and cannot be overridden")
-            sweep["cells"] = cells
-        resolved["sweep"] = sweep
+        sweep = raw["sweep"]
+        _require(isinstance(sweep, dict), "sweep", "must be an object")
+        _check_keys(sweep, ["grid", "cells"], "sweep")
+        _require(isinstance(sweep.get("grid", {}), dict), "sweep.grid", "must be an object")
+        for key, values in sweep.get("grid", {}).items():
+            _require(isinstance(values, list) and len(values) > 0, f"sweep.grid.{key}", "must be a non-empty list")
+            _require(key != "seeds", "sweep.grid.seeds", "seeds are shared across cells and cannot be swept")
+        _require(isinstance(sweep.get("cells", []), list), "sweep.cells", "must be a list")
+        for cell in sweep.get("cells", []):
+            _require(isinstance(cell, dict), "sweep.cells", "every cell must be an object")
+            _require("seeds" not in cell, "sweep.cells", "seeds are shared across cells and cannot be overridden")
+        resolved["sweep"] = dict(sweep)
     return resolved
 
 
@@ -350,17 +347,9 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def build_model(resolved: dict) -> tuple[ProcessModel, DriftSchedule]:
-    drift = resolved["drift"]
-    schedule = make_drift_schedule(
-        kind=drift["kind"],
-        alpha=drift["alpha"],
-        horizon=resolved["horizon"],
-        gamma=drift.get("gamma"),
-        c0=drift.get("c0", 1.0),
-        seed=drift.get("seed", 0),
-    )
-    concept = resolved["concept"]
-    path = concept_path(schedule, eta=concept["eta"], theta0=concept["theta0"])
+    # a resolved drift section holds exactly the schedule's parameters, and a concept section the path's
+    schedule = make_drift_schedule(horizon=resolved["horizon"], **resolved["drift"])
+    path = concept_path(schedule, **resolved["concept"])
     process = resolved["process"]
     if process["kind"] == "product":
         return ProductProcess(marginals=path), schedule
@@ -579,16 +568,12 @@ class SweepRecord:
 
 
 def _expand_cells(resolved: dict) -> list[dict]:
+    """The grid's cells, keys in sorted order, then the listed cells."""
     sweep = resolved.get("sweep") or {}
-    cells: list[dict] = []
-    grid = sweep.get("grid")
-    if grid:
-        keys = sorted(grid.keys())
-        for combo in itertools.product(*(grid[k] for k in keys)):
-            cells.append(dict(zip(keys, combo)))
-    for cell in sweep.get("cells", []):
-        cells.append(dict(cell))
-    return cells
+    grid = sweep.get("grid") or {}
+    keys = sorted(grid)
+    cells = [dict(zip(keys, combo)) for combo in itertools.product(*(grid[k] for k in keys))] if grid else []
+    return cells + [dict(cell) for cell in sweep.get("cells", [])]
 
 
 def run_sweep(raw: dict, out_root: str | Path, jobs: int = 1) -> SweepRecord:
@@ -602,8 +587,7 @@ def run_sweep(raw: dict, out_root: str | Path, jobs: int = 1) -> SweepRecord:
     """
     resolved = resolve_config(raw)
     cells = _expand_cells(resolved)
-    if not cells:
-        raise ConfigError("sweep", "sweep grid/cells must produce at least one cell")
+    _require(len(cells) > 0, "sweep", "sweep grid/cells must produce at least one cell")
     _check_jobs(jobs)
     cell_configs = [resolve_config(_cell_config(raw, cell)) for cell in cells]
     out_root = Path(out_root)
@@ -626,9 +610,9 @@ def run_sweep(raw: dict, out_root: str | Path, jobs: int = 1) -> SweepRecord:
             warmup = constant_window_size(1, cell_resolved["learner"]["gamma"])
         excess = curve.mean_risk - curve.inf_risks
         steady = excess[warmup:] if warmup < curve.horizon else excess
-        row = {key: cell.get(key) for key in swept_keys}
-        row.update(
+        rows.append(
             {
+                **cell,
                 "config_hash": record.config_hash,
                 "avg_excess": float(steady.mean()),
                 "final_cum_excess": float(curve.cum_excess[-1]),
@@ -640,18 +624,15 @@ def run_sweep(raw: dict, out_root: str | Path, jobs: int = 1) -> SweepRecord:
                 ),
             }
         )
-        rows.append(row)
 
     table_path = out_root / f"sweep-{sweep_digest}.csv"
     metric_cols = ["config_hash", "avg_excess", "final_cum_excess", "fit_exponent", "fit_theoretical"]
-    lines = [",".join(swept_keys + metric_cols)]
-    for row in rows:
-        cells_txt = []
-        for key in swept_keys + metric_cols:
-            value = row.get(key)
-            cells_txt.append("" if value is None else (f"{value!r}" if isinstance(value, float) else str(value)))
-        lines.append(",".join(cells_txt))
-    write_text_atomic(table_path, "\n".join(lines) + "\n")
+    text = io.StringIO()
+    # floats by repr; a key a cell does not set, or sets to None, is an empty field
+    table = csv.DictWriter(text, swept_keys + metric_cols, lineterminator="\n")
+    table.writeheader()
+    table.writerows(rows)
+    write_text_atomic(table_path, text.getvalue())
 
     manifest_path: str | None = None
     if failures:

@@ -8,11 +8,25 @@ import tempfile
 import time
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from driftlab import ConfigError, resolve_config, run_config
+from driftlab import (
+    AdaptiveWindowLearner,
+    BaselineLearner,
+    ConfigError,
+    ConstantWindowLearner,
+    SubsampledErmLearner,
+    build_learner,
+    build_model,
+    resolve_config,
+    run_config,
+)
 from driftlab.cli import main
+from driftlab.distributions import SCHEDULE_KINDS
+from driftlab.harness import KEYS, KINDS
+from driftlab.learners import BASELINE_KINDS
 
 TINY = [5e-324, 1e-323, 2.2250738585072014e-308]  # subnormals and the smallest normal float
 BELOW_ONE = 1.0 - 2.0**-53
@@ -50,6 +64,28 @@ WRONG = [2**64, 10**400, -1, 0, None, True, "0.5", [], {}, float("nan"), float("
 ANY_VALUE = st.one_of(
     st.sampled_from(WRONG), st.floats(allow_nan=False, allow_infinity=False), st.integers(-(2**70), 2**70), *VALID.values()
 )
+
+
+def test_valid_draws_every_table_key():
+    # VALID's values stay hand-picked, but a key added to the table must be drawn here too
+    assert set(VALID) == set(KEYS) | {f"{section}.kind" for section in KINDS}
+
+
+def test_table_kinds_are_the_kinds_the_builders_take():
+    assert set(KINDS["drift"]) == set(SCHEDULE_KINDS)
+    base = {"horizon": 8, "seeds": [0], "drift": {"kind": "constant", "gamma": 0.01}, "process": {"kind": "product"}}
+    built = {}
+    for kind in KINDS["learner"]:
+        resolved = resolve_config({**base, "learner": {"kind": kind, "r": 1.0}})
+        built[kind] = type(build_learner(resolved, build_model(resolved)[1]))
+    assert built == {
+        "subsampled_erm": SubsampledErmLearner,
+        "adaptive_window": AdaptiveWindowLearner,
+        "constant_window": ConstantWindowLearner,
+        **dict.fromkeys(BASELINE_KINDS, BaselineLearner),
+    }
+    with pytest.raises(ValueError, match="unknown baseline"):
+        build_learner({"learner": {"kind": "nope"}}, build_model(resolved)[1])
 
 
 def checkpoints_for(horizon: int) -> st.SearchStrategy:

@@ -2,10 +2,13 @@
 
 import contextlib
 import copy
+import csv
 import errno
 import inspect
+import io
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -41,6 +44,7 @@ from driftlab.cli import build_parser, main
 from driftlab.harness import VERIFY_FAMILIES, VERIFY_FLAGS, write_text_atomic
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+CONFIG_DOCS = Path(__file__).resolve().parent.parent / "docs" / "config.md"
 
 
 def base_config(**overrides):
@@ -92,6 +96,14 @@ class TestResolveDefaults:
         )
         assert resolved["learner"]["gamma"] == 0.02
         assert resolved["drift"]["alpha"] == 0.0
+
+    def test_constant_drift_alpha_is_kept_and_inherited(self):
+        resolved = resolve_config(base_config(drift={"kind": "constant", "gamma": 0.02, "alpha": 0.3}))
+        assert resolved["drift"] == {"kind": "constant", "gamma": 0.02, "alpha": 0.3, "seed": 0}
+        assert resolved["learner"]["alpha"] == 0.3
+
+    def test_empty_function_class_takes_the_threshold_kind(self):
+        assert resolve_config(base_config(function_class={}))["function_class"] == {"kind": "threshold"}
 
     def test_geometric_checkpoint_spec(self):
         resolved = resolve_config(base_config(checkpoints={"t_min": 64, "t_max": 512}))
@@ -180,6 +192,52 @@ class TestResolveErrors:
     def test_non_dict_rejected(self):
         with pytest.raises(ConfigError):
             resolve_config([1, 2])
+
+    # a membership test on a dict would raise TypeError (exit 3) for these
+    @pytest.mark.parametrize("section", ["drift", "process", "learner", "function_class"])
+    @pytest.mark.parametrize("kind", [[], {}], ids=["list", "dict"])
+    def test_unhashable_kind_names_the_kind(self, section, kind, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(base_config(**{section: {"kind": kind}})))
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert f"config error: {section}.kind: must be " in capsys.readouterr().err
+
+    def test_constant_window_without_gamma_to_inherit_says_required(self):
+        with pytest.raises(ConfigError, match=r"^learner\.gamma: required "):
+            resolve_config(base_config(learner={"kind": "constant_window"}))
+
+
+class TestKeyTableDocs:
+    """docs/config.md and the key table name the same keys."""
+
+    # a key in backticks, alone or with its range: `alpha`, `c0 > 0`
+    NAMED = r"`(\w+)(?: [<>=≤≥][^`]*)?`"
+
+    def _sections(self) -> dict:
+        parts = re.split(r"^## (.+)$", CONFIG_DOCS.read_text(encoding="utf-8"), flags=re.M)
+        return {title.strip("` "): body for title, body in zip(parts[1::2], parts[2::2])}
+
+    def test_every_table_key_is_named_under_its_section(self):
+        sections = self._sections()
+        top_rows = dict(re.findall(r"^\| `(\w+)` \| ([^|]*) \|", sections["Top-level keys"], flags=re.M))
+        for key in harness_mod.KEYS:
+            section, _, leaf = key.rpartition(".")
+            assert leaf in top_rows if not section else leaf in re.findall(self.NAMED, sections[section]), key
+        # the top-level keys typed as numbers are the table's
+        numeric = {name for name, kind in top_rows.items() if re.search(r"\bints?\b|float|number", kind)}
+        assert numeric == {key for key in harness_mod.KEYS if "." not in key}
+
+    def test_no_key_is_named_that_the_table_lacks(self):
+        sections = self._sections()
+        tabled = {key.partition(".")[0] for key in harness_mod.KEYS if "." in key}
+        kinds = {kind for section in harness_mod.KINDS.values() for kind in section}
+        for section in tabled:
+            leaves = {key.partition(".")[2] for key in harness_mod.KEYS if key.startswith(f"{section}.")}
+            named = set(re.findall(self.NAMED, sections[section]))
+            assert named <= leaves | kinds | {"kind"}, section
+        for ref in set(re.findall(r"`(\w+)\.(\w+)`", CONFIG_DOCS.read_text(encoding="utf-8"))):
+            if ref[0] in tabled:
+                assert ".".join(ref) in harness_mod.KEYS or ref[1] == "kind", ref
 
 
 class TestConfigHash:
@@ -559,6 +617,14 @@ class TestRunSweep:
             run_dir = tmp_path / cells[2]
             assert (run_dir / "config.json").is_file()
             assert float(cells[3]) > 0.0
+
+    def test_list_values_keep_every_row_as_wide_as_the_header(self, tmp_path):
+        lists = [[16, 32, 64, 128], [32, 64, 128]]
+        raw = base_config(horizon=128, seeds=[0], checkpoints=lists[0], sweep={"grid": {"checkpoints": lists}})
+        record = run_sweep(raw, tmp_path)
+        rows = list(csv.reader(io.StringIO(Path(record.table_path).read_text())))
+        assert len(rows) == 3 and all(len(row) == len(rows[0]) for row in rows)
+        assert [json.loads(row[0]) for row in rows[1:]] == lists
 
     def test_swept_drift_gamma_propagates_to_learner(self, tmp_path):
         raw = base_config(
