@@ -75,8 +75,11 @@ ERM_BATCH_ELEMENTS = 2**14
 
 # sample points per sup-deviation kernel call: a uniform-deviation size m runs
 # max(1, SUP_DEVIATION_BATCH_ELEMENTS // m) trials as the rows of one call.  On
-# the default grid (16..16384, 100 trials, 2 vCPU) 2**12 and 2**13 tie, and
-# ERM_BATCH_ELEMENTS = 2**14 (2 rows at 8192, 4 at 4096) takes 0.46 s against 0.38
+# the default grid (16..16384, 100 trials, both settings, 2 vCPU, alternating in
+# one process) the bucket-table kernel's medians for 2**12 / 2**13 / 2**14 were
+# 0.379 / 0.394 / 0.377 s, 0.367 / 0.355 / 0.328 s and 0.466 / 0.453 / 0.413 s
+# in three sets; 2**14 won 15 of the last set's 20 rounds, by less than 2**13's
+# interquartile range (0.139 s), so no size wins
 SUP_DEVIATION_BATCH_ELEMENTS = 2**13
 
 # gap-1 runs of one window of at least SLIDE_MIN_WINDOW points are solved
@@ -625,29 +628,52 @@ class UniformDeviationReport:
 
 def _averaged_risk(
     thetas: np.ndarray, eta: float
-) -> tuple[Callable[[np.ndarray, np.ndarray], np.ndarray], np.ndarray, np.ndarray]:
+) -> tuple[Callable[[np.ndarray, np.ndarray], np.ndarray], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The averaged true risk rbar(q) = eta + (1-2 eta) * mean_i |q - theta_i| of
-    threshold q over m concepts, its kinks and the risk at each kink.
+    threshold q over m concepts in [0, 1], its kinks, the risk at each kink, and
+    the bucket table that ranks queries among the distinct thetas.
 
     The kinks are 0, the distinct sorted thetas and 1: equal thetas make equal
     kinks, which add equal terms to a max.  ``rbar(queries, ranks)`` takes each
     query's rank among the distinct thetas, searchsorted(kinks[1:-1], q, 'left').
+    It gathers that rank's terms from per-rank tables: n = #{theta < q} as a
+    float, the sum S_n of those thetas, S - S_n and m - n as a float, and
+    evaluates q n - S_n + (S - S_n) - q (m - n) in that order.
+
+    The bucket table cuts [0, 1] into B buckets, B the least power of two
+    >= 4 D for D distinct thetas, so q B is exact and q's bucket is floor(q B).
+    ``starts[b]`` = #{distinct theta < b/B}, stored as int32, is the rank of
+    every q in a bucket that holds no theta.  ``flagged[b]`` marks the buckets
+    that hold a theta, and bucket B, where q = 1 lands.  A size builds these
+    tables once, and all of its trials share them.
     """
     sorted_thetas = np.sort(thetas)
-    prefix = np.concatenate(([0.0], np.cumsum(sorted_thetas)))
-    m, total, scale = sorted_thetas.size, prefix[-1], 1.0 - 2.0 * eta
+    m, scale = sorted_thetas.size, 1.0 - 2.0 * eta
     firsts = np.flatnonzero(np.append(True, sorted_thetas[1:] != sorted_thetas[:-1]))
-    thetas_below = np.append(firsts, m)  # #{theta < q} by the rank of q
+    distinct = sorted_thetas[firsts]
+    kinks = np.concatenate(([0.0], distinct, [1.0]))
+    starts, flagged = _bucket_table(distinct)
+    n = np.append(firsts, m)  # #{theta < q} by the rank of q; below and above are prefix sums
+    below = np.concatenate(([0.0], np.cumsum(sorted_thetas)))[n]
+    idx, rest, above = n.astype(float), (m - n).astype(float), below[-1] - below
 
     def rbar(queries: np.ndarray, ranks: np.ndarray) -> np.ndarray:
         # sum_i |q - theta_i| from the prefix sums of the thetas below q and above it
-        idx = thetas_below[ranks]
-        below = prefix[idx]
-        return eta + scale * (queries * idx - below + (total - below) - queries * (m - idx)) / m
+        return eta + scale * (queries * idx[ranks] - below[ranks] + above[ranks] - queries * rest[ranks]) / m
 
-    distinct = sorted_thetas[firsts]
-    kinks = np.concatenate(([0.0], distinct, [1.0]))
-    return rbar, kinks, rbar(kinks, np.searchsorted(distinct, kinks))
+    return rbar, kinks, rbar(kinks, np.searchsorted(distinct, kinks)), starts, flagged
+
+
+def _bucket_table(distinct: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``starts`` and ``flagged`` of ``_averaged_risk`` for the sorted distinct thetas."""
+    buckets = 1 << (4 * distinct.size - 1).bit_length()
+    # theta < b/B exactly when floor(theta B) < b, so starts counts the thetas of the buckets below
+    counts = np.bincount((distinct * buckets).astype(np.intp), minlength=buckets + 1)
+    starts = np.zeros(buckets + 1, dtype=np.int32)
+    np.cumsum(counts[:-1], out=starts[1:])
+    flagged = counts > 0
+    flagged[buckets] = True
+    return starts, flagged
 
 
 def _threshold_sup_deviation(
@@ -656,6 +682,8 @@ def _threshold_sup_deviation(
     rbar: Callable[[np.ndarray, np.ndarray], np.ndarray],
     kinks: np.ndarray,
     kink_risks: np.ndarray,
+    starts: np.ndarray,
+    flagged: np.ndarray,
 ) -> np.ndarray:
     """Exact sup over theta in [0,1] of |empirical loss - averaged true risk|
     for each row of (rows, m) samples.
@@ -664,33 +692,43 @@ def _threshold_sup_deviation(
     and the averaged risk is piecewise linear, so the supremum is attained (or
     approached one-sidedly) at a sample point, a risk kink, or an endpoint;
     all are evaluated, including right-limits at sample points.  ``rbar``,
-    ``kinks`` and ``kink_risks`` come from ``_averaged_risk``.
+    ``kinks``, ``kink_risks`` and the bucket table ``starts`` and ``flagged``
+    come from ``_averaged_risk``.
 
     Threshold q labels 1 the sorted points from searchsorted(x, q, 'left') on.
-    One search ranks every x among the distinct thetas, which is all rbar
-    needs.  Counting ranks (one bincount and a cumsum) gives #{x <= kink} for
-    every kink: its cut, unless an x equals it, which the x just below the
-    count shows.  A row of distinct x, none equal to a kink, is done: each x
-    is its own group, below 1, so both limits at each x are realizable.
-    Every other row searches the kinks into its x and reads tie groups: at
-    q = x_i the cut is the start of x_i's group and the right-limit at x_i
-    cuts at its end, so one rbar per distinct x serves its group.  Only group
-    boundaries are read, and their losses ignore the order of tied points.
-    The right-limit at 0 is the value at 0 or the right-limit at x = 0.
+    Each x in [0, 1] is ranked among the distinct thetas as
+    ``starts[floor(x B)]``, which is all rbar needs; only the x in flagged
+    buckets are searched.  Among those, an x equal to the theta it ranks at,
+    or to 1, marks its row as touching a kink.  Counting ranks (one bincount
+    and a cumsum) gives #{x <= kink} for every kink: its cut, unless an x
+    equals it.  A row of distinct x touching no kink is done: each x is its
+    own group, below 1, so both limits at each x are realizable.  Every other
+    row searches the kinks into its x and reads tie groups: at q = x_i the cut
+    is the start of x_i's group and the right-limit at x_i cuts at its end, so
+    one rbar per distinct x serves its group.  Only group boundaries are read,
+    and their losses ignore the order of tied points.  The right-limit at 0 is
+    the value at 0 or the right-limit at x = 0.
     """
     rows, m = xs.shape
     x, losses = cut_losses(xs, ys)
     emp = losses / m
     del losses  # losses and ranks are freed once read: the temporaries at the largest m set a verify run's peak memory
-    ranks = np.searchsorted(kinks[1:-1], x)
+    buckets = (x * (starts.size - 1)).astype(np.intp)  # exact: the bucket count is a power of two
+    ranks = starts[buckets].astype(np.intp)  # rbar's four gathers would each cast int32 indices
+    hits = np.flatnonzero(flagged[buckets])
+    del buckets
+    hit_x = x.ravel()[hits]
+    hit_ranks = np.searchsorted(kinks[1:-1], hit_x)
+    ranks.ravel()[hits] = hit_ranks
+    # kinks[rank + 1] is the least kink >= x: the theta x ranks at, or 1
+    on_kink = np.zeros(rows, dtype=bool)
+    on_kink[hits[hit_x == kinks[hit_ranks + 1]] // m] = True
     bins, row = kinks.size, np.arange(rows)[:, None]
     # cuts[:, k] = #{j : ranks_j < k} = #{x <= kinks[k]}, which is #{x < kinks[k]} unless an x equals the kink
     cuts = np.bincount((ranks + (row * bins + 1)).ravel(), minlength=rows * bins).reshape(rows, bins).cumsum(axis=1)
     risks = rbar(x, ranks)
     del ranks
-    tied = (x[:, 1:] == x[:, :-1]).any(axis=1) | (
-        x.ravel()[np.maximum(cuts[:, 1:] - 1, 0) + row * m] == kinks[1:]
-    ).any(axis=1)
+    tied = (x[:, 1:] == x[:, :-1]).any(axis=1) | on_kink
     best = np.maximum(
         np.abs(emp.ravel()[cuts + row * (m + 1)] - kink_risks).max(axis=1),
         np.maximum(np.abs(emp[:, :-1] - risks), np.abs(emp[:, 1:] - risks)).max(axis=1),
@@ -699,10 +737,10 @@ def _threshold_sup_deviation(
         row_x, row_emp = x[r], emp[r]
         value = float(np.max(np.abs(row_emp[np.searchsorted(row_x, kinks, side="left")] - kink_risks)))
         bounds = np.flatnonzero(row_x[1:] != row_x[:-1]) + 1
-        starts = np.append(0, bounds)
-        at, after, row_risks = row_emp[starts], row_emp[np.append(bounds, m)], risks[r, starts]
+        group_starts = np.append(0, bounds)
+        at, after, row_risks = row_emp[group_starts], row_emp[np.append(bounds, m)], risks[r, group_starts]
         value = max(value, float(np.max(np.abs(at - row_risks))))
-        inner = starts.size - int(row_x[-1] >= 1.0)  # a split to the right of x=1 is unrealizable
+        inner = group_starts.size - int(row_x[-1] >= 1.0)  # a split to the right of x=1 is unrealizable
         if inner:
             value = max(value, float(np.max(np.abs(after[:inner] - row_risks[:inner]))))
         best[r] = value

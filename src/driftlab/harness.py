@@ -111,10 +111,10 @@ def _require(condition: bool, key: str, message: str) -> None:
         raise ConfigError(key, message)
 
 
-def _check_keys(section: dict, allowed: Collection[str], prefix: str) -> None:
+def _check_keys(section: dict, allowed: Collection[str], prefix: str, message: str = "unknown key") -> None:
     for key in section:
         if key not in allowed:
-            raise ConfigError(f"{prefix}.{key}" if prefix else key, "unknown key")
+            raise ConfigError(f"{prefix}.{key}" if prefix else key, message)
 
 
 def _as_float(value: Any, key: str) -> float:
@@ -184,7 +184,8 @@ def _resolve_key(section: dict, key: str, default: Any = None) -> Any:
 
 
 def _resolve_section(raw: dict, name: str, default: dict | None = None, inherit: dict | None = None) -> dict:
-    """Section ``name`` of ``raw``: its kind and the keys that kind reads, or all its keys if it has no kinds."""
+    """Section ``name`` of ``raw``: its kind and the keys that kind reads (a key it does not read is an error),
+    or all its keys if it has no kinds."""
     section = raw.get(name, default)
     _require(isinstance(section, dict), name, "must be an object")
     leaves = [key.partition(".")[2] for key in KEYS if key.startswith(f"{name}.")]
@@ -196,6 +197,7 @@ def _resolve_section(raw: dict, name: str, default: dict | None = None, inherit:
     kind = section.get("kind")
     # a tuple, not the dict: an unhashable kind is a config error, not a TypeError
     _require(kind in kinds, f"{name}.kind", f"must be one of {kinds}")
+    _check_keys(section, ["kind", *KINDS[name][kind]], name, f"not read by kind {kind}")
     resolved = {"kind": kind}
     for leaf in KINDS[name][kind]:
         key = f"{name}.{leaf}"

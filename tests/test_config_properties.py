@@ -76,7 +76,8 @@ def test_table_kinds_are_the_kinds_the_builders_take():
     base = {"horizon": 8, "seeds": [0], "drift": {"kind": "constant", "gamma": 0.01}, "process": {"kind": "product"}}
     built = {}
     for kind in KINDS["learner"]:
-        resolved = resolve_config({**base, "learner": {"kind": kind, "r": 1.0}})
+        learner = {"kind": kind, **({"r": 1.0} if "r" in KINDS["learner"][kind] else {})}
+        resolved = resolve_config({**base, "learner": learner})
         built[kind] = type(build_learner(resolved, build_model(resolved)[1]))
     assert built == {
         "subsampled_erm": SubsampledErmLearner,
@@ -108,9 +109,22 @@ def _config(values: dict) -> dict:
     return config
 
 
+def _read_by(key: str, kinds: dict) -> bool:
+    """Whether a config of the drawn ``kinds`` reads ``key``: keys outside the kinded sections always are."""
+    section, _, leaf = key.partition(".")
+    return section not in kinds or leaf == "kind" or leaf in KINDS[section][kinds[section]]
+
+
 @st.composite
 def raw_configs(draw):
-    values = {key: draw(strategy) for key, strategy in VALID.items()}
+    # the keys the drawn kinds read, and in a quarter of the draws one valid key that they do not
+    kinds = {section: draw(VALID[f"{section}.kind"]) for section in KINDS}
+    values = {f"{section}.kind": kind for section, kind in kinds.items()}
+    values.update({key: draw(strategy) for key, strategy in VALID.items() if key not in values and _read_by(key, kinds)})
+    unread = [key for key in VALID if not _read_by(key, kinds)]
+    if unread and draw(st.integers(0, 3)) == 0:
+        key = draw(st.sampled_from(unread))
+        values[key] = draw(VALID[key])
     if values["horizon"] > 1:
         values["checkpoints"] = draw(checkpoints_for(values["horizon"]))
     keys = sorted(values)

@@ -1075,6 +1075,114 @@ class TestVerifyUniformDeviation:
         report = verify_uniform_deviation(ThresholdClass(), path, grid, trials=trials, seed=6)
         assert report.estimates == self._replayed_estimates(path, grid, trials, 6)
 
+    @staticmethod
+    def _assert_rows_equal_reference(xs, ys, thetas, eta, averaged=None):
+        averaged = averaged or evaluation._averaged_risk(thetas, eta)
+        values = evaluation._threshold_sup_deviation(xs, ys, *averaged)
+        assert values.shape == (xs.shape[0],)
+        for row, value in enumerate(values):
+            assert value == _reference_sup_deviation(xs[row], ys[row], thetas, eta)
+
+    @staticmethod
+    def _verify_path(setting, horizon=16384, eta=0.1):
+        """A marginal path of verify --kind uniform_deviation: every theta 0.35, or gamma = 0.01 drift from 0.2."""
+        if setting == "identical":
+            return ConceptPath(np.full(horizon, 0.35), eta)
+        return concept_path(make_drift_schedule("constant", alpha=0.0, horizon=horizon, gamma=0.01), eta=eta, theta0=0.2)
+
+    def test_bucket_table_ranks_every_edge(self):
+        rng = np.random.default_rng(99)
+        for thetas in (np.full(5, 0.35), np.array([0.0, 0.5, 1.0]), np.round(rng.random(300), 2), rng.random(1000)):
+            distinct = np.unique(thetas)
+            *_, starts, flagged = evaluation._averaged_risk(thetas, 0.1)
+            buckets = starts.size - 1
+            # B is the least power of two >= 4 D
+            assert buckets & (buckets - 1) == 0 and buckets // 2 < 4 * distinct.size <= buckets
+            assert starts.dtype == np.int32
+            assert np.array_equal(starts, np.searchsorted(distinct, np.arange(buckets + 1) / buckets))
+            holds = np.zeros(buckets + 1, dtype=bool)
+            holds[np.floor(distinct * buckets).astype(int)] = True
+            holds[buckets] = True
+            assert np.array_equal(flagged, holds)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 16, 100])
+    def test_thetas_and_x_on_bucket_edges_equal_reference(self, d):
+        rng = np.random.default_rng(100 + d)
+        buckets = 1 << (4 * d - 1).bit_length()
+        m = 2 * buckets if d < 16 else buckets // 2
+        # d distinct thetas on edges b/B, with 0 and 1 among them from d = 2 on
+        edges = rng.choice(np.arange(1, buckets), d, replace=False)
+        if d >= 2:
+            edges[:2] = 0, buckets
+        distinct = edges / buckets
+        thetas = rng.permutation(np.concatenate((distinct, rng.choice(distinct, m - d))))
+        on_edges = rng.integers(0, buckets + 1, (6, m)) / buckets
+        near = np.nextafter(on_edges, np.where(rng.random((6, m)) < 0.5, 0.0, 1.0))  # either side of an edge
+        rows = np.concatenate((on_edges, near, np.where(rng.random((6, m)) < 0.5, on_edges, near)))
+        rows[::4, 0], rows[1::4, -1] = 0.0, 1.0
+        if d >= 16:  # distinct x on the edges that hold no kink, which no search sees, and on any edges
+            free = np.setdiff1d(np.arange(buckets), edges)
+            rows[0], rows[1] = rng.choice(free, m, replace=False) / buckets, rng.permutation(buckets + 1)[:m] / buckets
+        for eta in (0.0, 0.25):
+            ys = ((rows >= thetas) ^ (rng.random(rows.shape) < eta)).astype(np.int64)
+            averaged = evaluation._averaged_risk(thetas, eta)
+            assert averaged[3].size == buckets + 1
+            self._assert_rows_equal_reference(rows, ys, thetas, eta, averaged)
+
+    def test_small_samples_on_bucket_edges_equal_reference(self):
+        rng = np.random.default_rng(103)
+        for case in range(600):
+            m = int(rng.integers(2, 25))
+            d = int(rng.integers(1, m + 1))
+            buckets = 1 << (4 * d - 1).bit_length()
+            distinct = rng.choice(buckets + 1, d, replace=False) / buckets
+            thetas = np.concatenate((distinct, rng.choice(distinct, m - d)))
+            # distinct x on edges when there are enough of them, a few moved just off their edge
+            xs = rng.choice(buckets + 1, m, replace=buckets + 1 < m) / buckets
+            off = rng.random(m) < 0.2
+            xs[off] = np.nextafter(xs[off], np.where(rng.random(off.sum()) < 0.5, 0.0, 1.0))
+            eta = (0.0, 0.1, 0.25, 0.49)[case % 4]
+            ys = ((xs >= thetas) ^ (rng.random(m) < eta)).astype(np.int64)
+            assert _sup_deviation(xs, ys, thetas, eta) == _reference_sup_deviation(xs, ys, thetas, eta)
+
+    @pytest.mark.parametrize("m", [1024, 4096])
+    def test_spread_thetas_flag_a_fifth_of_the_buckets(self, m):
+        rng = np.random.default_rng(m)
+        thetas = rng.random(m)
+        averaged = evaluation._averaged_risk(thetas, 0.1)
+        # 1 - exp(-1/4) = 0.22 of the 4m buckets hold one of the m thetas
+        assert 0.18 < averaged[4].mean() < 0.26
+        xs = rng.random((evaluation.SUP_DEVIATION_BATCH_ELEMENTS // m, m))
+        xs[0, :4] = thetas[:4]  # a row touching kinks takes the tied path
+        ys = (xs >= thetas) ^ (rng.random(xs.shape) < 0.1)
+        self._assert_rows_equal_reference(xs, ys, thetas, 0.1, averaged)
+
+    @pytest.mark.parametrize("setting", ["identical", "drifting"])
+    def test_verify_paths_equal_reference(self, setting):
+        path = self._verify_path(setting)
+        rng = np.random.default_rng(102)
+        # three single-row calls at the largest default size and one batched call, drawn as verify draws them
+        for m, rows in ((16384, 1), (16384, 1), (16384, 1), (1024, 8)):
+            thetas = path.thetas[:m]
+            draws = rng.random((rows, 2, m))
+            xs = draws[:, 0]
+            self._assert_rows_equal_reference(xs, (xs >= thetas) ^ (draws[:, 1] < path.eta), thetas, path.eta)
+
+    def test_peak_traced_memory_of_the_tables_at_the_largest_size(self):
+        thetas = self._verify_path("drifting").thetas  # 16,266 distinct thetas: 65,536 buckets
+        evaluation._averaged_risk(thetas, 0.1)  # warm numpy's lazy set-up outside the trace
+        tracemalloc.start()
+        try:
+            averaged = evaluation._averaged_risk(thetas, 0.1)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert averaged[3].size == 65537
+        # 1,110,355 bytes kept and a 2,023,019-byte peak here (Python 3.11.7, numpy 2.4.6), against 522,715 and
+        # 1,632,219 for the search-per-point kernel's tables; an int64 start table would add 262,144 to both
+        assert kept <= 1_120_000
+        assert peak <= 2_040_000
+
     def test_cut_losses_match_stable_sort_at_tie_group_boundaries(self):
         rng = np.random.default_rng(95)
         for case in range(500):

@@ -178,6 +178,12 @@ ERROR_CASES = [
     ({"sweep": {"grid": {"drift.alpha": []}}}, "sweep.grid.drift.alpha"),
     ({"sweep": {"cells": [{"seeds": [0]}]}}, "sweep.cells"),
     ({"sweep": {"cells": "x"}}, "sweep.cells"),
+    # a key of the section that its kind does not read
+    ({"process": {"kind": "product", "states": 6}}, "process.states"),
+    ({"process": {"kind": "product", "flip": 0.1}}, "process.flip"),
+    ({"drift": {"kind": "power_step", "alpha": 0.25, "gamma": 0.5}}, "drift.gamma"),
+    ({"learner": {"kind": "adaptive_window", "r": 1.0}}, "learner.r"),
+    ({"learner": {"kind": "last_point", "gamma": 0.3}}, "learner.gamma"),
 ]
 
 
@@ -201,6 +207,16 @@ class TestResolveErrors:
         config.write_text(json.dumps(base_config(**{section: {"kind": kind}})))
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
         assert f"config error: {section}.kind: must be " in capsys.readouterr().err
+
+    def test_unread_key_exits_2_and_names_it(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(base_config(process={"kind": "product", "states": 6})))
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert "config error: process.states: not read by kind product" in capsys.readouterr().err
+
+    def test_unread_key_is_checked_before_the_read_keys_values(self):
+        with pytest.raises(ConfigError, match=r"^drift\.c0: not read by kind constant$"):
+            resolve_config(base_config(drift={"kind": "constant", "gamma": 2.0, "c0": 1.0}))
 
     def test_constant_window_without_gamma_to_inherit_says_required(self):
         with pytest.raises(ConfigError, match=r"^learner\.gamma: required "):
