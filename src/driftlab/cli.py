@@ -19,6 +19,7 @@ import traceback
 
 from .harness import (
     ConfigError,
+    VERIFY_FLAGS,
     VERIFY_KINDS,
     json_text,
     load_config,
@@ -46,9 +47,9 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 def _resolve_run_args(args: argparse.Namespace) -> tuple[dict, dict, str]:
     """The raw config with the --seeds/--checkpoints overrides, its resolved form and the output root."""
     raw = load_config(args.config, "--config")
-    if args.seeds:
+    if args.seeds is not None:
         raw["seeds"] = _parse_int_list(args.seeds, "--seeds")
-    if args.checkpoints:
+    if args.checkpoints is not None:
         raw["checkpoints"] = _parse_int_list(args.checkpoints, "--checkpoints")
     resolved = resolve_config(raw)
     return raw, resolved, args.out or resolved["out"]
@@ -78,15 +79,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    options: dict = {}
-    if args.trials is not None:
-        options["trials"] = args.trials
-    if args.seed is not None:
-        options["seed"] = args.seed
-    if args.pairs is not None:
-        options["pairs"] = args.pairs
-    if args.m_grid:
-        options["m_grid"] = _parse_int_list(args.m_grid, "--m-grid")
+    options = {name: getattr(args, name) for name in VERIFY_FLAGS if getattr(args, name) is not None}
+    if "m_grid" in options:
+        options["m_grid"] = _parse_int_list(options["m_grid"], "--m-grid")
     report, ok = run_verify(args.kind, options)
     text = json_text(report)
     if args.out:
@@ -98,7 +93,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_rates(args: argparse.Namespace) -> int:
-    checkpoints = _parse_int_list(args.checkpoints, "--checkpoints") if args.checkpoints else None
+    checkpoints = _parse_int_list(args.checkpoints, "--checkpoints") if args.checkpoints is not None else None
     payload = refit_rates(args.run_dir, checkpoints)
     sys.stdout.write(json_text(payload))
     return EXIT_OK

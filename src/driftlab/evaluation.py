@@ -229,7 +229,7 @@ def _signed(slots: np.ndarray, negative: np.ndarray) -> np.ndarray:
     return np.concatenate([(negative * ord("-")).astype(np.uint8)[:, None], slots], axis=1)
 
 
-def _repr_slots(slots: np.ndarray, rows: np.ndarray | slice, values: list) -> np.ndarray:
+def _repr_slots(slots: np.ndarray, rows: np.ndarray, values: list) -> np.ndarray:
     """``slots`` with ``rows`` replaced by the repr text of ``values``, widened to fit it."""
     texts = [repr(v).encode() for v in values]
     width = max(slots.shape[1], *map(len, texts))
@@ -246,7 +246,7 @@ def _text_slots(column: np.ndarray) -> np.ndarray:
     ``_shortest_digits``.  Below 2**53, floor(|x|) is exact and is also the
     integer part of the shortest decimal: an integer between the two would be
     within x's rounding interval, yet reads back as itself.  Undecided values
-    are written by ``repr``.  Integers: sign and digits.  Other dtypes: ``repr``.
+    are written by ``repr``.  Integers (int or uint): sign and digits.
     """
     if column.dtype == np.float64:
         decided, digits, k, cut = _shortest_digits(column)
@@ -260,11 +260,9 @@ def _text_slots(column: np.ndarray) -> np.ndarray:
         slots = _signed(np.concatenate([_int_slots(whole), point, frac_slots], axis=1), np.signbit(column) & decided)
         undecided = np.flatnonzero(~decided)
         return _repr_slots(slots, undecided, column[undecided].tolist()) if undecided.size else slots
-    if column.dtype.kind in "iu":
-        negative = column < 0
-        magnitude = column.astype(np.uint64)
-        return _signed(_int_slots(np.where(negative, -magnitude, magnitude)), negative)  # -(-2**63) wraps to 2**63
-    return _repr_slots(np.zeros((column.size, 1), dtype=np.uint8), slice(None), column.tolist())
+    negative = column < 0
+    magnitude = column.astype(np.uint64)
+    return _signed(_int_slots(np.where(negative, -magnitude, magnitude)), negative)  # -(-2**63) wraps to 2**63
 
 
 def write_curve_rows(fh: TextIO, columns: Sequence[np.ndarray], start: int, stop: int) -> None:
@@ -518,6 +516,14 @@ def default_checkpoints(horizon: int) -> tuple[int, ...]:
     return geometric_checkpoints(DEFAULT_CHECKPOINT_MIN, top, 2.0)
 
 
+def _log_log_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """Least-squares slope and intercept of log y against log x, and the residuals of log y."""
+    log_x, log_y = np.log(x), np.log(y)
+    design = np.column_stack([log_x, np.ones_like(log_x)])
+    (slope, intercept), *_ = np.linalg.lstsq(design, log_y, rcond=None)
+    return slope, intercept, log_y - design @ np.array([slope, intercept])
+
+
 def fit_growth_exponent(
     checkpoints: Sequence[int],
     cum_excess: Sequence[float],
@@ -541,11 +547,7 @@ def fit_growth_exponent(
         raise DegenerateCurveError(
             f"cumulative excess is non-positive at checkpoint T={bad}; fit skipped"
         )
-    log_t = np.log(ts)
-    log_v = np.log(values)
-    design = np.column_stack([log_t, np.ones_like(log_t)])
-    (slope, intercept), *_ = np.linalg.lstsq(design, log_v, rcond=None)
-    residuals = log_v - design @ np.array([slope, intercept])
+    slope, intercept, residuals = _log_log_line(ts, values)
     return RateFit(
         exponent=float(slope),
         intercept=float(intercept),
@@ -561,7 +563,6 @@ class BlockingReport:
     """Exact TV gap between a k-spaced block law and the product of its marginals."""
 
     states: int
-    t: int
     blocks: int
     gap: int
     tv_gap: float
@@ -575,21 +576,22 @@ class BlockingReport:
         return {**asdict(self), "slack": self.slack}
 
 
-def verify_blocking(model: ProcessModel, t: int, blocks: int, gap: int) -> BlockingReport:
+def verify_blocking(model: ProcessModel, blocks: int, gap: int) -> BlockingReport:
     """Compare the joint law of hidden states at times t, t+gap, ..., against the
     product of its marginals; the TV gap never exceeds (blocks-1) * beta_gap.
+    The chain starts stationary, so this block law is the same at every t.
 
     Computed on hidden states (observations are states plus independent noise,
     so the observation-level gap is no larger).  Exact via matrix powers.
     """
-    if t < 1 or blocks < 1 or gap < 1:
-        raise ValueError("t, blocks and gap must all be >= 1")
+    if blocks < 1 or gap < 1:
+        raise ValueError("blocks and gap must both be >= 1")
     if blocks > BLOCKING_MAX_BLOCKS:
         raise ValueError(f"blocks capped at {BLOCKING_MAX_BLOCKS} for exact enumeration")
     if gap > BLOCKING_MAX_GAP:
         raise ValueError(f"gap capped at {BLOCKING_MAX_GAP} for exact enumeration")
     if isinstance(model, ProductProcess):
-        return BlockingReport(states=0, t=t, blocks=blocks, gap=gap, tv_gap=0.0, bound=0.0)
+        return BlockingReport(states=0, blocks=blocks, gap=gap, tv_gap=0.0, bound=0.0)
     assert isinstance(model, MarkovModulatedProcess)
     states = model.states
     if states > BLOCKING_MAX_STATES:
@@ -604,7 +606,7 @@ def verify_blocking(model: ProcessModel, t: int, blocks: int, gap: int) -> Block
         product = np.multiply.outer(product, pi)
     tv_gap = 0.5 * float(np.abs(joint - product).sum())
     bound = (blocks - 1) * beta_coefficient(model, gap)
-    return BlockingReport(states=states, t=t, blocks=blocks, gap=gap, tv_gap=tv_gap, bound=bound)
+    return BlockingReport(states=states, blocks=blocks, gap=gap, tv_gap=tv_gap, bound=bound)
 
 
 @dataclass(frozen=True)
@@ -808,9 +810,7 @@ def verify_uniform_deviation(
     ms = np.asarray(grid, dtype=float)
     est = np.asarray(estimates)
     if np.all(est > 0.0) and len(grid) >= 2:
-        design = np.column_stack([np.log(ms), np.ones_like(ms)])
-        (slope, _), *_ = np.linalg.lstsq(design, np.log(est), rcond=None)
-        fitted = float(slope)
+        fitted = float(_log_log_line(ms, est)[0])
     else:
         fitted = float("nan")
     envelope = float(np.max(est / np.sqrt(function_class.d / ms)))

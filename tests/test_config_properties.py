@@ -196,7 +196,7 @@ VERIFY_VALUES = {
     "--m-grid": st.one_of(
         st.lists(st.integers(1, 256), min_size=2, max_size=4, unique=True).map(sorted),
         st.lists(st.integers(-2, 256), min_size=1, max_size=4),
-        st.sampled_from(["x", ",", "1.5"]),
+        st.sampled_from(["x", ",", "", "1.5"]),
     ),
 }
 # a family that runs at its default otherwise (uniform_deviation's 2000 trials to size 16384,

@@ -831,23 +831,15 @@ class TestVerifyBlocking:
 
     def test_product_gap_is_zero(self):
         model = ProductProcess(marginals=ConceptPath(np.array([0.5]), 0.1))
-        report = verify_blocking(model, t=3, blocks=3, gap=2)
+        report = verify_blocking(model, blocks=3, gap=2)
         assert report.tv_gap == 0.0 and report.bound == 0.0 and report.slack == 0.0
 
     def test_two_block_gap_equals_beta(self):
         model = self._model(2, 0.3)
-        report = verify_blocking(model, t=1, blocks=2, gap=1)
+        report = verify_blocking(model, blocks=2, gap=1)
         assert report.tv_gap == pytest.approx(0.2, abs=1e-15)
         assert report.bound == pytest.approx(0.2, abs=1e-15)
         assert abs(report.slack) <= 1e-15
-
-    def test_report_does_not_depend_on_t(self):
-        # run_verify("blocking") computes one report per (states, flip, blocks, gap) for all ts
-        for states, flip, blocks, gap in ((2, 0.1, 2, 1), (3, 0.3, 3, 2), (4, 0.45, 4, 8)):
-            model = self._model(states, flip)
-            reports = [verify_blocking(model, t=t, blocks=blocks, gap=gap) for t in (1, 2, 5, 100)]
-            assert {(r.tv_gap, r.bound) for r in reports} == {(reports[0].tv_gap, reports[0].bound)}
-            assert [r.t for r in reports] == [1, 2, 5, 100]
 
     def test_matches_enumeration_oracle(self):
         for states in (2, 3, 4):
@@ -856,7 +848,7 @@ class TestVerifyBlocking:
                 matrix = model.transition_array()
                 for blocks in (2, 3, 4):
                     for gap in (1, 3):
-                        report = verify_blocking(model, t=2, blocks=blocks, gap=gap)
+                        report = verify_blocking(model, blocks=blocks, gap=gap)
                         oracle = _blocking_oracle(matrix, blocks, gap)
                         assert report.tv_gap == pytest.approx(oracle, abs=1e-13)
                         expected_bound = (blocks - 1) * beta_coefficient(model, gap)
@@ -866,19 +858,19 @@ class TestVerifyBlocking:
     def test_caps_enforced(self):
         model = self._model(3, 0.3)
         with pytest.raises(ValueError, match="blocks"):
-            verify_blocking(model, t=1, blocks=5, gap=1)
+            verify_blocking(model, blocks=5, gap=1)
         with pytest.raises(ValueError, match="gap"):
-            verify_blocking(model, t=1, blocks=2, gap=9)
+            verify_blocking(model, blocks=2, gap=9)
         big = MarkovModulatedProcess(
             transition=symmetric_chain(5, 0.3),
             marginals=ConceptPath(np.array([0.5]), 0.1),
         )
         with pytest.raises(ValueError, match="states"):
-            verify_blocking(big, t=1, blocks=2, gap=1)
+            verify_blocking(big, blocks=2, gap=1)
 
     def test_json_fields(self):
-        payload = verify_blocking(self._model(), t=2, blocks=3, gap=2).to_json()
-        for key in ("states", "t", "blocks", "gap", "tv_gap", "bound", "slack"):
+        payload = verify_blocking(self._model(), blocks=3, gap=2).to_json()
+        for key in ("states", "blocks", "gap", "tv_gap", "bound", "slack"):
             assert key in payload
 
 

@@ -957,6 +957,15 @@ class TestCli:
         assert stored["checkpoints"] == [8, 16, 32]
         assert (run_dir / "curve-3.csv").is_file() and (run_dir / "curve-4.csv").is_file()
 
+    @pytest.mark.parametrize("flag,key", [("--seeds", "seeds"), ("--checkpoints", "checkpoints")])
+    def test_empty_list_override_exits_2_like_a_bare_comma(self, tmp_path, capsys, flag, key):
+        cfg = self._write_config(tmp_path)
+        out = tmp_path / "out"
+        for text in ("", ","):
+            assert main(["simulate", "--config", str(cfg), "--out", str(out), flag, text]) == 2, text
+            assert f"config error: {key}: must be a non-empty list" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
         assert "config error: --config" in capsys.readouterr().err
@@ -1088,6 +1097,7 @@ class TestCli:
             (["--kind", "uniform_deviation", "--m-grid", "0,16"], "--m-grid"),
             (["--kind", "uniform_deviation", "--m-grid", "32,16"], "--m-grid"),
             (["--kind", "uniform_deviation", "--m-grid", ","], "--m-grid"),
+            (["--kind", "uniform_deviation", "--m-grid", ""], "--m-grid"),
             (["--kind", "uniform_deviation", "--m-grid", "16"], "--m-grid"),
             (["--kind", "blocking", "--trials", "5"], "--trials"),
             (["--kind", "mixing_rate", "--pairs", "5"], "--pairs"),
@@ -1100,6 +1110,7 @@ class TestCli:
             "m_grid0",
             "m_grid_down",
             "m_grid_empty",
+            "m_grid_blank",
             "m_grid_one_size",
             "unread_trials",
             "unread_pairs",
@@ -1165,7 +1176,7 @@ class TestCli:
         run_dir = next(out.iterdir())
         written = (run_dir / "fit.json").read_bytes()
         capsys.readouterr()
-        for bad in ("0,5", "8,4", "4,200", "4,x"):
+        for bad in ("0,5", "8,4", "4,200", "4,x", ",", ""):
             assert main(["rates", str(run_dir), "--checkpoints", bad]) == 2, bad
             assert "config error: --checkpoints: " in capsys.readouterr().err
             assert (run_dir / "fit.json").read_bytes() == written

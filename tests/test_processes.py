@@ -193,6 +193,24 @@ class TestSamplePath:
         se = np.sqrt(0.8 * 0.2 / (30_000 - 1))
         assert abs(stays - 0.8) <= 4 * se
 
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_markov_k_step_transitions_follow_matrix_power(self, k):
+        # an asymmetric chain, so a transposed or shifted table walk shows; given the visits to
+        # each state, the counts of k-step moves out of it are multinomial with row P^k[s]
+        transition = _circulant([0.5, 0.3, 0.2, 0.0])
+        horizon = 200_000
+        model = MarkovModulatedProcess(transition=transition, marginals=_flat_path(0.5, 0.1, horizon))
+        every_k = sample_path(model, horizon, seed=9).states[::k]
+        counts = np.zeros((4, 4))
+        np.add.at(counts, (every_k[:-1], every_k[1:]), 1)
+        law = np.linalg.matrix_power(model.transition_array(), k)
+        expected = counts.sum(axis=1, keepdims=True) * law
+        reachable = law > 0.0
+        z = (counts - expected)[reachable] / np.sqrt((expected * (1.0 - law))[reachable])
+        assert np.all(np.abs(z) <= 4.5), z
+        assert np.all(counts[~reachable] == 0)
+        assert reachable.all() == (k > 1)  # only one step leaves P^k with zero cells
+
     def test_initial_state_uniform_across_seeds(self):
         path = _flat_path(0.5, 0.1, 2)
         mm = MarkovModulatedProcess(transition=symmetric_chain(4, 0.3), marginals=path)
