@@ -37,20 +37,20 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
+def _parse_int_list(text: str, name: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
-        raise ConfigError(flag, f"expected comma-separated integers, got {text!r}")
+        raise ConfigError(name, f"expected comma-separated integers, got {text!r}")
 
 
 def _resolve_run_args(args: argparse.Namespace) -> tuple[dict, dict, str]:
     """The raw config with the --seeds/--checkpoints overrides, its resolved form and the output root."""
     raw = load_config(args.config, "--config")
     if args.seeds is not None:
-        raw["seeds"] = _parse_int_list(args.seeds, "--seeds")
+        raw["seeds"] = _parse_int_list(args.seeds, "seeds")
     if args.checkpoints is not None:
-        raw["checkpoints"] = _parse_int_list(args.checkpoints, "--checkpoints")
+        raw["checkpoints"] = _parse_int_list(args.checkpoints, "checkpoints")
     resolved = resolve_config(raw)
     return raw, resolved, args.out or resolved["out"]
 

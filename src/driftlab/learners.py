@@ -2,15 +2,12 @@
 
 All learners are pure functions of (parameters, observed history, t): at each
 step t they fit on points strictly before t, and the only state they keep is
-memoised work that depends on no data: their window plan and the adaptive
-window's drift sums.  Runs are reproducible and steps can be recomputed in
-isolation.
+memoised work that depends on no data: their window plan.  Runs are
+reproducible and steps can be recomputed in isolation.
 """
 
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,7 +74,7 @@ def subsample_schedule(t, alpha: float, r: float):
     cap = t_arr - 1
     gap = np.minimum(_ceil_snapped(tt**gap_exp).astype(np.int64), cap)
     window = np.minimum(_ceil_snapped(tt**window_exp).astype(np.int64), cap)
-    if np.isscalar(t) or t_arr.ndim == 0:
+    if t_arr.ndim == 0:
         return int(gap), int(window)
     return gap, window
 
@@ -100,38 +97,38 @@ def constant_window_size(d: int, gamma: float) -> int:
     return int(_ceil_snapped(np.asarray(value)))
 
 
-def best_window(t: int, schedule: DriftSchedule, d: int, *, _cache: dict | None = None) -> int:
+def best_window(t, schedule: DriftSchedule, d: int):
     """Window length minimizing (drift inside window) + sqrt(d/window), ties to smallest.
 
-    Scans m = 1..t-1 exactly; prefix sums make each window's drift O(1) and
-    the scan stops early once the (non-decreasing) drift term alone exceeds
-    the best objective so far, which cannot change the argmin.
+    Accepts a scalar t >= 2 (returns an int) or an integer array of such t
+    (returns an int64 array of its shape).  Scans m = 1..t-1 exactly for every
+    step at once, keeping a new best only on a strict ``<``.  The prefix sums
+    never decrease, so a step leaves the scan once its drift term alone exceeds
+    its best objective: no longer window can then be strictly better.
     """
-    if t < 2:
+    t_arr = np.asarray(t)
+    if np.any(t_arr < 2):
         raise ValueError("adaptive windows are defined for t >= 2")
-    if t > schedule.horizon:
-        raise ValueError(f"schedule horizon {schedule.horizon} too short for t={t}")
-    if _cache is not None:
-        prefix = _cache["prefix"]
-        sqrt_dm = _cache["sqrt_dm"]
-    else:
-        prefix = schedule.prefix_sums()
-        sqrt_dm = np.sqrt(float(d) / np.arange(1, schedule.horizon + 1, dtype=float))
-    s_t = prefix[t]
-    best_obj = math.inf
-    best_m = 1
-    chunk = 512
-    for start in range(1, t, chunk):
-        if s_t - prefix[t - start] > best_obj:
-            break
-        stop = min(t, start + chunk)
-        ms = np.arange(start, stop)
-        objective = (s_t - prefix[t - ms]) + sqrt_dm[start - 1 : stop - 1]
-        i = int(np.argmin(objective))
-        if objective[i] < best_obj:
-            best_obj = float(objective[i])
-            best_m = start + i
-    return best_m
+    if np.any(t_arr > schedule.horizon):
+        raise ValueError(f"schedule horizon {schedule.horizon} too short for t={t_arr.max()}")
+    ts = t_arr.astype(np.int64).ravel()
+    prefix = schedule.prefix_sums()
+    s_t = prefix[ts]
+    best_obj = np.full(ts.shape, np.inf)
+    best_m = np.ones(ts.shape, dtype=np.int64)
+    live = np.arange(ts.size)  # steps still in the scan
+    m = 1
+    while live.size:
+        drift = s_t[live] - prefix[ts[live] - m]
+        objective = drift + np.sqrt(float(d) / float(m))
+        better = objective < best_obj[live]
+        best_obj[live[better]] = objective[better]
+        best_m[live[better]] = m
+        m += 1
+        live = live[(ts[live] > m) & (drift <= best_obj[live])]
+    if t_arr.ndim == 0:
+        return int(best_m[0])
+    return best_m.reshape(t_arr.shape)
 
 
 def erm_step(function_class: FunctionClass, path: SamplePath, t: int, gap: int, window: int) -> Hypothesis:
@@ -211,19 +208,8 @@ class AdaptiveWindowLearner(Learner):
     function_class: FunctionClass
     schedule: DriftSchedule
 
-    @functools.cached_property
-    def _terms(self) -> dict:
-        """best_window's prefix sums and sqrt(d/m), built once per learner."""
-        d = self.function_class.d
-        return {
-            "prefix": self.schedule.prefix_sums(),
-            "sqrt_dm": np.sqrt(float(d) / np.arange(1, self.schedule.horizon + 1, dtype=float)),
-        }
-
     def _rows(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        d = self.function_class.d
-        windows = [best_window(t, self.schedule, d, _cache=self._terms) for t in ts.tolist()]
-        windows = np.array(windows, dtype=np.int64)
+        windows = best_window(ts, self.schedule, self.function_class.d)
         return np.ones_like(windows), windows
 
 

@@ -1023,7 +1023,22 @@ class TestCli:
     def test_bad_seed_list_exits_2(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path)
         assert main(["simulate", "--config", str(cfg), "--seeds", "a,b"]) == 2
-        assert "config error: --seeds" in capsys.readouterr().err
+        assert "config error: seeds: expected comma-separated integers" in capsys.readouterr().err
+        assert main(["simulate", "--config", str(cfg), "--checkpoints", "x"]) == 2
+        assert "config error: checkpoints: expected comma-separated integers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize(
+        "arg,key",
+        [("--seeds=a,b", "seeds"), ("--seeds=-1", "seeds"), ("--seeds=,", "seeds"),
+         ("--checkpoints=x", "checkpoints"), ("--checkpoints=5,3", "checkpoints")],
+    )
+    def test_bad_list_override_names_its_key(self, tmp_path, capsys, command, arg, key):
+        cfg = self._write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out), arg]) == 2
+        assert f"config error: {key}: " in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "value",

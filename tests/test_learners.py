@@ -5,6 +5,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from driftlab import (
     AdaptiveWindowLearner,
@@ -128,6 +130,29 @@ def _best_window_oracle(t: int, schedule: DriftSchedule, d: int) -> int:
     return best_m
 
 
+@st.composite
+def _best_window_cases(draw):
+    """(schedule, steps, d): power-step schedules whose windows can reach
+    hundreds of steps, or dyadic ones whose partial sums are all exact."""
+    horizon = draw(st.integers(2, 1500))
+    if draw(st.booleans()):
+        alpha = draw(st.sampled_from([0.0, 0.3, 0.6, 0.9]))
+        c0 = draw(st.sampled_from([1e-4, 1e-3, 1e-2, 0.3, 1.0]))
+        sched = make_drift_schedule("power_step", alpha=alpha, horizon=horizon, c0=c0)
+    else:
+        seed, top, scale = draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 64)), draw(st.integers(6, 14))
+        deltas = np.random.default_rng(seed).integers(0, top + 1, size=horizon) / 2.0**scale
+        deltas[0] = 0.0
+        sched = DriftSchedule(
+            kind="constant",
+            alpha=0.0,
+            deltas=tuple(float(v) for v in deltas),
+            growth_constant=float(np.sum(deltas)),
+        )
+    ts = draw(st.lists(st.integers(2, horizon), min_size=1, max_size=12))
+    return sched, ts, draw(st.sampled_from([1, 2, 5]))
+
+
 class TestBestWindow:
     def test_constant_drift_worked_example(self):
         sched = make_drift_schedule("constant", alpha=0.0, horizon=2000, gamma=0.01)
@@ -189,8 +214,8 @@ class TestBestWindow:
         # f(4) = 63/64 + 1 < 2 = f(1)
         assert best_window(8, sched, 4) == 4
 
-    def test_chunk_boundaries(self):
-        # exercise scans longer than one 512-wide chunk
+    def test_long_windows_match_oracle(self):
+        # the best window at t = 3000 is hundreds of steps long
         sched = make_drift_schedule("power_step", alpha=0.6, horizon=3000, c0=0.001)
         assert best_window(3000, sched, 1) == _best_window_oracle(3000, sched, 1)
 
@@ -200,6 +225,35 @@ class TestBestWindow:
             best_window(1, sched, 1)
         with pytest.raises(ValueError):
             best_window(11, sched, 1)
+        for ts in ([2, 1, 5], [0], [3, 11, 4]):
+            with pytest.raises(ValueError):
+                best_window(np.array(ts), sched, 1)
+
+    def test_array_forms(self):
+        sched = make_drift_schedule("power_step", alpha=0.25, horizon=50)
+        empty = best_window(np.zeros(0, dtype=np.int64), sched, 1)
+        assert empty.dtype == np.int64 and empty.shape == (0,)
+        for t in (7, np.int64(7), np.array(7)):
+            window = best_window(t, sched, 1)
+            assert type(window) is int and window == _best_window_oracle(7, sched, 1)
+        grid = np.array([[2, 50], [50, 9]])
+        windows = best_window(grid, sched, 2)
+        assert windows.dtype == np.int64 and windows.shape == (2, 2)
+        assert windows.tolist() == [[best_window(int(t), sched, 2) for t in row] for row in grid]
+        learner = AdaptiveWindowLearner(function_class=ThresholdClass(), schedule=sched)
+        assert [w.tolist() for w in learner.plan(1)] == [[0], [0]]
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=_best_window_cases())
+    @example(case=(make_drift_schedule("power_step", alpha=0.0, horizon=1500, c0=1e-3), [1500, 900, 2], 1))
+    # an exact tie at t = 8: f(1) = 0 + 1 and f(4) = 1/2 + 1/2
+    @example(case=(DriftSchedule("constant", 0.0, (0.0, 0.0, 0.0, 0.5, 0.0, 0.0, 0.5, 0.0), 1.0), [8], 1))
+    def test_array_matches_oracle_and_scalar_calls(self, case):
+        sched, ts, d = case
+        windows = best_window(np.array(ts, dtype=np.int64), sched, d)
+        assert windows.dtype == np.int64
+        assert windows.tolist() == [_best_window_oracle(t, sched, d) for t in ts]
+        assert windows.tolist() == [best_window(t, sched, d) for t in ts]
 
 
 def _random_product_path(horizon: int, seed: int):
