@@ -717,6 +717,60 @@ class TestLastPointOracle:
         assert np.all(np.abs(z) <= 4.0), z
 
 
+def _midpoint_erm_error(n: np.ndarray) -> np.ndarray:
+    """E|theta_hat - 1/2| of noise-free threshold ERM on n >= 1 i.i.d. uniform points, theta = 1/2.
+
+    Both sides empty (probability 2^-n) gives theta 0 or 1, off by 1/2.  Otherwise theta_hat is the
+    midpoint of the gaps l and r on each side of theta, off by |r - l| / 2; integrating that against
+    their joint density n(n-1)(1 - l - r)^(n-2) gives the other two terms.
+    """
+    n = np.asarray(n, dtype=float)
+    binomial_tail = 1.0 - (1.0 + (n + 1) + (n + 1) * n / 2.0) * 0.5 ** (n + 1)  # P(Bin(n+1, 1/2) >= 3)
+    return 0.5**n + binomial_tail / (2.0 * (n + 1)) + n * (n - 1) * 0.5 ** (n + 1) / (4.0 * (n + 1))
+
+
+class TestMultiPointOracle:
+    """Multi-point ERM in a whole run against a law derived by hand: noise-free labels on a fixed concept.
+
+    With eta = 0 and theta0 = 1/2 under power-step drift with c0 = 1e-12 (theta moves by under 4e-11 in
+    8192 steps), the n = window // gap points a product-process step fits are i.i.d. uniform, and the
+    zero-loss cut is unique: the excess of the step is ``_midpoint_erm_error(n)``.  A (0, 0) plan row
+    deploys theta 0 and pays 1/2.  ``subsampled_erm`` fits 1 to 11 points by the row kernel;
+    ``constant_window`` fits 63 points, one block-kernel window.
+    """
+
+    SEEDS = tuple(range(300, 364))  # fixed before the first run
+    HORIZON = 8192
+    CHECKPOINTS = np.array([512, 2048, 8192])
+
+    @pytest.mark.parametrize(
+        "learner", [{"kind": "subsampled_erm", "alpha": 0.25, "r": 2.0}, {"kind": "constant_window", "gamma": 0.002}]
+    )
+    def test_seed_mean_cumulative_excess_matches_closed_form(self, learner):
+        resolved = resolve_config(
+            {
+                "horizon": self.HORIZON,
+                "seeds": list(self.SEEDS),
+                "drift": {"kind": "power_step", "alpha": 0.25, "c0": 1e-12},
+                "concept": {"eta": 0.0, "theta0": 0.5},
+                "process": {"kind": "product"},
+                "learner": learner,
+            }
+        )
+        model, schedule = build_model(resolved)
+        fitted = build_learner(resolved, schedule)
+        gaps, windows = fitted.plan(self.HORIZON)
+        if learner["kind"] == "constant_window":
+            assert windows.max() == 63 >= evaluation.SLIDE_MIN_WINDOW
+        points = windows // np.maximum(gaps, 1)
+        expected = np.cumsum(np.where(points == 0, 0.5, _midpoint_erm_error(np.maximum(points, 1))))[self.CHECKPOINTS - 1]
+        curve = run_experiment(model, fitted, self.HORIZON, self.SEEDS)
+        per_seed = np.cumsum(curve.risks, axis=1)[:, self.CHECKPOINTS - 1]
+        se = per_seed.std(axis=0, ddof=1) / math.sqrt(len(self.SEEDS))
+        z = (per_seed.mean(axis=0) - expected) / se
+        assert np.all(np.abs(z) <= 4.0), z
+
+
 class TestCheckpoints:
     def test_geometric_sqrt2_grid(self):
         grid = geometric_checkpoints(1024, 32768)
