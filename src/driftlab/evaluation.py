@@ -26,6 +26,7 @@ from .hypotheses import (
     FunctionClass,
     ThresholdClass,
     _rank_space,
+    _rank_threshold_erm,
     _sliding_threshold_erm,
     cut_losses,
     threshold_erm_rows,
@@ -84,7 +85,8 @@ SUP_DEVIATION_BATCH_ELEMENTS = 2**13
 
 # gap-1 runs of one window of at least SLIDE_MIN_WINDOW points are solved
 # SLIDE_BLOCK steps at a time by the block kernel; on 100,000-step paths
-# (2 vCPU) the row kernel is as fast at 40-47 points and slower from 56 on
+# (2 vCPU) the rank-space row kernel is faster up to 44 points, as fast at 48
+# and slower from 52 on
 SLIDE_MIN_WINDOW = 48
 SLIDE_BLOCK = 8
 
@@ -383,19 +385,20 @@ def _window_thetas(
 ) -> np.ndarray:
     """Threshold ERM thetas of steps start+1..stop, which share the plan row (gap, window).
 
-    A gap-1 run of a window of at least SLIDE_MIN_WINDOW points goes
-    SLIDE_BLOCK steps at a time through ``_sliding_threshold_erm`` when
-    ``space()``, the path's ``_rank_space``, is not None.  The rest, a partial
-    last block included, goes through ``threshold_erm_rows``, the reference
-    the block kernel matches.
+    When ``space()``, the path's ``_rank_space``, is not None, a gap-1 run of a
+    window of at least SLIDE_MIN_WINDOW points goes SLIDE_BLOCK steps at a time
+    through ``_sliding_threshold_erm``, and the rest, a partial last block
+    included, through ``_rank_threshold_erm``.  A path without a rank space
+    (tied x, or an x of 1.0) goes through ``threshold_erm_rows``, the
+    reference both kernels match.
     """
     if window == 0:
         return np.zeros(stop - start)  # the initial hypothesis, theta 0
     thetas = np.empty(stop - start)
+    ranked = space()
     blocks = (stop - start) // SLIDE_BLOCK if gap == 1 and window >= max(SLIDE_MIN_WINDOW, SLIDE_BLOCK) else 0
-    ranked = space() if blocks else None
-    rest = start  # the first step left to the row kernel
-    if ranked is not None:
+    rest = start  # the first step left to a row kernel
+    if ranked is not None and blocks:
         rest += blocks * SLIDE_BLOCK
         thetas[: rest - start] = _sliding_threshold_erm(ranked, start, blocks, window, SLIDE_BLOCK, ERM_BATCH_ELEMENTS)
     lags = gap * np.arange(1, window // gap + 1)
@@ -403,7 +406,8 @@ def _window_thetas(
     for first in range(rest, stop, rows):
         # positions (t-1) - s*gap of the points fitted at steps t = first+1..
         pos = np.arange(first, min(first + rows, stop))[:, None] - lags
-        thetas[first - start : first - start + pos.shape[0]] = threshold_erm_rows(path.xs[pos], path.ys[pos])
+        done = thetas[first - start : first - start + pos.shape[0]]
+        done[:] = threshold_erm_rows(path.xs[pos], path.ys[pos]) if ranked is None else _rank_threshold_erm(ranked, pos)
     return thetas
 
 
@@ -422,7 +426,8 @@ def run_single(
     The steps are cut into runs of equal plan rows, also cut after every
     power of two, and each run's ERM problems are solved together by
     ``_window_thetas``; the per-step ``learner.step`` is the scalar reference
-    they match.
+    they match.  The thetas are turned into risks in place, once per range
+    between two powers of two.
     """
     path = sample_path(model, horizon, seed)
     gaps, windows = learner.plan(horizon)
@@ -432,11 +437,19 @@ def run_single(
     starts = sorted({*plan_group_starts(gaps, windows).tolist(), *powers[powers < horizon].tolist()})
     space = functools.cache(lambda: _rank_space(path.xs, path.ys))  # one argsort and tie check per path, on first use
     risks = np.empty(horizon)
+    flushed = 0  # risks[:flushed] are risks, the rest thetas
     for start, stop in zip(starts, starts[1:] + [horizon]):
-        gap, window = int(gaps[start]), int(windows[start])
-        thetas = _window_thetas(path, start, stop, gap, window, space)
-        risks[start:stop] = eta + (1.0 - 2.0 * eta) * np.abs(thetas - marginals.thetas[start:stop])
-        if checkpoint is not None and (stop & (stop - 1)) == 0:
+        risks[start:stop] = _window_thetas(path, start, stop, int(gaps[start]), int(windows[start]), space)
+        power = (stop & (stop - 1)) == 0
+        if power or stop == horizon:
+            # eta + (1 - 2 eta) * |theta - theta_t|
+            done = risks[flushed:stop]
+            np.subtract(done, marginals.thetas[flushed:stop], out=done)
+            np.abs(done, out=done)
+            done *= 1.0 - 2.0 * eta
+            done += eta
+            flushed = stop
+        if checkpoint is not None and power:
             checkpoint(stop, risks)
     return risks
 

@@ -217,6 +217,31 @@ def _rank_space(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return packed, x
 
 
+def _rank_threshold_erm(space: tuple[np.ndarray, np.ndarray], pos: np.ndarray) -> np.ndarray:
+    """``threshold_erm_rows``'s theta of each row of path positions ``pos`` (rows, n).
+
+    ``space`` is ``_rank_space`` of the path, so every cut is reachable and a
+    row is its packed keys, sorted.  The loss of the cut below the c lowest
+    points is a constant plus S(c), the sum of +1 per y=1 and -1 per y=0 over
+    them, with S(0) = 0: the best cut is the leftmost least S(c) when that is
+    negative, else 0.  Its neighbours are read from the path's sorted x.
+    """
+    packed, x = space
+    keys = packed[pos]
+    keys.sort(axis=1)
+    rows, n = keys.shape
+    walk = keys & 1
+    walk <<= 1
+    walk -= 1
+    np.cumsum(walk, axis=1, out=walk)  # S(1..n)
+    low = walk.argmin(axis=1)
+    row_start = n * np.arange(rows)  # flat gathers: the rows of keys.ravel() start here
+    best = np.where(walk.ravel()[row_start + low] < 0, low + 1, 0)
+    below = x[keys.ravel()[row_start + np.maximum(best - 1, 0)] >> 1]
+    above = x[keys.ravel()[row_start + np.minimum(best, n - 1)] >> 1]
+    return np.where(best == 0, 0.0, np.where(best == n, 1.0, 0.5 * (below + above)))
+
+
 def _sliding_threshold_erm(
     space: tuple[np.ndarray, np.ndarray], first: int, blocks: int, m: int, block: int, budget: int
 ) -> np.ndarray:

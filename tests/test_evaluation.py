@@ -51,7 +51,7 @@ from driftlab import (
     verify_uniform_deviation,
 )
 from driftlab import evaluation
-from driftlab.hypotheses import _rank_space, _sliding_threshold_erm, cut_losses, threshold_erm_rows
+from driftlab.hypotheses import _rank_space, _rank_threshold_erm, _sliding_threshold_erm, cut_losses, threshold_erm_rows
 
 
 class TestTheoreticalExponent:
@@ -393,9 +393,13 @@ class TestSlidingWindowErm:
         learner = ConstantWindowLearner(function_class=ThresholdClass(), gamma=0.01)  # window 22
         with mock.patch.object(evaluation, "sample_path", return_value=forced_path), mock.patch.object(
             evaluation, "_sliding_threshold_erm"
-        ) as kernel:
+        ) as kernel, mock.patch.object(evaluation, "_rank_threshold_erm") as rank_kernel, mock.patch.object(
+            evaluation, "threshold_erm_rows", wraps=threshold_erm_rows
+        ) as reference:
             risks = run_single(model, learner, 300, seed=2)
         kernel.assert_not_called()
+        rank_kernel.assert_not_called()
+        assert reference.called
         expected = [risk(learner.step(forced_path, t), path[t - 1]) for t in range(1, 301)]
         assert np.array_equal(risks, expected)
 
@@ -410,6 +414,50 @@ class TestSlidingWindowErm:
         assert [c.args[1] for c in kernel.call_args_list] == [22, 32, 64, 128, 256, 512, 1024]
         assert [t for t, _ in flushed] == [1 << j for j in range(11)]
         assert np.array_equal(risks, _stepwise_risks(model, learner, 1100, seed=9))
+
+
+class TestRankRowErm:
+    @staticmethod
+    def _path(process: str) -> tuple[np.ndarray, np.ndarray]:
+        """x and labels of a 700-step path whose labels are all 1 on steps 100..199 and all 0 on 300..399,
+        with x = 0.0 and the largest x below 1.0 on board."""
+        sp = _drifting_path(process, 700, seed=17)
+        xs, ys = sp.xs.copy(), sp.ys.copy()
+        xs[[50, 450]] = 0.0, np.nextafter(1.0, 0.0)
+        ys[100:200], ys[300:400] = 1, 0
+        return xs, ys
+
+    @pytest.mark.parametrize("process", ["product", "markov"])
+    def test_matches_reference_for_every_point_count_and_gap(self, process):
+        xs, ys = self._path(process)
+        space = _rank_space(xs, ys)
+        assert space is not None
+        ends = {0.0: 0, 1.0: 0}
+        for n in range(1, 65):
+            for gap in range(1, 10):
+                pos = np.arange(n * gap, xs.size, 3)[:, None] - gap * np.arange(1, n + 1)
+                expected = threshold_erm_rows(xs[pos], ys[pos])
+                assert _rank_threshold_erm(space, pos).tobytes() == expected.tobytes(), (n, gap)
+                for end in ends:
+                    ends[end] += np.count_nonzero(expected == end)
+        assert min(ends.values()) > 0  # rows whose best cut is 0, and rows whose best cut is n
+
+    @pytest.mark.parametrize("process", ["product", "markov"])
+    @pytest.mark.parametrize("kind", ["subsampled_erm", "constant_window", "adaptive_window", "last_point"])
+    def test_run_single_takes_no_reference_on_a_ranked_path(self, kind, process, monkeypatch):
+        monkeypatch.setattr(evaluation, "SLIDE_MIN_WINDOW", evaluation.SLIDE_BLOCK)  # both kernels run: windows of 8 and more slide
+        sched = make_drift_schedule("power_step", alpha=0.25, horizon=600)
+        path = concept_path(sched, eta=0.1, theta0=0.5)
+        model = ProductProcess(marginals=path)
+        if process == "markov":
+            model = MarkovModulatedProcess(transition=symmetric_chain(4, 0.25), marginals=path)
+        learner = _learner(kind, sched)
+        sp = sample_path(model, 600, seed=8)
+        assert _rank_space(sp.xs, sp.ys) is not None
+        with mock.patch.object(evaluation, "threshold_erm_rows") as reference:
+            risks = run_single(model, learner, 600, seed=8)
+        reference.assert_not_called()
+        assert np.array_equal(risks, _stepwise_risks(model, learner, 600, seed=8))
 
 
 class TestWriteCurveRows:
@@ -744,7 +792,9 @@ class TestMultiPointOracle:
     CHECKPOINTS = np.array([512, 2048, 8192])
 
     @pytest.mark.parametrize(
-        "learner", [{"kind": "subsampled_erm", "alpha": 0.25, "r": 2.0}, {"kind": "constant_window", "gamma": 0.002}]
+        "learner",
+        [{"kind": "subsampled_erm", "alpha": 0.25, "r": 2.0}, {"kind": "constant_window", "gamma": 0.002}],
+        ids=["subsampled_erm", "constant_window"],
     )
     def test_seed_mean_cumulative_excess_matches_closed_form(self, learner):
         resolved = resolve_config(

@@ -30,6 +30,7 @@ from driftlab import (
     subsample_times,
     threshold_erm,
 )
+from driftlab import learners
 
 
 class TestSubsampleSchedule:
@@ -213,6 +214,29 @@ class TestBestWindow:
         sched = DriftSchedule(kind="constant", alpha=0.0, deltas=deltas, growth_constant=4.0)
         # f(4) = 63/64 + 1 < 2 = f(1)
         assert best_window(8, sched, 4) == 4
+
+    @pytest.mark.parametrize(
+        "kind, options",
+        [
+            ("power_step", {"alpha": 0.25}),
+            ("constant", {"alpha": 0.0, "gamma": 0.01}),
+            ("power_step", {"alpha": 0.6, "c0": 0.3}),
+            ("constant", {"alpha": 0.0, "gamma": 1e-9}),
+        ],
+    )
+    def test_block_passes_leave_plans_and_steps_unchanged(self, kind, options, monkeypatch):
+        sched = make_drift_schedule(kind, horizon=2048, **options)
+        ts = np.arange(2, 2049)
+        monkeypatch.setattr(learners, "WINDOW_SCAN_LIVE", 0)  # one length per pass: the reference scan
+        reference = best_window(ts, sched, 1)
+        steps = np.random.default_rng(900).integers(2, 2049, size=900)
+        assert [best_window(int(t), sched, 1) for t in steps[:8]] == reference[steps[:8] - 2].tolist()
+        monkeypatch.setattr(learners, "WINDOW_SCAN_LIVE", 2048)  # blocks of 16 lengths and more from the first pass on
+        monkeypatch.setattr(learners, "WINDOW_SCAN_ELEMENTS", 2**15)
+        assert np.array_equal(best_window(ts, sched, 1), reference)
+        monkeypatch.undo()
+        assert np.array_equal(best_window(ts, sched, 1), reference)
+        assert [best_window(int(t), sched, 1) for t in steps] == reference[steps - 2].tolist()
 
     def test_long_windows_match_oracle(self):
         # the best window at t = 3000 is hundreds of steps long

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -23,7 +24,7 @@ from driftlab import (
     symmetric_chain,
     verify_mixing_rate,
 )
-from driftlab.processes import MAX_STATES, _is_primitive
+from driftlab.processes import MAX_STATES, WALK_BLOCK, _is_primitive, _walk
 
 
 BELOW_ONE = 1.0 - 2.0**-53  # the largest float Generator.random returns
@@ -293,7 +294,7 @@ class TestMarkovStates:
     }
 
     @pytest.mark.parametrize("states", [1, 2, 3, 5, MAX_STATES])
-    @pytest.mark.parametrize("horizon", [1, 2, 3, 1000])
+    @pytest.mark.parametrize("horizon", [1, 2, 3, 64, 65, 1000])
     def test_states_match_per_step_loop(self, states, horizon):
         path = _flat_path(0.5, 0.1, horizon)
         for transition in self.CHAINS[states]:
@@ -352,6 +353,50 @@ class TestMarkovStates:
         taken[sp.states[:-1], sp.states[1:]] = True
         assert np.count_nonzero(_MIXTURE_16 == 0.0) > MAX_STATES
         assert np.array_equal(taken, _MIXTURE_16 > 0.0)
+
+
+def _table_walk(cum_rows: np.ndarray, state: int, moves: np.ndarray) -> np.ndarray:
+    """Chain states by one lookup per move in the state x bin table: the reference ``_walk`` keeps."""
+    size = cum_rows.shape[0]
+    breaks = np.sort(cum_rows, axis=None)
+    lows = np.concatenate(([-np.inf], breaks))
+    table = [np.minimum(np.searchsorted(row, lows, side="right"), size - 1).tolist() for row in cum_rows]
+    walk = [state]
+    for b in np.searchsorted(breaks, moves, side="right").tolist():
+        state = table[state][b]
+        walk.append(state)
+    return np.array(walk, dtype=np.int64)
+
+
+class TestLaneWalk:
+    # one move fewer than a block, exactly one block, one move into the next, two blocks, and a long path
+    @pytest.mark.parametrize("horizon", [1, 2, WALK_BLOCK, WALK_BLOCK + 1, WALK_BLOCK + 2, 2 * WALK_BLOCK + 1, 32768])
+    @pytest.mark.parametrize("size", [2, 3, 4, MAX_STATES])
+    def test_matches_table_walk_from_every_start(self, size, horizon):
+        # asymmetric rows with zero entries, so a transposed, shifted or mis-scaled table shows
+        rng = np.random.default_rng(1000 * size + horizon)
+        matrix = rng.random((size, size)) * (rng.random((size, size)) < 0.6)
+        matrix[np.arange(size), rng.integers(0, size, size)] += 0.05
+        cum_rows = np.cumsum(matrix / matrix.sum(axis=1, keepdims=True), axis=1)
+        moves = rng.random(horizon - 1)
+        for state in range(size):
+            walk = _walk(cum_rows, state, moves)
+            assert walk.dtype == np.int64
+            assert walk.tobytes() == _table_walk(cum_rows, state, moves).tobytes()
+
+    def test_peak_traced_memory_at_sixteen_states(self):
+        cum_rows = np.cumsum(np.asarray(symmetric_chain(MAX_STATES, 0.35)), axis=1)
+        moves = np.random.default_rng(5).random(32767)
+        _walk(cum_rows, 0, moves)  # warm numpy's lazy set-up outside the trace
+        tracemalloc.start()
+        try:
+            _walk(cum_rows, 0, moves)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # int16 lanes (1 MiB here) and the int64 walk (256 KiB) peaked at 1,563,032 bytes (Python 3.11.7,
+        # numpy 2.4.6); int32 lanes alone would take 2 MiB
+        assert peak <= 1_600_000
 
 
 class TestFiniteSamplePath:
