@@ -8,6 +8,7 @@ schedule as a sequence of threshold marginals.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence, Union
 
@@ -133,9 +134,15 @@ class DriftSchedule:
         return self.deltas.size
 
     def prefix_sums(self) -> np.ndarray:
-        """S with S[0] = 0 and S[t] = sum of deltas for steps 1..t."""
+        """S with S[0] = 0 and S[t] = sum of deltas for steps 1..t: one read-only
+        array, computed on the first call and returned by every later one."""
+        return self._prefix_sums
+
+    @functools.cached_property
+    def _prefix_sums(self) -> np.ndarray:
         out = np.zeros(self.horizon + 1)
         np.cumsum(self.deltas, out=out[1:])
+        out.flags.writeable = False
         return out
 
 

@@ -288,7 +288,10 @@ def write_curve_rows(fh: TextIO, columns: Sequence[np.ndarray], start: int, stop
         chunks = [column[lo:hi] for column in columns]
         # compared as views: copying the bits out as bytes grew the heap and raised later peak RSS
         bits = [(chunk.dtype, chunk.view(f"u{chunk.itemsize}")) for chunk in chunks]
-        firsts = [next(j for j, (d, b) in enumerate(bits) if d == dtype and np.array_equal(b, own)) for dtype, own in bits]
+        firsts = [
+            next((j for j, (d, b) in enumerate(bits[:i]) if d == dtype and np.array_equal(b, own)), i)
+            for i, (dtype, own) in enumerate(bits)
+        ]
         comma = np.broadcast_to(np.uint8(ord(",")), (hi - lo, 1))
         parts, texts = [_text_slots(np.arange(lo + 1, hi + 1, dtype=np.int64))], {}
         for chunk, (_, own), first in zip(chunks, bits, firsts):
@@ -380,34 +383,23 @@ def plan_group_starts(gaps: np.ndarray, windows: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], np.flatnonzero(changed) + 1))
 
 
-def _window_thetas(
-    path: SamplePath, start: int, stop: int, gap: int, window: int, space: Callable[[], tuple | None]
-) -> np.ndarray:
-    """Threshold ERM thetas of steps start+1..stop, which share the plan row (gap, window).
+def _row_thetas(path: SamplePath, ranked: tuple | None, steps: np.ndarray, step_gaps: np.ndarray, count: int) -> np.ndarray:
+    """Threshold ERM thetas of the 0-based ``steps``, step i fitting the ``count``
+    points i - s * step_gaps[i], s = 1..count, solved in chunks of at most
+    ERM_BATCH_ELEMENTS points.
 
-    When ``space()``, the path's ``_rank_space``, is not None, a gap-1 run of a
-    window of at least SLIDE_MIN_WINDOW points goes SLIDE_BLOCK steps at a time
-    through ``_sliding_threshold_erm``, and the rest, a partial last block
-    included, through ``_rank_threshold_erm``.  A path without a rank space
-    (tied x, or an x of 1.0) goes through ``threshold_erm_rows``, the
-    reference both kernels match.
+    With ``ranked``, the path's ``_rank_space``, the rows go through
+    ``_rank_threshold_erm``; a path without one (tied x, or an x of 1.0) goes
+    through ``threshold_erm_rows``, the reference every kernel matches.  Both
+    solve each row on its own, so steps of different gaps share a call.
     """
-    if window == 0:
-        return np.zeros(stop - start)  # the initial hypothesis, theta 0
-    thetas = np.empty(stop - start)
-    ranked = space()
-    blocks = (stop - start) // SLIDE_BLOCK if gap == 1 and window >= max(SLIDE_MIN_WINDOW, SLIDE_BLOCK) else 0
-    rest = start  # the first step left to a row kernel
-    if ranked is not None and blocks:
-        rest += blocks * SLIDE_BLOCK
-        thetas[: rest - start] = _sliding_threshold_erm(ranked, start, blocks, window, SLIDE_BLOCK, ERM_BATCH_ELEMENTS)
-    lags = gap * np.arange(1, window // gap + 1)
-    rows = max(1, ERM_BATCH_ELEMENTS // lags.size)
-    for first in range(rest, stop, rows):
-        # positions (t-1) - s*gap of the points fitted at steps t = first+1..
-        pos = np.arange(first, min(first + rows, stop))[:, None] - lags
-        done = thetas[first - start : first - start + pos.shape[0]]
-        done[:] = threshold_erm_rows(path.xs[pos], path.ys[pos]) if ranked is None else _rank_threshold_erm(ranked, pos)
+    thetas = np.empty(steps.size)
+    lags = np.arange(1, count + 1)
+    rows = max(1, ERM_BATCH_ELEMENTS // count)
+    for first in range(0, steps.size, rows):
+        chunk = slice(first, first + rows)
+        pos = steps[chunk, None] - step_gaps[chunk, None] * lags
+        thetas[chunk] = threshold_erm_rows(path.xs[pos], path.ys[pos]) if ranked is None else _rank_threshold_erm(ranked, pos)
     return thetas
 
 
@@ -424,10 +416,13 @@ def run_single(
     ``risks`` filled through index t-1, so callers can flush partial results.
 
     The steps are cut into runs of equal plan rows, also cut after every
-    power of two, and each run's ERM problems are solved together by
-    ``_window_thetas``; the per-step ``learner.step`` is the scalar reference
-    they match.  The thetas are turned into risks in place, once per range
-    between two powers of two.
+    power of two; the per-step ``learner.step`` is the scalar reference they
+    match.  When the path has a rank space, a gap-1 run of a window of at
+    least SLIDE_MIN_WINDOW points goes SLIDE_BLOCK steps at a time through
+    ``_sliding_threshold_erm``.  The other steps of a range between two powers
+    of two, partial last blocks included, are grouped by their point count
+    window // gap, and each count is solved by one ``_row_thetas`` call.  The
+    thetas are turned into risks in place, once per such range.
     """
     path = sample_path(model, horizon, seed)
     gaps, windows = learner.plan(horizon)
@@ -438,10 +433,26 @@ def run_single(
     space = functools.cache(lambda: _rank_space(path.xs, path.ys))  # one argsort and tie check per path, on first use
     risks = np.empty(horizon)
     flushed = 0  # risks[:flushed] are risks, the rest thetas
+    pending: dict[int, list[np.ndarray]] = {}  # point count -> the row-kernel steps of this range not yet solved
     for start, stop in zip(starts, starts[1:] + [horizon]):
-        risks[start:stop] = _window_thetas(path, start, stop, int(gaps[start]), int(windows[start]), space)
+        gap, window = int(gaps[start]), int(windows[start])
+        if window == 0:
+            risks[start:stop] = 0.0  # the initial hypothesis, theta 0
+        else:
+            ranked = space()
+            slide = ranked is not None and gap == 1 and window >= max(SLIDE_MIN_WINDOW, SLIDE_BLOCK)
+            blocks = (stop - start) // SLIDE_BLOCK if slide else 0
+            rest = start + blocks * SLIDE_BLOCK  # the first step left to a row kernel
+            if blocks:
+                risks[start:rest] = _sliding_threshold_erm(ranked, start, blocks, window, SLIDE_BLOCK, ERM_BATCH_ELEMENTS)
+            if rest < stop:
+                pending.setdefault(window // gap, []).append(np.arange(rest, stop))
         power = (stop & (stop - 1)) == 0
         if power or stop == horizon:
+            for count, runs in pending.items():
+                steps = np.concatenate(runs)
+                risks[steps] = _row_thetas(path, space(), steps, gaps[steps], count)
+            pending.clear()
             # eta + (1 - 2 eta) * |theta - theta_t|
             done = risks[flushed:stop]
             np.subtract(done, marginals.thetas[flushed:stop], out=done)

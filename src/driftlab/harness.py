@@ -12,8 +12,8 @@ resolved form is hashed so outputs land in a content-addressed directory:
     out/<hash>/run.json           record incl. wall clock (the only non-reproducible field)
 
 Identical (config bytes, seeds, version) reproduce identical CSV/fit/summary
-bytes; per-seed curve files are flushed at power-of-two steps so partial curves
-survive interruption, and every other file is replaced atomically.
+bytes; per-seed curve files are flushed in whole chunks of rows so partial
+curves survive interruption, and every other file is replaced atomically.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .distributions import (
     tv_distance,
 )
 from .evaluation import (
+    CSV_CHUNK_ROWS,
     DEFAULT_CHECKPOINT_MIN,
     RateFit,
     RegretCurve,
@@ -391,18 +392,27 @@ def _run_seed_streaming(
     seed: int,
     curve_path: str,
 ) -> np.ndarray:
-    """One replicate with CSV rows flushed at every power-of-two step."""
+    """One replicate with its CSV rows flushed in whole chunks.
+
+    At each power-of-two checkpoint of ``run_single`` the rows up to the last
+    multiple of CSV_CHUNK_ROWS reached so far are written, and the rest at the
+    end, so every chunk of the curve text is rendered in one call.  The file
+    always holds a prefix of whole rows.
+    """
     gaps, windows = learner.plan(horizon)
     with open(curve_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("t,risk,inf_risk,cum_excess,win_k,win_m\n")
+        fh.flush()
         written = 0
 
         def checkpoint(t: int, risks: np.ndarray) -> None:
             nonlocal written
-            cum_excess = np.cumsum(risks[:t] - inf_risks[:t])
-            write_curve_rows(fh, (risks, inf_risks, cum_excess, gaps, windows), written, t)
-            written = t
-            fh.flush()
+            stop = t if t == horizon else t - t % CSV_CHUNK_ROWS
+            if stop > written:
+                cum_excess = np.cumsum(risks[:stop] - inf_risks[:stop])
+                write_curve_rows(fh, (risks, inf_risks, cum_excess, gaps, windows), written, stop)
+                written = stop
+                fh.flush()
 
         risks = run_single(model, learner, horizon, seed, checkpoint=checkpoint)
         checkpoint(horizon, risks)

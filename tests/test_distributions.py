@@ -121,6 +121,17 @@ class TestDriftSchedule:
         assert sched.deltas[0] == 0.0
         assert all(d == 0.05 for d in sched.deltas[1:])
 
+    def test_prefix_sums_are_one_read_only_array(self):
+        sched = make_drift_schedule("power_step", alpha=0.25, horizon=50)
+        prefix = sched.prefix_sums()
+        assert sched.prefix_sums() is prefix
+        assert not prefix.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            prefix[1] = 0.0
+        expected = np.zeros(51)
+        np.cumsum(sched.deltas, out=expected[1:])
+        assert np.array_equal(prefix, expected)
+
     def test_prefix_sums_start_at_zero(self):
         sched = make_drift_schedule("constant", alpha=0.0, horizon=5, gamma=0.1)
         prefix = sched.prefix_sums()

@@ -365,18 +365,27 @@ class TestSlidingWindowErm:
         assert _rank_space(np.array([0.1, 0.7, 0.1, 0.9]), np.array([0, 1, 0, 1])) is None
         assert _rank_space(np.array([0.1, 1.0, 0.3, 0.9]), np.array([0, 1, 0, 1])) is None
 
-    @pytest.mark.parametrize("stop", [700, 701, 707])  # B divides the group or leaves 1 or 7 steps to the row kernel
-    def test_window_thetas_sends_whole_blocks_to_the_kernel(self, stop, monkeypatch):
+    @pytest.mark.parametrize("stop", [704, 705, 707])  # B divides the last run or leaves 1 or 3 steps to the row kernel
+    def test_run_single_sends_whole_blocks_to_the_kernel(self, stop, monkeypatch):
         monkeypatch.setattr(evaluation, "SLIDE_MIN_WINDOW", 30)
-        sp = _drifting_path("product", 707, seed=5)
-        space = functools.cache(lambda: _rank_space(sp.xs, sp.ys))
-        with mock.patch.object(evaluation, "_sliding_threshold_erm", wraps=_sliding_threshold_erm) as kernel:
-            thetas = evaluation._window_thetas(sp, 36, stop, 1, 30, space)
-            assert kernel.call_args.args[1:5] == (36, (stop - 36) // 8, 30, 8)
-            evaluation._window_thetas(sp, 36, stop, 1, 29, space)  # below the crossover
-            evaluation._window_thetas(sp, 36, stop, 2, 30, space)  # a subsample
-            assert kernel.call_count == 1
-        assert np.array_equal(thetas, _per_window_thetas(sp.xs, sp.ys, 36, stop, 30))
+        model = ProductProcess(marginals=ConceptPath(np.linspace(0.3, 0.7, stop), 0.2))
+        calls = []
+
+        def kernel(*args):
+            calls.append(args[1:5])
+            return _sliding_threshold_erm(*args)
+
+        monkeypatch.setattr(evaluation, "_sliding_threshold_erm", kernel)
+        # steps 2..30 fit windows of 1..29 points, then every step 30 (runs cut at 32, 64, ..., 512)
+        learner = _BlockPlanLearner(function_class=ThresholdClass(), rows=((1, 30),), block=stop)
+        risks = run_single(model, learner, stop, seed=5)
+        runs = [(32, 64), (64, 128), (128, 256), (256, 512), (512, stop)]
+        assert calls == [(start, (end - start) // 8, 30, 8) for start, end in runs]
+        assert np.array_equal(risks, _stepwise_risks(model, learner, stop, seed=5))
+        calls.clear()
+        for rows in ((1, 29), (2, 30)):  # below the crossover; a subsample
+            run_single(model, _BlockPlanLearner(function_class=ThresholdClass(), rows=(rows,), block=stop), stop, seed=5)
+        assert calls == []
 
     @pytest.mark.parametrize("process", ["product", "markov"])
     @pytest.mark.parametrize("tie", ["grid", "one"])
@@ -414,6 +423,76 @@ class TestSlidingWindowErm:
         assert [c.args[1] for c in kernel.call_args_list] == [22, 32, 64, 128, 256, 512, 1024]
         assert [t for t, _ in flushed] == [1 << j for j in range(11)]
         assert np.array_equal(risks, _stepwise_risks(model, learner, 1100, seed=9))
+
+
+class TestGroupedRowErm:
+    """run_single solves the row-kernel steps of each power-of-two range with one call per point count."""
+
+    HORIZON = 300
+    # point count 4 from three gaps, then a (0, 0) row, in turn for runs of 5 steps: [128, 256) holds 6 or 7 runs of each
+    ROWS = ((2, 8), (3, 12), (4, 16), (0, 0))
+
+    @staticmethod
+    def _model(process: str, horizon: int):
+        path = ConceptPath(np.linspace(0.25, 0.75, horizon), 0.15)
+        if process == "product":
+            return ProductProcess(marginals=path)
+        return MarkovModulatedProcess(transition=symmetric_chain(3, 0.25), marginals=path)
+
+    def _spied_run(self, model, learner, monkeypatch):
+        """run_single's risks and the positions of every _rank_threshold_erm call."""
+        calls = []
+
+        def kernel(space, pos):
+            calls.append(pos.copy())
+            return _rank_threshold_erm(space, pos)
+
+        monkeypatch.setattr(evaluation, "_rank_threshold_erm", kernel)
+        return run_single(model, learner, self.HORIZON, seed=13), calls
+
+    @pytest.mark.parametrize("budget", [evaluation.ERM_BATCH_ELEMENTS, 4 * 7])  # 28: 7 rows a chunk, cut inside runs
+    @pytest.mark.parametrize("process", ["product", "markov"])
+    def test_mixed_gaps_share_one_call_per_count(self, process, budget, monkeypatch):
+        monkeypatch.setattr(evaluation, "ERM_BATCH_ELEMENTS", budget)
+        model = self._model(process, self.HORIZON)
+        learner = _BlockPlanLearner(function_class=ThresholdClass(), rows=self.ROWS, block=5)
+        risks, calls = self._spied_run(model, learner, monkeypatch)
+        assert np.array_equal(risks, _stepwise_risks(model, learner, self.HORIZON, seed=13))
+        # the count-4 calls of [128, 256): its steps in order, the next budget // 4 of them a call.  A row's
+        # gap is its first position less its second, and its step its first position plus that gap
+        gaps, windows = learner.plan(self.HORIZON)
+        in_range = [pos for pos in calls if pos.shape[1] == 4 and 128 <= 2 * pos[0, 0] - pos[0, 1] < 256]
+        step_gaps = np.concatenate([pos[:, 0] - pos[:, 1] for pos in in_range])
+        steps = np.concatenate([pos[:, 0] for pos in in_range]) + step_gaps
+        solved = np.flatnonzero(windows[128:256] > 0) + 128
+        assert np.array_equal(steps, solved)
+        assert set(step_gaps.tolist()) == {2, 3, 4} and np.array_equal(step_gaps, gaps[steps])
+        assert np.array_equal(np.concatenate(in_range), steps[:, None] - step_gaps[:, None] * np.arange(1, 5))
+        per_call = budget // 4
+        assert [pos.shape[0] for pos in in_range] == [min(per_call, steps.size - i) for i in range(0, steps.size, per_call)]
+
+    @pytest.mark.parametrize("process", ["product", "markov"])
+    def test_tied_x_groups_through_the_reference(self, process, monkeypatch):
+        monkeypatch.setattr(evaluation, "ERM_BATCH_ELEMENTS", 4 * 7)
+        model = self._model(process, self.HORIZON)
+        sp = sample_path(model, self.HORIZON, seed=13)
+        tied = type(sp)(xs=np.round(sp.xs, 2), ys=sp.ys, states=sp.states)
+        assert _rank_space(tied.xs, tied.ys) is None
+        learner = _BlockPlanLearner(function_class=ThresholdClass(), rows=self.ROWS, block=5)
+        with mock.patch.object(evaluation, "sample_path", return_value=tied), mock.patch.object(
+            evaluation, "threshold_erm_rows", wraps=threshold_erm_rows
+        ) as reference:
+            risks, calls = self._spied_run(model, learner, monkeypatch)
+        assert calls == []
+        expected = [risk(learner.step(tied, t), model.marginals[t - 1]) for t in range(1, self.HORIZON + 1)]
+        assert np.array_equal(risks, expected)
+        # one call per 7 steps of count 4 in each power-of-two range, whatever their gaps
+        gaps, windows = learner.plan(self.HORIZON)
+        four = (windows > 0) & (windows // np.maximum(gaps, 1) == 4)
+        ranges = [(lo, min(2 * lo, self.HORIZON)) for lo in (1 << np.arange(9)).tolist()]
+        expected_rows = [min(7, n - i) for n in (int(four[lo:hi].sum()) for lo, hi in ranges) for i in range(0, n, 7)]
+        assert [c.args[0].shape[0] for c in reference.call_args_list if c.args[0].shape[1] == 4] == expected_rows
+        assert len(set(gaps[128:256][four[128:256]].tolist())) == 3
 
 
 class TestRankRowErm:

@@ -492,6 +492,40 @@ class TestRunConfig:
             assert cum_excess == ci_lo == ci_hi
             assert [t, mean_risk, inf_risk, cum_excess] == seed_row[:4]
 
+    @pytest.mark.parametrize("horizon", [10_000, 1000])
+    def test_seed_curves_flush_whole_chunks(self, horizon, tmp_path, monkeypatch):
+        chunk = evaluation_mod.CSV_CHUNK_ROWS
+        header = "t,risk,inf_risk,cum_excess,win_k,win_m\n"
+        real_run_single, seen = harness_mod.run_single, []
+
+        def spied(model, learner, horizon, seed, checkpoint=None):
+            def spy(t, risks):
+                checkpoint(t, risks)
+                seen.append((t, next(tmp_path.rglob("curve-0.csv")).read_text()))
+
+            return real_run_single(model, learner, horizon, seed, checkpoint=spy)
+
+        monkeypatch.setattr(harness_mod, "run_single", spied)
+        checkpoints = [1 << j for j in range(1, horizon.bit_length())]
+        resolved = resolve_config(base_config(horizon=horizon, seeds=[0], checkpoints=checkpoints))
+        record, _ = run_config(resolved, tmp_path)
+        assert [t for t, _ in seen] == [1] + checkpoints
+        for t, text in seen:
+            assert text.startswith(header)
+            lines = text[len(header) :].splitlines(keepends=True)
+            assert len(lines) == t // chunk * chunk  # only the header before t = 4096
+            assert all(line.endswith("\n") and line.count(",") == 5 for line in lines)
+            assert [int(line.split(",")[0]) for line in lines] == list(range(1, len(lines) + 1))
+        model, schedule = build_model(resolved)
+        learner = build_learner(resolved, schedule)
+        risks = real_run_single(model, learner, horizon, 0)
+        inf_risks = np.full(horizon, model.marginals.eta)
+        expected = io.StringIO()
+        expected.write(header)
+        columns = (risks, inf_risks, np.cumsum(risks - inf_risks), *learner.plan(horizon))
+        harness_mod.write_curve_rows(expected, columns, 0, horizon)
+        assert Path(record.curve_files[0]).read_text() == expected.getvalue()
+
     def test_run_json_record(self, mini_run):
         _, record, _, _ = mini_run
         payload = json.loads((Path(record.out_dir) / "run.json").read_text())
