@@ -28,7 +28,6 @@ from .hypotheses import (
     _rank_space,
     _rank_threshold_erm,
     _sliding_threshold_erm,
-    cut_losses,
     threshold_erm_rows,
 )
 from .learners import Learner, _validate_alpha_r
@@ -74,13 +73,13 @@ BLOCKING_MAX_GAP = 8
 # peak RSS (50.74-50.80 MB either way) nor its wall time (three alternating pairs)
 ERM_BATCH_ELEMENTS = 2**14
 
-# sample points per sup-deviation kernel call: a uniform-deviation size m runs
-# max(1, SUP_DEVIATION_BATCH_ELEMENTS // m) trials as the rows of one call.  On
-# the default grid (16..16384, 100 trials, both settings, 2 vCPU, alternating in
-# one process) the bucket-table kernel's medians for 2**12 / 2**13 / 2**14 were
-# 0.379 / 0.394 / 0.377 s, 0.367 / 0.355 / 0.328 s and 0.466 / 0.453 / 0.413 s
-# in three sets; 2**14 won 15 of the last set's 20 rounds, by less than 2**13's
-# interquartile range (0.139 s), so no size wins
+# sample points per sup-deviation batch: a uniform-deviation size m draws and
+# sorts max(1, SUP_DEVIATION_BATCH_ELEMENTS // m) trials as the rows of one batch,
+# one kernel call a path.  On the default grid (16..16384, 100 trials, both
+# settings in one call, 2 vCPU, alternating in one process) the medians for 2**12
+# / 2**13 / 2**14 were 277 / 270 / 261, 279 / 259 / 257 and 272 / 257 / 251 ms in
+# three sets of 20 rounds; 2**14 won 47 of the 60 rounds, but by less than 2**13's
+# interquartile range (15, 17 and 12 ms) in every set, so no size wins
 SUP_DEVIATION_BATCH_ELEMENTS = 2**13
 
 # gap-1 runs of one window of at least SLIDE_MIN_WINDOW points are solved
@@ -703,8 +702,8 @@ def _bucket_table(distinct: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _threshold_sup_deviation(
-    xs: np.ndarray,
-    ys: np.ndarray,
+    x: np.ndarray,
+    labels: np.ndarray,
     rbar: Callable[[np.ndarray, np.ndarray], np.ndarray],
     kinks: np.ndarray,
     kink_risks: np.ndarray,
@@ -712,7 +711,8 @@ def _threshold_sup_deviation(
     flagged: np.ndarray,
 ) -> np.ndarray:
     """Exact sup over theta in [0,1] of |empirical loss - averaged true risk|
-    for each row of (rows, m) samples.
+    for each row of (rows, m) samples, given as x sorted along each row and
+    the uint8 labels in that order.
 
     The empirical term is constant between consecutive sorted sample points
     and the averaged risk is piecewise linear, so the supremum is attained (or
@@ -732,11 +732,17 @@ def _threshold_sup_deviation(
     row searches the kinks into its x and reads tie groups: at q = x_i the cut
     is the start of x_i's group and the right-limit at x_i cuts at its end, so
     one rbar per distinct x serves its group.  Only group boundaries are read,
-    and their losses ignore the order of tied points.  The right-limit at 0 is
-    the value at 0 or the right-limit at x = 0.
+    and their losses ignore the order of tied points, so the labels of a tie
+    group may come in any order.  The right-limit at 0 is the value at 0 or
+    the right-limit at x = 0.
     """
-    rows, m = xs.shape
-    x, losses = cut_losses(xs, ys)
+    rows, m = x.shape
+    ones_before = np.zeros((rows, m + 1), dtype=np.int64)
+    np.cumsum(labels, axis=1, dtype=np.int64, out=ones_before[:, 1:])
+    # the loss of cut j, ones before j plus zeros from j on, is 2 ones_before[j] - j + (m - ones)
+    losses = ones_before * 2 - np.arange(m + 1)
+    losses += m - ones_before[:, -1:]
+    del ones_before
     emp = losses / m
     del losses  # losses and ranks are freed once read: the temporaries at the largest m set a verify run's peak memory
     buckets = (x * (starts.size - 1)).astype(np.intp)  # exact: the bucket count is a power of two
@@ -775,18 +781,27 @@ def _threshold_sup_deviation(
 
 def verify_uniform_deviation(
     function_class: FunctionClass,
-    marginals: Sequence[Marginal],
+    paths: Sequence[Sequence[Marginal]],
     m_grid: Sequence[int],
     trials: int,
     seed: int,
-) -> UniformDeviationReport:
-    """Estimate E[sup-deviation] on independent draws Z'_i ~ P_i, i = 1..m.
+) -> tuple[UniformDeviationReport, ...]:
+    """Estimate E[sup-deviation] on independent draws Z'_i ~ P_i, i = 1..m,
+    for one or two marginal paths, one report each.
 
     Each trial draws the m points independently (marginals may differ across
     i), computes the exact supremum of |empirical mean loss - averaged true
     loss| over a ``ThresholdClass`` (any other class raises ``TypeError``),
     and the per-m trial means are fitted log-log against m.  An envelope
     constant max_m estimate / sqrt(d/m) is reported.
+
+    The paths share every draw: a trial's x and flip values are drawn once, in
+    the order a single path's trial draws them, so each report equals the one
+    a call with that path alone and the same seed returns.  Each path labels
+    the points (x >= theta_i) ^ (flip < eta), and a row is sorted once by the
+    uint64 key x_bits << 2 | y_a << 1 | y_b (x_bits << 2 | y_a for one path):
+    non-negative doubles order like their bits, and x in [0, 1] leaves the top
+    two of them clear, so a key holds the labels of at most two paths.
     """
 
     def integral(value) -> bool:
@@ -806,43 +821,54 @@ def verify_uniform_deviation(
         raise ValueError("every m must be >= 1")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("m_grid must be strictly increasing")
-    if grid[-1] > len(marginals):
-        raise ValueError(f"marginal path length {len(marginals)} < max m {grid[-1]}")
+    paths = tuple(paths)
+    if not 1 <= len(paths) <= 2:
+        raise ValueError(f"a sort key holds the labels of one or two marginal paths, got {len(paths)}")
+    for marginals in paths:
+        if grid[-1] > len(marginals):
+            raise ValueError(f"marginal path length {len(marginals)} < max m {grid[-1]}")
+    if not isinstance(function_class, ThresholdClass):
+        raise TypeError(f"unsupported function class {type(function_class).__name__}")
+    if not all(isinstance(marginals, ConceptPath) for marginals in paths):
+        raise ValueError("threshold classes require ThresholdConcept marginal paths")
 
     rng = np.random.default_rng(seed)
-    estimates = []
-    if isinstance(function_class, ThresholdClass):
-        if not isinstance(marginals, ConceptPath):
-            raise ValueError("threshold classes require ThresholdConcept marginal paths")
-        eta = marginals.eta
-        for m in grid:
-            thetas = marginals.thetas[:m]
-            averaged = _averaged_risk(thetas, eta)
-            batch = max(1, SUP_DEVIATION_BATCH_ELEMENTS // m)
-            total = 0.0
-            for done in range(0, trials, batch):
-                # row r holds the xs and flip draws of one trial, in the order a trial draws them
-                draws = rng.random((min(batch, trials - done), 2, m))
-                xs = draws[:, 0]
-                ys = (xs >= thetas) ^ (draws[:, 1] < eta)
-                for value in _threshold_sup_deviation(xs, ys, *averaged).tolist():
-                    total += value
-            estimates.append(total / trials)
-    else:
-        raise TypeError(f"unsupported function class {type(function_class).__name__}")
+    estimates = [[] for _ in paths]
+    for m in grid:
+        tables = [(path.thetas[:m], path.eta, _averaged_risk(path.thetas[:m], path.eta)) for path in paths]
+        batch = max(1, SUP_DEVIATION_BATCH_ELEMENTS // m)
+        totals = [0.0] * len(paths)
+        for done in range(0, trials, batch):
+            # row r holds the xs and flip draws of one trial, in the order a trial draws them
+            draws = rng.random((min(batch, trials - done), 2, m))
+            xs, flips = draws[:, 0], draws[:, 1]
+            bits = 0
+            for thetas, eta, _ in tables:  # the first path's label ends up in the higher bit
+                bits = bits << 1 | ((xs >= thetas) ^ (flips < eta)).view(np.uint8)
+            keys = xs.view(np.uint64) << 2
+            keys |= bits
+            del draws, xs, flips, bits
+            keys.sort(axis=1)
+            x, low = (keys >> 2).view(float), keys.astype(np.uint8)  # the low byte holds the label bits
+            del keys
+            for p, (_, _, averaged) in enumerate(tables):
+                labels = (low >> (len(tables) - 1 - p)) & 1
+                for value in _threshold_sup_deviation(x, labels, *averaged).tolist():
+                    totals[p] += value
+        for p, total in enumerate(totals):
+            estimates[p].append(total / trials)
 
     ms = np.asarray(grid, dtype=float)
-    est = np.asarray(estimates)
-    if np.all(est > 0.0) and len(grid) >= 2:
-        fitted = float(_log_log_line(ms, est)[0])
-    else:
-        fitted = float("nan")
-    envelope = float(np.max(est / np.sqrt(function_class.d / ms)))
-    return UniformDeviationReport(
-        d=function_class.d,
-        m_grid=grid,
-        trials=trials,
-        estimates=tuple(float(v) for v in est),
-        fitted_exponent=fitted,
-        envelope_constant=envelope,
+    est = np.asarray(estimates)  # a row per path
+    envelopes = np.max(est / np.sqrt(function_class.d / ms), axis=1)
+    return tuple(
+        UniformDeviationReport(
+            d=function_class.d,
+            m_grid=grid,
+            trials=trials,
+            estimates=tuple(row.tolist()),
+            fitted_exponent=float(_log_log_line(ms, row)[0]) if np.all(row > 0.0) and len(grid) >= 2 else float("nan"),
+            envelope_constant=float(envelope),
+        )
+        for row, envelope in zip(est, envelopes)
     )

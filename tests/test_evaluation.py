@@ -1097,9 +1097,27 @@ def _reference_sup_deviation(xs, ys, thetas, eta):
     return best
 
 
+def _stable_rows(xs, ys):
+    """Rows of x stably sorted, and their labels in that order: tied x keep their labels' draw order."""
+    order = np.argsort(xs, axis=-1, kind="stable")
+    return np.take_along_axis(xs, order, axis=-1), np.take_along_axis(np.asarray(ys, dtype=np.uint8), order, axis=-1)
+
+
+def _packed_rows(xs, ys_a, ys_b):
+    """Rows sorted once by the key x_bits << 2 | y_a << 1 | y_b, as verify_uniform_deviation sorts two paths."""
+    keys = xs.view(np.uint64) << 2 | np.asarray(ys_a, dtype=np.uint64) << 1 | np.asarray(ys_b, dtype=np.uint64)
+    keys.sort(axis=-1)
+    return (keys >> 2).view(float), ((keys >> 1) & 1).astype(np.uint8), (keys & 1).astype(np.uint8)
+
+
+def _kernel_rows(xs, ys, averaged):
+    """The kernel on rows of unsorted x and their labels."""
+    return evaluation._threshold_sup_deviation(*_stable_rows(xs, ys), *averaged)
+
+
 def _sup_deviation(xs, ys, thetas, eta):
-    """The kernel driven as verify_uniform_deviation drives it at one size."""
-    (value,) = evaluation._threshold_sup_deviation(xs[None], ys[None], *evaluation._averaged_risk(thetas, eta))
+    """The kernel on one sample, as one row of a batch."""
+    (value,) = _kernel_rows(xs[None], ys[None], evaluation._averaged_risk(thetas, eta))
     return float(value)
 
 
@@ -1214,7 +1232,7 @@ class TestVerifyUniformDeviation:
             # one row takes each kind of row in turn across cases
             xs = _mixed_rows(rng, rows, thetas) if rows > 1 else _mixed_rows(rng, case % 5 + 1, thetas)[-1:]
             ys = ((xs >= thetas) ^ (rng.random(xs.shape) < eta)).astype(np.int64)
-            values = evaluation._threshold_sup_deviation(xs, ys, *evaluation._averaged_risk(thetas, eta))
+            values = _kernel_rows(xs, ys, evaluation._averaged_risk(thetas, eta))
             assert values.shape == (xs.shape[0],)
             for row, value in enumerate(values):
                 assert value == _reference_sup_deviation(xs[row], ys[row], thetas, eta)
@@ -1240,20 +1258,78 @@ class TestVerifyUniformDeviation:
         path = ConceptPath(_case_thetas(np.random.default_rng(97), 200, constant_thetas), 0.25)
         # 64 // m rows per call: 64, 12 (two full batches and a part), 4, 1, 1 and 1
         grid, trials = [1, 5, 16, 63, 64, 200], 30
-        report = verify_uniform_deviation(ThresholdClass(), path, grid, trials=trials, seed=5)
+        (report,) = verify_uniform_deviation(ThresholdClass(), [path], grid, trials=trials, seed=5)
         assert report.estimates == self._replayed_estimates(path, grid, trials, 5)
 
     def test_threshold_estimates_equal_per_trial_replay_at_the_budget(self):
         budget = evaluation.SUP_DEVIATION_BATCH_ELEMENTS
         path = ConceptPath(_case_thetas(np.random.default_rng(98), budget, False), 0.1)
         grid, trials = [budget // 4, budget // 2 + 1, budget], 5  # 4 rows (a batch and a part), 1 row, 1 row
-        report = verify_uniform_deviation(ThresholdClass(), path, grid, trials=trials, seed=6)
+        (report,) = verify_uniform_deviation(ThresholdClass(), [path], grid, trials=trials, seed=6)
         assert report.estimates == self._replayed_estimates(path, grid, trials, 6)
+
+    @pytest.mark.parametrize("constant_thetas", [True, False])
+    def test_two_paths_share_draws_and_equal_per_trial_replay(self, constant_thetas, monkeypatch):
+        monkeypatch.setattr(evaluation, "SUP_DEVIATION_BATCH_ELEMENTS", 64)
+        calls = []
+        kernel = evaluation._threshold_sup_deviation
+
+        def counted(x, labels, *averaged):
+            calls.append(x.shape)
+            assert labels.dtype == np.uint8
+            return kernel(x, labels, *averaged)
+
+        monkeypatch.setattr(evaluation, "_threshold_sup_deviation", counted)
+        rng = np.random.default_rng(104)
+        paths = (
+            ConceptPath(_case_thetas(rng, 200, constant_thetas), 0.1),
+            ConceptPath(_case_thetas(rng, 230, not constant_thetas), 0.25),
+        )
+        # 64 // m rows per call: 64, 12 (two full batches and a part), 4, 1, 1 and 1
+        grid, trials = [1, 5, 16, 63, 64, 200], 30
+        reports = verify_uniform_deviation(ThresholdClass(), paths, grid, trials=trials, seed=7)
+        assert len(reports) == 2
+        for path, report in zip(paths, reports):
+            assert report.estimates == self._replayed_estimates(path, grid, trials, 7)
+        # one kernel call a path a batch: 1 + 3 + 8 + 30 + 30 + 30 batches
+        assert len(calls) == 2 * 102
+        assert calls[:6] == [(30, 1), (30, 1), (12, 5), (12, 5), (12, 5), (12, 5)]
+        # each report is the one a call with its path alone returns
+        singles = tuple(verify_uniform_deviation(ThresholdClass(), [path], grid, trials=trials, seed=7)[0] for path in paths)
+        assert reports == singles
+
+    @pytest.mark.parametrize("rows", [1, 5, 37])
+    def test_two_label_sets_sorted_in_one_key_equal_reference(self, rows):
+        rng = np.random.default_rng(105 + rows)
+        for case in range(40):
+            m = 1 if case % 10 == 0 else int(rng.integers(2, 60))
+            thetas_a, thetas_b = _case_thetas(rng, m, True), _case_thetas(rng, m, False)
+            xs = _mixed_rows(rng, rows, thetas_b) if rows > 1 else _mixed_rows(rng, case % 5 + 1, thetas_b)[-1:]
+            if case % 3 == 1:
+                xs = np.round(xs, 1)  # ties across the whole row
+            xs[:, -1] = np.where(rng.random(xs.shape[0]) < 0.5, 1.0, xs[:, -1])
+            flips = rng.random(xs.shape)
+            ys_a, ys_b = (xs >= thetas_a) ^ (flips < 0.1), (xs >= thetas_b) ^ (flips < 0.25)
+            x, labels_a, labels_b = _packed_rows(xs, ys_a, ys_b)
+            for thetas, eta, ys, labels in ((thetas_a, 0.1, ys_a, labels_a), (thetas_b, 0.25, ys_b, labels_b)):
+                values = evaluation._threshold_sup_deviation(x, labels, *evaluation._averaged_risk(thetas, eta))
+                assert values.shape == (xs.shape[0],)
+                for row, value in enumerate(values):
+                    assert value == _reference_sup_deviation(xs[row], ys[row].astype(np.int64), thetas, eta)
+
+    def test_rejects_more_than_two_paths_and_a_short_path(self):
+        path, short = ConceptPath(np.full(16, 0.3), 0.1), ConceptPath(np.full(8, 0.3), 0.1)
+        with pytest.raises(ValueError, match="one or two marginal paths, got 3"):
+            verify_uniform_deviation(ThresholdClass(), [path, path, path], [4, 16], trials=2, seed=0)
+        with pytest.raises(ValueError, match="one or two marginal paths, got 0"):
+            verify_uniform_deviation(ThresholdClass(), [], [4, 16], trials=2, seed=0)
+        with pytest.raises(ValueError, match="marginal path length 8 < max m 16"):
+            verify_uniform_deviation(ThresholdClass(), [path, short], [4, 16], trials=2, seed=0)
 
     @staticmethod
     def _assert_rows_equal_reference(xs, ys, thetas, eta, averaged=None):
         averaged = averaged or evaluation._averaged_risk(thetas, eta)
-        values = evaluation._threshold_sup_deviation(xs, ys, *averaged)
+        values = _kernel_rows(xs, ys, averaged)
         assert values.shape == (xs.shape[0],)
         for row, value in enumerate(values):
             assert value == _reference_sup_deviation(xs[row], ys[row], thetas, eta)
@@ -1371,8 +1447,8 @@ class TestVerifyUniformDeviation:
 
     def test_identical_concepts_slope_near_half(self):
         path = ConceptPath(np.full(4096, 0.3), 0.1)
-        report = verify_uniform_deviation(
-            ThresholdClass(), path, m_grid=[16, 64, 256, 1024, 4096], trials=200, seed=0
+        (report,) = verify_uniform_deviation(
+            ThresholdClass(), [path], m_grid=[16, 64, 256, 1024, 4096], trials=200, seed=0
         )
         assert report.fitted_exponent == pytest.approx(-0.5, abs=0.15)
         assert report.envelope_constant <= 3.0
@@ -1380,28 +1456,28 @@ class TestVerifyUniformDeviation:
     def test_insufficient_trials(self):
         path = ConceptPath(np.full(16, 0.3), 0.1)
         with pytest.raises(ValueError, match="insufficient trials"):
-            verify_uniform_deviation(ThresholdClass(), path, [4, 16], trials=1, seed=0)
+            verify_uniform_deviation(ThresholdClass(), [path], [4, 16], trials=1, seed=0)
 
     def test_grid_validation(self):
         path = ConceptPath(np.full(16, 0.3), 0.1)
         with pytest.raises(ValueError, match="increasing"):
-            verify_uniform_deviation(ThresholdClass(), path, [16, 16], trials=2, seed=0)
+            verify_uniform_deviation(ThresholdClass(), [path], [16, 16], trials=2, seed=0)
         with pytest.raises(ValueError, match="path length"):
-            verify_uniform_deviation(ThresholdClass(), path, [4, 32], trials=2, seed=0)
+            verify_uniform_deviation(ThresholdClass(), [path], [4, 32], trials=2, seed=0)
         with pytest.raises(ValueError, match="integer"):
-            verify_uniform_deviation(ThresholdClass(), path, [4.5, 16], trials=2, seed=0)
+            verify_uniform_deviation(ThresholdClass(), [path], [4.5, 16], trials=2, seed=0)
 
     def test_rejects_bool_and_fractional_trials_and_sizes(self):
         path = ConceptPath(np.full(16, 0.3), 0.1)
         for trials in (2.5, True, 3.0):
             with pytest.raises(ValueError, match="trials must be an integer"):
-                verify_uniform_deviation(ThresholdClass(), path, [4, 16], trials=trials, seed=0)
+                verify_uniform_deviation(ThresholdClass(), [path], [4, 16], trials=trials, seed=0)
         with pytest.raises(ValueError, match=r"every m must be an integer, got \[True, 16\]"):
-            verify_uniform_deviation(ThresholdClass(), path, [True, 16], trials=2, seed=0)
+            verify_uniform_deviation(ThresholdClass(), [path], [True, 16], trials=2, seed=0)
 
     def test_numpy_integer_trials_stored_as_int(self):
         path = ConceptPath(np.full(16, 0.3), 0.1)
-        report = verify_uniform_deviation(ThresholdClass(), path, [4, 16], trials=np.int64(3), seed=0)
+        (report,) = verify_uniform_deviation(ThresholdClass(), [path], [4, 16], trials=np.int64(3), seed=0)
         assert type(report.trials) is int and report.trials == 3
         assert json.loads(json.dumps(report.to_json()))["trials"] == 3
 
@@ -1410,11 +1486,11 @@ class TestVerifyUniformDeviation:
         fclass = FiniteExplicitClass(support=support, tables=((0.0, 1.0), (1.0, 0.0)))
         marginals = [FiniteSupport(support=support, probs=(0.5, 0.5))] * 8
         with pytest.raises(TypeError, match="unsupported function class FiniteExplicitClass"):
-            verify_uniform_deviation(fclass, marginals, [2, 8], trials=4, seed=0)
+            verify_uniform_deviation(fclass, [marginals], [2, 8], trials=4, seed=0)
 
     def test_report_ratios_and_json(self):
         path = ConceptPath(np.full(64, 0.3), 0.1)
-        report = verify_uniform_deviation(ThresholdClass(), path, [16, 64], trials=20, seed=1)
+        (report,) = verify_uniform_deviation(ThresholdClass(), [path], [16, 64], trials=20, seed=1)
         assert report.ratios() == pytest.approx(
             np.asarray(report.estimates) / np.sqrt(1.0 / np.array([16.0, 64.0]))
         )
