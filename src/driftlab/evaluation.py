@@ -91,7 +91,6 @@ SLIDE_BLOCK = 8
 
 # curve rows are converted and written this many at a time, bounding the text held in memory
 CSV_CHUNK_ROWS = 4096
-CSV_REPR_ROWS = 32  # ranges of at most this many rows are written by repr, cheaper there than one kernel call
 
 # Curve text.  A float64 value x with 1e-3 <= |x| < 2**53 is written from
 # c = |x| * 10**k, scaled into [1e16, 1e17) and held exactly as hi + lo
@@ -269,32 +268,24 @@ def _text_slots(column: np.ndarray) -> np.ndarray:
 def write_curve_rows(fh: TextIO, columns: Sequence[np.ndarray], start: int, stop: int) -> None:
     """Write curve rows start..stop-1 as ``t,<column values>`` lines with t = row + 1.
 
-    Every value is written as its repr (shortest round-trip float, plain int),
-    a range of at most CSV_REPR_ROWS rows by ``repr`` itself.  A longer range
-    goes in chunks, each one uint8 matrix of a row of text slots per curve row
-    (``_text_slots`` per column, slot masks built once per width; commas;
-    newline) written as its bytes less the 0 bytes of unused slots.
-    Chunks equal by bits (dtype and bytes) share one slot matrix, and a chunk
-    of one repeated value (``inf_risk``, or all -0.0) is its repr in every
-    row.  Mixed 0.0/-0.0 stay per value.
+    Every value is written as its repr (shortest round-trip float, plain int).
+    The rows go in chunks, each one uint8 matrix of a row of text slots per
+    curve row (``_text_slots`` per column, slot masks built once per width;
+    commas; newline) written as its bytes less the 0 bytes of unused slots.
+    A column passed more than once (the one-seed mean curve's ``cum_excess``,
+    ``ci_lo`` and ``ci_hi``) is rendered once per chunk, and a chunk of one
+    repeated value (``inf_risk``, or all -0.0) is its repr in every row.
+    Mixed 0.0/-0.0 stay per value.
     """
-    if stop - start <= CSV_REPR_ROWS:
-        rows = zip(range(start + 1, stop + 1), *(column[start:stop].tolist() for column in columns))
-        fh.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
-        return
+    firsts = [next(j for j, other in enumerate(columns) if other is column) for column in columns]
     for lo in range(start, stop, CSV_CHUNK_ROWS):
         hi = min(lo + CSV_CHUNK_ROWS, stop)
-        chunks = [column[lo:hi] for column in columns]
-        # compared as views: copying the bits out as bytes grew the heap and raised later peak RSS
-        bits = [(chunk.dtype, chunk.view(f"u{chunk.itemsize}")) for chunk in chunks]
-        firsts = [
-            next((j for j, (d, b) in enumerate(bits[:i]) if d == dtype and np.array_equal(b, own)), i)
-            for i, (dtype, own) in enumerate(bits)
-        ]
         comma = np.broadcast_to(np.uint8(ord(",")), (hi - lo, 1))
         parts, texts = [_text_slots(np.arange(lo + 1, hi + 1, dtype=np.int64))], {}
-        for chunk, (_, own), first in zip(chunks, bits, firsts):
+        for column, first in zip(columns, firsts):
             if first not in texts:
+                chunk = column[lo:hi]
+                own = chunk.view(f"u{chunk.itemsize}")
                 if (own == own[0]).all():
                     literal = np.frombuffer(repr(chunk[:1].tolist()[0]).encode(), dtype=np.uint8)
                     texts[first] = np.broadcast_to(literal, (hi - lo, literal.size))
@@ -352,10 +343,10 @@ class RegretCurve:
 
     @functools.cached_property
     def _ci(self) -> tuple[np.ndarray, np.ndarray]:
+        if self.replicates < 2:
+            return self.cum_excess, self.cum_excess  # one array, so its curve text is rendered once
         per_rep = self.replicate_cum_excess()
         center = per_rep.mean(axis=0)
-        if self.replicates < 2:
-            return center, center
         se = per_rep.std(axis=0, ddof=1) / math.sqrt(self.replicates)
         return center - 1.96 * se, center + 1.96 * se
 

@@ -8,6 +8,7 @@ import math
 import time
 import tracemalloc
 from dataclasses import dataclass
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -105,6 +106,8 @@ class TestRegretCurve:
         )
         lo, hi = curve.ci_bounds()
         assert np.array_equal(lo, hi)
+        # one object, so the mean curve's cum_excess, ci_lo and ci_hi are rendered once per chunk
+        assert lo is curve.cum_excess and hi is curve.cum_excess
 
     def test_negative_excess_rejected(self):
         with pytest.raises(ValueError, match="excess"):
@@ -548,7 +551,6 @@ class TestWriteCurveRows:
     @pytest.mark.parametrize("chunk_rows", [3, 4096])
     def test_constant_columns_write_the_same_bytes(self, chunk_rows, monkeypatch, tmp_path):
         monkeypatch.setattr(evaluation, "CSV_CHUNK_ROWS", chunk_rows)
-        monkeypatch.setattr(evaluation, "CSV_REPR_ROWS", 0)  # every range through the kernel
         n = 11
         columns = [
             np.full(n, 0.1),  # inf_risk
@@ -571,7 +573,6 @@ class TestWriteCurveRows:
     @pytest.mark.parametrize("chunk_rows", [4, 7])
     def test_bitwise_equal_columns_write_the_same_bytes(self, chunk_rows, monkeypatch, tmp_path):
         monkeypatch.setattr(evaluation, "CSV_CHUNK_ROWS", chunk_rows)
-        monkeypatch.setattr(evaluation, "CSV_REPR_ROWS", 0)
         n = 23
         rng = np.random.default_rng(5)
         a, b = rng.random(n), rng.random(n) - 0.5
@@ -580,6 +581,7 @@ class TestWriteCurveRows:
         signed = np.where(np.arange(n) % 3 == 0, 0.0, -0.0)
         columns = [
             a, a.copy(), a.copy(),  # a triple
+            a, b, a,  # the same objects again, among others
             b, b.copy(),  # a pair
             signed, signed.copy(),  # equal bits, two reprs in every chunk
             np.where(np.arange(n) % 3 == 0, -0.0, 0.0),  # equal to ``signed`` by value, not by bits
@@ -594,10 +596,47 @@ class TestWriteCurveRows:
                 evaluation.write_curve_rows(fh, columns, start, stop)
             assert target.read_bytes() == self._plain(columns, start, stop).encode()
 
-    def test_flushes_of_every_length_on_both_sides_of_the_repr_bound(self):
-        """A curve written in ranges of 1..70 rows: short ranges go through repr, the
-        others through the kernel, and both write every value as repr does."""
-        assert 1 <= evaluation.CSV_REPR_ROWS < 70
+    def test_a_column_passed_three_times_is_rendered_once_per_chunk(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "CSV_CHUNK_ROWS", 4)
+        n = 11
+        values = np.random.default_rng(9).random(n)
+        columns = [values, np.full(n, 0.1), values, values]
+        out = io.StringIO()
+        with mock.patch.object(evaluation, "_text_slots", wraps=evaluation._text_slots) as text_slots:
+            evaluation.write_curve_rows(out, columns, 0, n)
+        floats = [call.args[0] for call in text_slots.call_args_list if call.args[0].dtype == np.float64]
+        assert [chunk.size for chunk in floats] == [4, 4, 3]  # the t column and the constant one go elsewhere
+        assert out.getvalue() == self._plain(columns, 0, n)
+
+    @pytest.mark.parametrize("seeds", [[0], [0, 1]], ids=["one_seed", "two_seeds"])
+    def test_short_final_tail_end_to_end(self, seeds, tmp_path):
+        """Horizon 4099 leaves a 3-row tail after the last whole chunk; every curve row is repr text."""
+        horizon = evaluation.CSV_CHUNK_ROWS + 3
+        resolved = resolve_config(
+            {
+                "horizon": horizon,
+                "seeds": seeds,
+                "drift": {"kind": "power_step", "alpha": 0.25},
+                "process": {"kind": "product"},
+                "learner": {"kind": "subsampled_erm", "r": 2.0},
+                "checkpoints": [2**j for j in range(4, 13)],
+            }
+        )
+        record, curve = run_config(resolved, tmp_path)
+        model, schedule = build_model(resolved)
+        plan = build_learner(resolved, schedule).plan(horizon)
+        expected = {
+            f"curve-{seed}.csv": (risks, curve.inf_risks, np.cumsum(risks - curve.inf_risks), *plan)
+            for seed, risks in zip(seeds, curve.risks)
+        }
+        expected["curve-mean.csv"] = (curve.mean_risk, curve.inf_risks, curve.cum_excess, *curve.ci_bounds())
+        for name, columns in expected.items():
+            rows = (Path(record.out_dir) / name).read_text().splitlines()[1:]
+            assert len(rows) == horizon
+            assert rows == self._plain(columns, 0, horizon).splitlines(), name
+
+    def test_flushes_of_every_length(self):
+        """A curve written in ranges of 1..70 rows writes every value as repr does."""
         n = 150
         rng = np.random.default_rng(21)
         special = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 2.2250738585072014e-308 / 3, 0.0, 1e-300, 2.0**60]
@@ -657,8 +696,7 @@ class TestCurveText:
     @staticmethod
     def _check(values: np.ndarray, chunk_rows: int = 4096) -> None:
         columns = [values, -values[::-1].copy()]
-        # CSV_REPR_ROWS 0: ranges of 32 rows or fewer go through the kernel, not repr
-        with mock.patch.object(evaluation, "CSV_CHUNK_ROWS", chunk_rows), mock.patch.object(evaluation, "CSV_REPR_ROWS", 0):
+        with mock.patch.object(evaluation, "CSV_CHUNK_ROWS", chunk_rows):
             for start, stop in ((0, values.size), (values.size // 3, values.size)):
                 out = io.StringIO()
                 evaluation.write_curve_rows(out, columns, start, stop)

@@ -4,10 +4,12 @@ import contextlib
 import copy
 import csv
 import errno
+import importlib
 import inspect
 import io
 import json
 import os
+import pkgutil
 import re
 import signal
 import subprocess
@@ -19,6 +21,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import driftlab
 import driftlab.evaluation as evaluation_mod
 import driftlab.harness as harness_mod
 import driftlab.learners as learners_mod
@@ -45,6 +48,7 @@ from driftlab.harness import VERIFY_FAMILIES, VERIFY_FLAGS, write_text_atomic
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 CONFIG_DOCS = Path(__file__).resolve().parent.parent / "docs" / "config.md"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def base_config(**overrides):
@@ -254,6 +258,17 @@ class TestKeyTableDocs:
         for ref in set(re.findall(r"`(\w+)\.(\w+)`", CONFIG_DOCS.read_text(encoding="utf-8"))):
             if ref[0] in tabled:
                 assert ".".join(ref) in harness_mod.KEYS or ref[1] == "kind", ref
+
+
+class TestReadmeConstants:
+    def test_named_constants_match_the_code(self):
+        """Every `NAME` = <int> in README.md names a constant a driftlab module defines, with that value."""
+        named = re.findall(r"`([A-Z][A-Z0-9_]*)` = (\d+)", README.read_text(encoding="utf-8"))
+        assert named
+        modules = [importlib.import_module(f"driftlab.{info.name}") for info in pkgutil.iter_modules(driftlab.__path__)]
+        for name, value in named:
+            defined = [vars(module)[name] for module in modules if name in vars(module)]
+            assert defined and all(type(v) is int and v == int(value) for v in defined), name
 
 
 class TestConfigHash:
