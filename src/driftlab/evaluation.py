@@ -23,7 +23,6 @@ import numpy as np
 
 from .distributions import ConceptPath, Marginal
 from .hypotheses import (
-    FunctionClass,
     ThresholdClass,
     _rank_space,
     _rank_threshold_erm,
@@ -771,7 +770,6 @@ def _threshold_sup_deviation(
 
 
 def verify_uniform_deviation(
-    function_class: FunctionClass,
     paths: Sequence[Sequence[Marginal]],
     m_grid: Sequence[int],
     trials: int,
@@ -782,9 +780,9 @@ def verify_uniform_deviation(
 
     Each trial draws the m points independently (marginals may differ across
     i), computes the exact supremum of |empirical mean loss - averaged true
-    loss| over a ``ThresholdClass`` (any other class raises ``TypeError``),
-    and the per-m trial means are fitted log-log against m.  An envelope
-    constant max_m estimate / sqrt(d/m) is reported.
+    loss| over the thresholds (``ThresholdClass``, d = 1), and the per-m
+    trial means are fitted log-log against m.  An envelope constant
+    max_m estimate / sqrt(d/m) is reported.
 
     The paths share every draw: a trial's x and flip values are drawn once, in
     the order a single path's trial draws them, so each report equals the one
@@ -818,8 +816,6 @@ def verify_uniform_deviation(
     for marginals in paths:
         if grid[-1] > len(marginals):
             raise ValueError(f"marginal path length {len(marginals)} < max m {grid[-1]}")
-    if not isinstance(function_class, ThresholdClass):
-        raise TypeError(f"unsupported function class {type(function_class).__name__}")
     if not all(isinstance(marginals, ConceptPath) for marginals in paths):
         raise ValueError("threshold classes require ThresholdConcept marginal paths")
 
@@ -851,10 +847,10 @@ def verify_uniform_deviation(
 
     ms = np.asarray(grid, dtype=float)
     est = np.asarray(estimates)  # a row per path
-    envelopes = np.max(est / np.sqrt(function_class.d / ms), axis=1)
+    envelopes = np.max(est / np.sqrt(ThresholdClass.d / ms), axis=1)
     return tuple(
         UniformDeviationReport(
-            d=function_class.d,
+            d=ThresholdClass.d,
             m_grid=grid,
             trials=trials,
             estimates=tuple(row.tolist()),

@@ -12,8 +12,10 @@ resolved form is hashed so outputs land in a content-addressed directory:
     out/<hash>/run.json           record incl. wall clock (the only non-reproducible field)
 
 Identical (config bytes, seeds, version) reproduce identical CSV/fit/summary
-bytes; per-seed curve files are flushed in whole chunks of rows so partial
-curves survive interruption, and every other file is replaced atomically.
+bytes.  Per-seed curves flush at power-of-two steps, each up to the last whole
+CSV_CHUNK_ROWS chunk, so a cut run keeps a prefix: 65,536 rows of a 100,000-step
+seed cut after step 65,536, 16,384 of a 32,768-step one cut at step 32,000.
+Every other file is replaced atomically.
 """
 
 from __future__ import annotations
@@ -362,15 +364,14 @@ def build_model(resolved: dict) -> tuple[ProcessModel, DriftSchedule]:
 
 def build_learner(resolved: dict, schedule: DriftSchedule) -> Learner:
     spec = resolved["learner"]
-    function_class = ThresholdClass()
     kind = spec["kind"]
     if kind == "subsampled_erm":
-        return SubsampledErmLearner(alpha=spec["alpha"], r=spec["r"], function_class=function_class)
+        return SubsampledErmLearner(alpha=spec["alpha"], r=spec["r"])
     if kind == "adaptive_window":
-        return AdaptiveWindowLearner(function_class=function_class, schedule=schedule)
+        return AdaptiveWindowLearner(schedule=schedule)
     if kind == "constant_window":
-        return ConstantWindowLearner(function_class=function_class, gamma=spec["gamma"])
-    return BaselineLearner(kind=kind, function_class=function_class)
+        return ConstantWindowLearner(gamma=spec["gamma"])
+    return BaselineLearner(kind=kind)
 
 
 @dataclass
@@ -489,7 +490,6 @@ def run_config(resolved: dict, out_root: str | Path, jobs: int = 1) -> tuple[Run
             "version": __version__,
             "seeds": list(seeds),
             "curve_files": [Path(p).name for p in curve_files],
-            "fit": fit_payload,
             "plan": _plan_summary(gaps, windows),
             "wall_clock_seconds": wall,
         },
@@ -689,7 +689,6 @@ def _verify_uniform_deviation(*, trials=2000, seed=0, m_grid=tuple(2**j for j in
     _require(all(b > a for a, b in zip(m_grid, m_grid[1:])), "--m-grid", "must be strictly increasing")
     eta = 0.1
     horizon = max(m_grid)
-    function_class = ThresholdClass()
 
     identical = ConceptPath(np.full(horizon, 0.35), eta)
     drifting_schedule = make_drift_schedule("constant", alpha=0.0, horizon=horizon, gamma=0.01)
@@ -698,7 +697,7 @@ def _verify_uniform_deviation(*, trials=2000, seed=0, m_grid=tuple(2**j for j in
     results = {}
     ok = True
     # both settings score the same draws: one draw and one sort a trial serve both
-    reports = verify_uniform_deviation(function_class, (identical, drifting), m_grid, trials, seed)
+    reports = verify_uniform_deviation((identical, drifting), m_grid, trials, seed)
     for name, report in zip(("identical", "drifting"), reports):
         entry = report.to_json()
         entry["slope_ok"] = abs(report.fitted_exponent + 0.5) <= 0.08
@@ -812,7 +811,7 @@ _CURVE_FIELDS = [("t", "S1"), ("risk", "f8"), ("inf_risk", "f8"), ("cum_excess",
 
 
 def refit_rates(run_dir: str | Path, checkpoints: Sequence[int] | None = None) -> dict:
-    """Recompute the growth-exponent fit from the CSVs of an existing run."""
+    """Recompute the growth-exponent fit from an existing run's CSVs; rewrites fit.json, then summary.txt."""
     run_dir = Path(run_dir)
     # resolving a resolved config returns it unchanged; a broken one names its key
     resolved = resolve_config(load_config(run_dir / "config.json", "run_dir"))
@@ -837,4 +836,7 @@ def refit_rates(run_dir: str | Path, checkpoints: Sequence[int] | None = None) -
         _require(curve_rows.size <= horizon, "run_dir", f"{count}, more than the horizon {horizon}")
         risks.append(curve_rows["risk"].copy())
     curve = RegretCurve(risks=np.stack(risks), inf_risks=curve_rows["inf_risk"].copy(), seeds=tuple(seeds))
-    return _write_fit(run_dir, resolved, config_hash(resolved), curve, cps)[0]
+    digest = config_hash(resolved)
+    payload, fit = _write_fit(run_dir, resolved, digest, curve, cps)
+    _write_summary(run_dir / "summary.txt", resolved, digest, curve, fit, payload.get("skipped"))
+    return payload

@@ -166,7 +166,7 @@ def erm_step(function_class: FunctionClass, path: SamplePath, t: int, gap: int, 
 
 
 class Learner:
-    """ERM over {t - s*gap_t : s = 1..window_t // gap_t} with a data-independent row rule.
+    """Threshold ERM over {t - s*gap_t : s = 1..window_t // gap_t} with a data-independent row rule.
 
     Every learner kind differs only in ``_rows(ts)``: the int64 ``(gaps,
     windows)`` of steps ``ts >= 2``, a pure function of t.  Step 1 is always
@@ -175,11 +175,7 @@ class Learner:
     every replicate of a run shares it.  ``step(path, t)`` computes its own row.
     """
 
-    function_class: FunctionClass
-
     def __post_init__(self) -> None:
-        if not isinstance(self.function_class, ThresholdClass):
-            raise TypeError(f"unsupported function class {type(self.function_class).__name__}")
         self._longest = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
 
     def _rows(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -205,8 +201,8 @@ class Learner:
         """The hypothesis deployed at step t, for callers that step by hand."""
         gap, window = (int(rows[0]) for rows in self._rows(np.array([t]))) if t >= 2 else (0, 0)
         if window == 0:
-            return initial_hypothesis(self.function_class)
-        return erm_step(self.function_class, path, t, gap, window)
+            return initial_hypothesis(ThresholdClass())
+        return erm_step(ThresholdClass(), path, t, gap, window)
 
 
 @dataclass
@@ -216,7 +212,6 @@ class SubsampledErmLearner(Learner):
 
     alpha: float
     r: float
-    function_class: FunctionClass
 
     def __post_init__(self) -> None:
         _validate_alpha_r(self.alpha, self.r)
@@ -230,11 +225,10 @@ class SubsampledErmLearner(Learner):
 class AdaptiveWindowLearner(Learner):
     """ERM over the trailing window balancing known drift against sqrt(d/m)."""
 
-    function_class: FunctionClass
     schedule: DriftSchedule
 
     def _rows(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        windows = best_window(ts, self.schedule, self.function_class.d)
+        windows = best_window(ts, self.schedule, ThresholdClass.d)
         return np.ones_like(windows), windows
 
 
@@ -243,12 +237,11 @@ class ConstantWindowLearner(Learner):
     """ERM over a fixed trailing window sized from a constant per-step drift;
     the initial hypothesis stays deployed until that window has filled."""
 
-    function_class: FunctionClass
     gamma: float
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        self.window = constant_window_size(self.function_class.d, self.gamma)
+        self.window = constant_window_size(ThresholdClass.d, self.gamma)
 
     def _rows(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         filled = (ts > self.window).astype(np.int64)  # (0, 0) until the window has filled
@@ -261,7 +254,6 @@ class BaselineLearner(Learner):
     """Reference strategies: ERM over the full history, or the last point only."""
 
     kind: str
-    function_class: FunctionClass
 
     def __post_init__(self) -> None:
         if self.kind not in BASELINE_KINDS:

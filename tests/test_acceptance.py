@@ -271,7 +271,7 @@ def test_criterion_08_learner_equivalences(capsys):
 
         alpha = float(rng.choice([0.0, 0.25, 0.5]))
         r = float(rng.choice([0.5, 1.0, 2.0]))
-        sub = SubsampledErmLearner(alpha=alpha, r=r, function_class=fclass).step(path, t)
+        sub = SubsampledErmLearner(alpha=alpha, r=r).step(path, t)
         k, m = subsample_schedule(t, alpha, r)
         manual_sub = erm_step(fclass, path, t, k, m)
 
@@ -288,12 +288,12 @@ def test_criterion_08_learner_equivalences(capsys):
                 c0=float(rng.uniform(0.05, 0.5)),
                 seed=int(rng.integers(0, 100)),
             )
-        ada = AdaptiveWindowLearner(function_class=fclass, schedule=schedule).step(path, t)
+        ada = AdaptiveWindowLearner(schedule=schedule).step(path, t)
         manual_ada = erm_step(fclass, path, t, 1, best_window(t, schedule, 1))
 
         gamma_c = float(rng.choice([0.02, 0.1, 0.5]))
         m_bar = constant_window_size(1, gamma_c)
-        con = ConstantWindowLearner(function_class=fclass, gamma=gamma_c).step(path, t)
+        con = ConstantWindowLearner(gamma=gamma_c).step(path, t)
         if t <= m_bar:
             manual_con = initial_hypothesis(fclass)
         else:

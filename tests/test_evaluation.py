@@ -22,16 +22,13 @@ from driftlab import (
     ConstantWindowLearner,
     ConceptPath,
     DegenerateCurveError,
-    FiniteExplicitClass,
     FiniteSupport,
-    FunctionClass,
     Learner,
     MarkovModulatedProcess,
     Observation,
     ProductProcess,
     RegretCurve,
     SubsampledErmLearner,
-    ThresholdClass,
     beta_coefficient,
     build_learner,
     build_model,
@@ -146,7 +143,7 @@ class TestRunSingle:
         sched = make_drift_schedule("power_step", alpha=0.25, horizon=120)
         path = concept_path(sched, eta=0.1, theta0=0.5)
         model = ProductProcess(marginals=path)
-        learner = SubsampledErmLearner(alpha=0.25, r=2.0, function_class=ThresholdClass())
+        learner = SubsampledErmLearner(alpha=0.25, r=2.0)
         risks = run_single(model, learner, 120, seed=4)
         gaps, windows = learner.plan(120)
         sp = sample_path(model, 120, seed=4)
@@ -159,7 +156,7 @@ class TestRunSingle:
         sched = make_drift_schedule("power_step", alpha=0.25, horizon=40)
         path = concept_path(sched, eta=0.1, theta0=0.5)
         model = ProductProcess(marginals=path)
-        learner = BaselineLearner(kind="last_point", function_class=ThresholdClass())
+        learner = BaselineLearner(kind="last_point")
         seen = []
 
         def checkpoint(t, risks):
@@ -173,7 +170,7 @@ class TestRunSingle:
         sched = make_drift_schedule("constant", alpha=0.0, horizon=4096, gamma=1e-9)
         path = concept_path(sched, eta=0.1, theta0=0.5)
         model = ProductProcess(marginals=path)
-        learner = AdaptiveWindowLearner(function_class=ThresholdClass(), schedule=sched)
+        learner = AdaptiveWindowLearner(schedule=sched)
         risks = run_single(model, learner, 4096, seed=1)
         cum = float(np.sum(risks - 0.1))
         assert cum < 0.05 * 4096
@@ -182,7 +179,7 @@ class TestRunSingle:
         sched = make_drift_schedule("power_step", alpha=0.25, horizon=100)
         path = concept_path(sched, eta=0.1, theta0=0.5)
         model = MarkovModulatedProcess(transition=symmetric_chain(3, 0.25), marginals=path)
-        learner = SubsampledErmLearner(alpha=0.25, r=1.0, function_class=ThresholdClass())
+        learner = SubsampledErmLearner(alpha=0.25, r=1.0)
         a = run_single(model, learner, 100, seed=7)
         b = run_single(model, learner, 100, seed=7)
         assert np.array_equal(a, b)
@@ -204,21 +201,20 @@ def _batched_run(model, learner, horizon: int, seed: int):
 LEARNER_KINDS = ["subsampled_erm", "adaptive_window", "constant_window", "full_history_erm", "last_point"]
 
 
-def _learner(kind: str, schedule, fclass=ThresholdClass()):
+def _learner(kind: str, schedule):
     if kind == "subsampled_erm":
-        return SubsampledErmLearner(alpha=0.25, r=2.0, function_class=fclass)
+        return SubsampledErmLearner(alpha=0.25, r=2.0)
     if kind == "adaptive_window":
-        return AdaptiveWindowLearner(function_class=fclass, schedule=schedule)
+        return AdaptiveWindowLearner(schedule=schedule)
     if kind == "constant_window":
-        return ConstantWindowLearner(function_class=fclass, gamma=0.01)  # window 22
-    return BaselineLearner(kind=kind, function_class=fclass)
+        return ConstantWindowLearner(gamma=0.01)  # window 22
+    return BaselineLearner(kind=kind)
 
 
 @dataclass
 class _BlockPlanLearner(Learner):
     """Plan rows taken in turn per block of steps, clipped to be valid at every t; (0, 0) rows anywhere."""
 
-    function_class: FunctionClass
     rows: tuple[tuple[int, int], ...]
     block: int
 
@@ -270,7 +266,7 @@ class TestBatchedRun:
             model = MarkovModulatedProcess(transition=symmetric_chain(4, 0.3), marginals=path)
         else:
             model = ProductProcess(marginals=path)
-        learner = _BlockPlanLearner(function_class=ThresholdClass(), rows=tuple(rows), block=block)
+        learner = _BlockPlanLearner(rows=tuple(rows), block=block)
         with mock.patch.object(evaluation, "ERM_BATCH_ELEMENTS", budget), mock.patch.object(
             evaluation, "SLIDE_MIN_WINDOW", evaluation.SLIDE_BLOCK
         ):
@@ -380,14 +376,14 @@ class TestSlidingWindowErm:
 
         monkeypatch.setattr(evaluation, "_sliding_threshold_erm", kernel)
         # steps 2..30 fit windows of 1..29 points, then every step 30 (runs cut at 32, 64, ..., 512)
-        learner = _BlockPlanLearner(function_class=ThresholdClass(), rows=((1, 30),), block=stop)
+        learner = _BlockPlanLearner(rows=((1, 30),), block=stop)
         risks = run_single(model, learner, stop, seed=5)
         runs = [(32, 64), (64, 128), (128, 256), (256, 512), (512, stop)]
         assert calls == [(start, (end - start) // 8, 30, 8) for start, end in runs]
         assert np.array_equal(risks, _stepwise_risks(model, learner, stop, seed=5))
         calls.clear()
         for rows in ((1, 29), (2, 30)):  # below the crossover; a subsample
-            run_single(model, _BlockPlanLearner(function_class=ThresholdClass(), rows=(rows,), block=stop), stop, seed=5)
+            run_single(model, _BlockPlanLearner(rows=(rows,), block=stop), stop, seed=5)
         assert calls == []
 
     @pytest.mark.parametrize("process", ["product", "markov"])
@@ -402,7 +398,7 @@ class TestSlidingWindowErm:
         sp = sample_path(model, 300, seed=2)
         forced = np.round(sp.xs, 1) if tie == "grid" else np.where(np.arange(300) == 150, 1.0, sp.xs)
         forced_path = type(sp)(xs=forced, ys=sp.ys, states=sp.states)
-        learner = ConstantWindowLearner(function_class=ThresholdClass(), gamma=0.01)  # window 22
+        learner = ConstantWindowLearner(gamma=0.01)  # window 22
         with mock.patch.object(evaluation, "sample_path", return_value=forced_path), mock.patch.object(
             evaluation, "_sliding_threshold_erm"
         ) as kernel, mock.patch.object(evaluation, "_rank_threshold_erm") as rank_kernel, mock.patch.object(
@@ -419,7 +415,7 @@ class TestSlidingWindowErm:
         monkeypatch.setattr(evaluation, "SLIDE_MIN_WINDOW", evaluation.SLIDE_BLOCK)
         sched = make_drift_schedule("constant", alpha=0.0, horizon=1100, gamma=0.01)
         model = ProductProcess(marginals=concept_path(sched, eta=0.1, theta0=0.5))
-        learner = ConstantWindowLearner(function_class=ThresholdClass(), gamma=0.01)  # window 22
+        learner = ConstantWindowLearner(gamma=0.01)  # window 22
         with mock.patch.object(evaluation, "_sliding_threshold_erm", wraps=_sliding_threshold_erm) as kernel:
             risks, flushed = _batched_run(model, learner, 1100, seed=9)
         # groups 23..32, 33..64, ..., 1025..1100: each a run of whole blocks and a row-kernel tail
@@ -458,7 +454,7 @@ class TestGroupedRowErm:
     def test_mixed_gaps_share_one_call_per_count(self, process, budget, monkeypatch):
         monkeypatch.setattr(evaluation, "ERM_BATCH_ELEMENTS", budget)
         model = self._model(process, self.HORIZON)
-        learner = _BlockPlanLearner(function_class=ThresholdClass(), rows=self.ROWS, block=5)
+        learner = _BlockPlanLearner(rows=self.ROWS, block=5)
         risks, calls = self._spied_run(model, learner, monkeypatch)
         assert np.array_equal(risks, _stepwise_risks(model, learner, self.HORIZON, seed=13))
         # the count-4 calls of [128, 256): its steps in order, the next budget // 4 of them a call.  A row's
@@ -481,7 +477,7 @@ class TestGroupedRowErm:
         sp = sample_path(model, self.HORIZON, seed=13)
         tied = type(sp)(xs=np.round(sp.xs, 2), ys=sp.ys, states=sp.states)
         assert _rank_space(tied.xs, tied.ys) is None
-        learner = _BlockPlanLearner(function_class=ThresholdClass(), rows=self.ROWS, block=5)
+        learner = _BlockPlanLearner(rows=self.ROWS, block=5)
         with mock.patch.object(evaluation, "sample_path", return_value=tied), mock.patch.object(
             evaluation, "threshold_erm_rows", wraps=threshold_erm_rows
         ) as reference:
@@ -810,7 +806,7 @@ class TestRunExperiment:
         sched = make_drift_schedule("power_step", alpha=0.25, horizon=64)
         path = concept_path(sched, eta=0.1, theta0=0.5)
         model = ProductProcess(marginals=path)
-        learner = SubsampledErmLearner(alpha=0.25, r=2.0, function_class=ThresholdClass())
+        learner = SubsampledErmLearner(alpha=0.25, r=2.0)
         curve = run_experiment(model, learner, 64, seeds=(3, 9))
         assert curve.replicates == 2 and curve.horizon == 64
         single = run_single(model, learner, 64, seed=9)
@@ -822,20 +818,11 @@ class TestRunExperiment:
         sched = make_drift_schedule("power_step", alpha=0.25, horizon=8)
         path = concept_path(sched, eta=0.1, theta0=0.5)
         model = ProductProcess(marginals=path)
-        learner = BaselineLearner(kind="last_point", function_class=ThresholdClass())
+        learner = BaselineLearner(kind="last_point")
         with pytest.raises(ValueError, match="distinct"):
             run_experiment(model, learner, 8, seeds=(1, 1))
         with pytest.raises(ValueError):
             run_experiment(model, learner, 8, seeds=())
-
-    def test_finite_class_learner_rejected(self):
-        # no learner kind can be built over it, so no run can score a finite class as a threshold run
-        sched = make_drift_schedule("power_step", alpha=0.25, horizon=8)
-        support = (Observation(0.2, 0), Observation(0.7, 1))
-        fclass = FiniteExplicitClass(support=support, tables=((0.0, 1.0), (1.0, 0.0)))
-        for kind in LEARNER_KINDS:
-            with pytest.raises(TypeError, match="unsupported function class FiniteExplicitClass"):
-                _learner(kind, sched, fclass)
 
 
 class TestLastPointOracle:
@@ -1296,14 +1283,14 @@ class TestVerifyUniformDeviation:
         path = ConceptPath(_case_thetas(np.random.default_rng(97), 200, constant_thetas), 0.25)
         # 64 // m rows per call: 64, 12 (two full batches and a part), 4, 1, 1 and 1
         grid, trials = [1, 5, 16, 63, 64, 200], 30
-        (report,) = verify_uniform_deviation(ThresholdClass(), [path], grid, trials=trials, seed=5)
+        (report,) = verify_uniform_deviation([path], grid, trials=trials, seed=5)
         assert report.estimates == self._replayed_estimates(path, grid, trials, 5)
 
     def test_threshold_estimates_equal_per_trial_replay_at_the_budget(self):
         budget = evaluation.SUP_DEVIATION_BATCH_ELEMENTS
         path = ConceptPath(_case_thetas(np.random.default_rng(98), budget, False), 0.1)
         grid, trials = [budget // 4, budget // 2 + 1, budget], 5  # 4 rows (a batch and a part), 1 row, 1 row
-        (report,) = verify_uniform_deviation(ThresholdClass(), [path], grid, trials=trials, seed=6)
+        (report,) = verify_uniform_deviation([path], grid, trials=trials, seed=6)
         assert report.estimates == self._replayed_estimates(path, grid, trials, 6)
 
     @pytest.mark.parametrize("constant_thetas", [True, False])
@@ -1325,7 +1312,7 @@ class TestVerifyUniformDeviation:
         )
         # 64 // m rows per call: 64, 12 (two full batches and a part), 4, 1, 1 and 1
         grid, trials = [1, 5, 16, 63, 64, 200], 30
-        reports = verify_uniform_deviation(ThresholdClass(), paths, grid, trials=trials, seed=7)
+        reports = verify_uniform_deviation(paths, grid, trials=trials, seed=7)
         assert len(reports) == 2
         for path, report in zip(paths, reports):
             assert report.estimates == self._replayed_estimates(path, grid, trials, 7)
@@ -1333,7 +1320,7 @@ class TestVerifyUniformDeviation:
         assert len(calls) == 2 * 102
         assert calls[:6] == [(30, 1), (30, 1), (12, 5), (12, 5), (12, 5), (12, 5)]
         # each report is the one a call with its path alone returns
-        singles = tuple(verify_uniform_deviation(ThresholdClass(), [path], grid, trials=trials, seed=7)[0] for path in paths)
+        singles = tuple(verify_uniform_deviation([path], grid, trials=trials, seed=7)[0] for path in paths)
         assert reports == singles
 
     @pytest.mark.parametrize("rows", [1, 5, 37])
@@ -1358,11 +1345,11 @@ class TestVerifyUniformDeviation:
     def test_rejects_more_than_two_paths_and_a_short_path(self):
         path, short = ConceptPath(np.full(16, 0.3), 0.1), ConceptPath(np.full(8, 0.3), 0.1)
         with pytest.raises(ValueError, match="one or two marginal paths, got 3"):
-            verify_uniform_deviation(ThresholdClass(), [path, path, path], [4, 16], trials=2, seed=0)
+            verify_uniform_deviation([path, path, path], [4, 16], trials=2, seed=0)
         with pytest.raises(ValueError, match="one or two marginal paths, got 0"):
-            verify_uniform_deviation(ThresholdClass(), [], [4, 16], trials=2, seed=0)
+            verify_uniform_deviation([], [4, 16], trials=2, seed=0)
         with pytest.raises(ValueError, match="marginal path length 8 < max m 16"):
-            verify_uniform_deviation(ThresholdClass(), [path, short], [4, 16], trials=2, seed=0)
+            verify_uniform_deviation([path, short], [4, 16], trials=2, seed=0)
 
     @staticmethod
     def _assert_rows_equal_reference(xs, ys, thetas, eta, averaged=None):
@@ -1485,50 +1472,50 @@ class TestVerifyUniformDeviation:
 
     def test_identical_concepts_slope_near_half(self):
         path = ConceptPath(np.full(4096, 0.3), 0.1)
-        (report,) = verify_uniform_deviation(
-            ThresholdClass(), [path], m_grid=[16, 64, 256, 1024, 4096], trials=200, seed=0
-        )
+        (report,) = verify_uniform_deviation([path], m_grid=[16, 64, 256, 1024, 4096], trials=200, seed=0)
         assert report.fitted_exponent == pytest.approx(-0.5, abs=0.15)
         assert report.envelope_constant <= 3.0
 
     def test_insufficient_trials(self):
         path = ConceptPath(np.full(16, 0.3), 0.1)
         with pytest.raises(ValueError, match="insufficient trials"):
-            verify_uniform_deviation(ThresholdClass(), [path], [4, 16], trials=1, seed=0)
+            verify_uniform_deviation([path], [4, 16], trials=1, seed=0)
 
     def test_grid_validation(self):
         path = ConceptPath(np.full(16, 0.3), 0.1)
         with pytest.raises(ValueError, match="increasing"):
-            verify_uniform_deviation(ThresholdClass(), [path], [16, 16], trials=2, seed=0)
+            verify_uniform_deviation([path], [16, 16], trials=2, seed=0)
         with pytest.raises(ValueError, match="path length"):
-            verify_uniform_deviation(ThresholdClass(), [path], [4, 32], trials=2, seed=0)
+            verify_uniform_deviation([path], [4, 32], trials=2, seed=0)
         with pytest.raises(ValueError, match="integer"):
-            verify_uniform_deviation(ThresholdClass(), [path], [4.5, 16], trials=2, seed=0)
+            verify_uniform_deviation([path], [4.5, 16], trials=2, seed=0)
 
     def test_rejects_bool_and_fractional_trials_and_sizes(self):
         path = ConceptPath(np.full(16, 0.3), 0.1)
         for trials in (2.5, True, 3.0):
             with pytest.raises(ValueError, match="trials must be an integer"):
-                verify_uniform_deviation(ThresholdClass(), [path], [4, 16], trials=trials, seed=0)
+                verify_uniform_deviation([path], [4, 16], trials=trials, seed=0)
         with pytest.raises(ValueError, match=r"every m must be an integer, got \[True, 16\]"):
-            verify_uniform_deviation(ThresholdClass(), [path], [True, 16], trials=2, seed=0)
+            verify_uniform_deviation([path], [True, 16], trials=2, seed=0)
 
     def test_numpy_integer_trials_stored_as_int(self):
         path = ConceptPath(np.full(16, 0.3), 0.1)
-        (report,) = verify_uniform_deviation(ThresholdClass(), [path], [4, 16], trials=np.int64(3), seed=0)
+        (report,) = verify_uniform_deviation([path], [4, 16], trials=np.int64(3), seed=0)
         assert type(report.trials) is int and report.trials == 3
         assert json.loads(json.dumps(report.to_json()))["trials"] == 3
 
-    def test_finite_class_rejected(self):
+    def test_finite_marginals_rejected(self):
+        # the check scores thresholds, so a path must be a ConceptPath of threshold concepts
         support = (Observation(0.2, 0), Observation(0.7, 1))
-        fclass = FiniteExplicitClass(support=support, tables=((0.0, 1.0), (1.0, 0.0)))
         marginals = [FiniteSupport(support=support, probs=(0.5, 0.5))] * 8
-        with pytest.raises(TypeError, match="unsupported function class FiniteExplicitClass"):
-            verify_uniform_deviation(fclass, [marginals], [2, 8], trials=4, seed=0)
+        path = ConceptPath(np.full(8, 0.3), 0.1)
+        for paths in ([marginals], [path, marginals]):
+            with pytest.raises(ValueError, match="require ThresholdConcept marginal paths"):
+                verify_uniform_deviation(paths, [2, 8], trials=4, seed=0)
 
     def test_report_ratios_and_json(self):
         path = ConceptPath(np.full(64, 0.3), 0.1)
-        (report,) = verify_uniform_deviation(ThresholdClass(), [path], [16, 64], trials=20, seed=1)
+        (report,) = verify_uniform_deviation([path], [16, 64], trials=20, seed=1)
         assert report.ratios() == pytest.approx(
             np.asarray(report.estimates) / np.sqrt(1.0 / np.array([16.0, 64.0]))
         )

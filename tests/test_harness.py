@@ -548,7 +548,7 @@ class TestRunConfig:
         assert payload["seeds"] == [0, 1]
         assert payload["curve_files"] == ["curve-0.csv", "curve-1.csv"]
         assert payload["wall_clock_seconds"] >= 0.0
-        assert payload["fit"] == json.loads((Path(record.out_dir) / "fit.json").read_text())
+        assert "fit" not in payload  # the fit lives in fit.json and summary.txt, which rates rewrites
 
     @pytest.mark.parametrize(
         "overrides",
@@ -853,9 +853,11 @@ class TestRefitRates:
     def test_refit_reproduces_fit(self, mini_run):
         _, record, _, _ = mini_run
         original = json.loads((Path(record.out_dir) / "fit.json").read_text())
+        summary = (Path(record.out_dir) / "summary.txt").read_bytes()
         payload = refit_rates(record.out_dir)
         assert payload == original
         assert json.loads((Path(record.out_dir) / "fit.json").read_text()) == original
+        assert (Path(record.out_dir) / "summary.txt").read_bytes() == summary  # rewritten, same bytes
 
     def test_refit_with_new_checkpoints(self, mini_run):
         _, record, curve, _ = mini_run
@@ -866,6 +868,21 @@ class TestRefitRates:
         assert payload["exponent"] == pytest.approx(direct.exponent, abs=1e-15)
         # restore the original fit for other tests
         refit_rates(record.out_dir)
+
+    def test_rates_with_checkpoints_rewrites_the_summary_fit(self, tmp_path, capsys):
+        record, _ = run_config(resolve_config(base_config()), tmp_path)
+        run_dir = Path(record.out_dir)
+        before = (run_dir / "summary.txt").read_text().splitlines()
+        assert main(["rates", str(run_dir), "--checkpoints", "32,64,96,128,192,256,384,512"]) == 0
+        capsys.readouterr()
+        fit = json.loads((run_dir / "fit.json").read_text())
+        after = (run_dir / "summary.txt").read_text().splitlines()
+        assert fit["t_min"] == 32 and after[:-1] == before[:-1] and after[-1] != before[-1]
+        assert after[-1] == (
+            f"fit: exponent {fit['exponent']!r} over [{fit['t_min']}, {fit['t_max']}]"
+            f", residual {fit['residual_norm']!r} (theoretical {fit['theoretical']!r})"
+        )
+        assert "fit" not in json.loads((run_dir / "run.json").read_text())
 
     def test_missing_run_dir(self, tmp_path):
         with pytest.raises(ConfigError, match="config.json"):
@@ -1202,9 +1219,10 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         run_dir = next(out.iterdir())
-        written = (run_dir / "fit.json").read_bytes()
+        written = [(run_dir / name).read_bytes() for name in ("fit.json", "summary.txt")]
         assert main(["rates", str(run_dir)]) == 0
-        assert (run_dir / "fit.json").read_bytes() == written
+        assert [(run_dir / name).read_bytes() for name in ("fit.json", "summary.txt")] == written
+        assert written[1].endswith(b"fit: skipped (rate fits need at least 8 checkpoints, got 1)\n")
         capsys.readouterr()
 
     def test_rates_unequal_curves_exits_2(self, tmp_path, capsys):

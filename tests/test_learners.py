@@ -264,7 +264,7 @@ class TestBestWindow:
         windows = best_window(grid, sched, 2)
         assert windows.dtype == np.int64 and windows.shape == (2, 2)
         assert windows.tolist() == [[best_window(int(t), sched, 2) for t in row] for row in grid]
-        learner = AdaptiveWindowLearner(function_class=ThresholdClass(), schedule=sched)
+        learner = AdaptiveWindowLearner(schedule=sched)
         assert [w.tolist() for w in learner.plan(1)] == [[0], [0]]
 
     @settings(max_examples=40, deadline=None)
@@ -322,14 +322,13 @@ LEARNER_KINDS = ["subsampled_erm", "adaptive_window", "constant_window", "full_h
 
 
 def _build_learner(kind: str, schedule: DriftSchedule):
-    fclass = ThresholdClass()
     if kind == "subsampled_erm":
-        return SubsampledErmLearner(alpha=0.25, r=2.0, function_class=fclass)
+        return SubsampledErmLearner(alpha=0.25, r=2.0)
     if kind == "adaptive_window":
-        return AdaptiveWindowLearner(function_class=fclass, schedule=schedule)
+        return AdaptiveWindowLearner(schedule=schedule)
     if kind == "constant_window":
-        return ConstantWindowLearner(function_class=fclass, gamma=0.01)  # window 22
-    return BaselineLearner(kind=kind, function_class=fclass)
+        return ConstantWindowLearner(gamma=0.01)  # window 22
+    return BaselineLearner(kind=kind)
 
 
 def _plan_row(learner, t):
@@ -341,7 +340,7 @@ def _plan_row(learner, t):
 class TestPlan:
     def test_stepping_by_hand_keeps_one_plan(self):
         _, path = _random_product_path(300, 16)
-        learner = SubsampledErmLearner(alpha=0.25, r=2.0, function_class=ThresholdClass())
+        learner = SubsampledErmLearner(alpha=0.25, r=2.0)
         for t in range(1, 301):
             learner.step(path, t)
         gaps, windows = learner.plan(300)
@@ -377,7 +376,7 @@ class TestPlan:
 class TestLearnerEquivalences:
     def test_subsampled_learner_matches_erm_step(self):
         _, path = _random_product_path(300, 11)
-        learner = SubsampledErmLearner(alpha=0.25, r=2.0, function_class=ThresholdClass())
+        learner = SubsampledErmLearner(alpha=0.25, r=2.0)
         for t in (2, 10, 100, 300):
             h = learner.step(path, t)
             k, m = _plan_row(learner, t)
@@ -387,7 +386,7 @@ class TestLearnerEquivalences:
 
     def test_adaptive_learner_matches_best_window(self):
         sched, path = _random_product_path(300, 12)
-        learner = AdaptiveWindowLearner(function_class=ThresholdClass(), schedule=sched)
+        learner = AdaptiveWindowLearner(schedule=sched)
         for t in (2, 10, 100, 300):
             h, (gap, window) = learner.step(path, t), _plan_row(learner, t)
             assert gap == 1
@@ -399,7 +398,7 @@ class TestLearnerEquivalences:
         sched = make_drift_schedule("constant", alpha=0.0, horizon=400, gamma=0.01)
         cpath = concept_path(sched, eta=0.1, theta0=0.5)
         path = sample_path(ProductProcess(marginals=cpath), 400, 13)
-        learner = ConstantWindowLearner(function_class=ThresholdClass(), gamma=0.01)
+        learner = ConstantWindowLearner(gamma=0.01)
         m_bar = constant_window_size(1, 0.01)
         assert learner.window == m_bar
         for t in range(1, m_bar + 1):
@@ -414,8 +413,8 @@ class TestLearnerEquivalences:
 
     def test_baselines(self):
         _, path = _random_product_path(120, 14)
-        full = BaselineLearner(kind="full_history_erm", function_class=ThresholdClass())
-        last = BaselineLearner(kind="last_point", function_class=ThresholdClass())
+        full = BaselineLearner(kind="full_history_erm")
+        last = BaselineLearner(kind="last_point")
         for t in (2, 50, 120):
             h_full, (gap_f, win_f) = full.step(path, t), _plan_row(full, t)
             assert (gap_f, win_f) == (1, t - 1)
@@ -432,11 +431,11 @@ class TestLearnerEquivalences:
     def test_all_learners_deploy_initial_at_t1(self):
         sched, path = _random_product_path(50, 15)
         learners = [
-            SubsampledErmLearner(alpha=0.0, r=1.0, function_class=ThresholdClass()),
-            AdaptiveWindowLearner(function_class=ThresholdClass(), schedule=sched),
-            ConstantWindowLearner(function_class=ThresholdClass(), gamma=0.05),
-            BaselineLearner(kind="full_history_erm", function_class=ThresholdClass()),
-            BaselineLearner(kind="last_point", function_class=ThresholdClass()),
+            SubsampledErmLearner(alpha=0.0, r=1.0),
+            AdaptiveWindowLearner(schedule=sched),
+            ConstantWindowLearner(gamma=0.05),
+            BaselineLearner(kind="full_history_erm"),
+            BaselineLearner(kind="last_point"),
         ]
         for learner in learners:
             h, (gap, window) = learner.step(path, 1), _plan_row(learner, 1)
@@ -445,4 +444,4 @@ class TestLearnerEquivalences:
 
     def test_unknown_baseline_rejected(self):
         with pytest.raises(ValueError, match="unknown baseline"):
-            BaselineLearner(kind="mystery", function_class=ThresholdClass())
+            BaselineLearner(kind="mystery")
