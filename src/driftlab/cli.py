@@ -112,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
         p_run.add_argument("--out", default=None, help="output root (default: config 'out')")
         p_run.add_argument("--seeds", default=None, help="comma-separated seed override")
         p_run.add_argument("--checkpoints", default=None, help="comma-separated checkpoint override")
-        p_run.add_argument("--jobs", type=int, default=1, help="parallel seed workers")
+        p_run.add_argument("--jobs", type=int, default=None, help="parallel seed workers (default: usable cores)")
         p_run.set_defaults(func=func)
 
     p_ver = sub.add_parser("verify", help="run an exact verification family")

@@ -29,6 +29,7 @@ import io
 import itertools
 import json
 import math
+import os
 import sys
 import time
 import warnings
@@ -432,13 +433,21 @@ def _plan_summary(gaps: np.ndarray, windows: np.ndarray) -> dict:
     }
 
 
-def _check_jobs(jobs: int) -> None:
+def _resolve_jobs(jobs: int | None) -> int:
+    """``jobs`` once checked, or the cores this process may run on when None."""
+    if jobs is None:
+        return len(os.sched_getaffinity(0))
     _require(jobs >= 1, "--jobs", f"must be >= 1, got {jobs}")
+    return jobs
 
 
-def run_config(resolved: dict, out_root: str | Path, jobs: int = 1) -> tuple[RunRecord, RegretCurve]:
-    """Execute one experiment config; writes the content-addressed output directory."""
-    _check_jobs(jobs)
+def run_config(resolved: dict, out_root: str | Path, jobs: int | None = None) -> tuple[RunRecord, RegretCurve]:
+    """Execute one experiment config; writes the content-addressed output directory.
+
+    ``jobs`` forked workers, at most one a seed, run the seeds; ``jobs`` defaults
+    to the usable cores, and 1 runs them all in this process.
+    """
+    jobs = _resolve_jobs(jobs)
     start = time.monotonic()
     digest = config_hash(resolved)
     out_dir = Path(out_root) / digest
@@ -588,7 +597,7 @@ def _expand_cells(resolved: dict) -> list[dict]:
     return cells + [dict(cell) for cell in sweep.get("cells", [])]
 
 
-def run_sweep(raw: dict, out_root: str | Path, jobs: int = 1) -> SweepRecord:
+def run_sweep(raw: dict, out_root: str | Path, jobs: int | None = None) -> SweepRecord:
     """Run every sweep cell; write the combined table and a failure manifest.
 
     Cells patch the *raw* config before per-cell resolution, so defaults that
@@ -600,7 +609,7 @@ def run_sweep(raw: dict, out_root: str | Path, jobs: int = 1) -> SweepRecord:
     resolved = resolve_config(raw)
     cells = _expand_cells(resolved)
     _require(len(cells) > 0, "sweep", "sweep grid/cells must produce at least one cell")
-    _check_jobs(jobs)
+    jobs = _resolve_jobs(jobs)
     cell_configs = [resolve_config(_cell_config(raw, cell)) for cell in cells]
     out_root = Path(out_root)
     out_root.mkdir(parents=True, exist_ok=True)

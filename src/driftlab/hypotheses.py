@@ -28,7 +28,6 @@ __all__ = [
     "threshold_erm_rows",
     "risk",
     "inf_risk",
-    "initial_hypothesis",
 ]
 
 
@@ -128,13 +127,6 @@ def loss(h: Hypothesis, z: Observation) -> float:
         j = h.function_class.support_index(z)
         return float(h.function_class.tables[h.index][j])
     raise TypeError(f"unsupported hypothesis {type(h).__name__}")
-
-
-def initial_hypothesis(function_class: FunctionClass) -> ThresholdHypothesis:
-    """Smallest threshold, the fixed t=1 predictor; learners take only threshold classes."""
-    if isinstance(function_class, ThresholdClass):
-        return ThresholdHypothesis(0.0)
-    raise TypeError(f"unsupported function class {type(function_class).__name__}")
 
 
 def cut_losses(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

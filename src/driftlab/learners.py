@@ -13,14 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import DriftSchedule
-from .hypotheses import (
-    FunctionClass,
-    Hypothesis,
-    ThresholdClass,
-    ThresholdHypothesis,
-    initial_hypothesis,
-    threshold_erm,
-)
+from .hypotheses import ThresholdClass, ThresholdHypothesis, threshold_erm
 from .processes import SamplePath
 
 __all__ = [
@@ -156,10 +149,8 @@ def best_window(t, schedule: DriftSchedule, d: int):
     return best_m.reshape(t_arr.shape)
 
 
-def erm_step(function_class: FunctionClass, path: SamplePath, t: int, gap: int, window: int) -> Hypothesis:
+def erm_step(path: SamplePath, t: int, gap: int, window: int) -> ThresholdHypothesis:
     """Exact threshold ERM over the gap-spaced subsample of the last ``window`` points."""
-    if not isinstance(function_class, ThresholdClass):
-        raise TypeError(f"unsupported function class {type(function_class).__name__}")
     pos = subsample_times(t, gap, window) - 1
     theta, _ = threshold_erm(path.xs[pos], path.ys[pos])
     return ThresholdHypothesis(theta)
@@ -170,9 +161,10 @@ class Learner:
 
     Every learner kind differs only in ``_rows(ts)``: the int64 ``(gaps,
     windows)`` of steps ``ts >= 2``, a pure function of t.  Step 1 is always
-    (0, 0), and a (0, 0) row deploys the initial hypothesis.  ``plan(horizon)``
-    fills the rows of steps 1..horizon; the learner keeps its longest plan and
-    every replicate of a run shares it.  ``step(path, t)`` computes its own row.
+    (0, 0), and a (0, 0) row deploys the initial hypothesis, threshold 0.
+    ``plan(horizon)`` fills the rows of steps 1..horizon; the learner keeps its
+    longest plan and every replicate of a run shares it.  ``step(path, t)``
+    computes its own row.
     """
 
     def __post_init__(self) -> None:
@@ -197,12 +189,12 @@ class Learner:
         gaps, windows = self._longest
         return self._longest if horizon == gaps.size else (gaps[:horizon], windows[:horizon])
 
-    def step(self, path: SamplePath, t: int) -> Hypothesis:
+    def step(self, path: SamplePath, t: int) -> ThresholdHypothesis:
         """The hypothesis deployed at step t, for callers that step by hand."""
         gap, window = (int(rows[0]) for rows in self._rows(np.array([t]))) if t >= 2 else (0, 0)
         if window == 0:
-            return initial_hypothesis(ThresholdClass())
-        return erm_step(ThresholdClass(), path, t, gap, window)
+            return ThresholdHypothesis(0.0)
+        return erm_step(path, t, gap, window)
 
 
 @dataclass

@@ -20,12 +20,11 @@ from driftlab import (
     Observation,
     SamplePath,
     SubsampledErmLearner,
-    ThresholdClass,
+    ThresholdHypothesis,
     best_window,
     constant_window_size,
     erm,
     erm_step,
-    initial_hypothesis,
     make_drift_schedule,
     resolve_config,
     run_config,
@@ -257,7 +256,6 @@ def test_criterion_07_discrepancy_bounded_by_tv(capsys):
 
 def test_criterion_08_learner_equivalences(capsys):
     rng = np.random.default_rng(4242)
-    fclass = ThresholdClass()
     passed = True
     detail = "all 1000 histories matched hypothesis-for-hypothesis"
     for i in range(1000):
@@ -273,7 +271,7 @@ def test_criterion_08_learner_equivalences(capsys):
         r = float(rng.choice([0.5, 1.0, 2.0]))
         sub = SubsampledErmLearner(alpha=alpha, r=r).step(path, t)
         k, m = subsample_schedule(t, alpha, r)
-        manual_sub = erm_step(fclass, path, t, k, m)
+        manual_sub = erm_step(path, t, k, m)
 
         kind = str(rng.choice(["power_step", "constant", "triangle_wave"]))
         if kind == "constant":
@@ -289,15 +287,15 @@ def test_criterion_08_learner_equivalences(capsys):
                 seed=int(rng.integers(0, 100)),
             )
         ada = AdaptiveWindowLearner(schedule=schedule).step(path, t)
-        manual_ada = erm_step(fclass, path, t, 1, best_window(t, schedule, 1))
+        manual_ada = erm_step(path, t, 1, best_window(t, schedule, 1))
 
         gamma_c = float(rng.choice([0.02, 0.1, 0.5]))
         m_bar = constant_window_size(1, gamma_c)
         con = ConstantWindowLearner(gamma=gamma_c).step(path, t)
         if t <= m_bar:
-            manual_con = initial_hypothesis(fclass)
+            manual_con = ThresholdHypothesis(0.0)
         else:
-            manual_con = erm_step(fclass, path, t, 1, m_bar)
+            manual_con = erm_step(path, t, 1, m_bar)
 
         if not (
             sub.theta == manual_sub.theta

@@ -54,7 +54,8 @@ def test_perfbench_tracer_installs():
 def test_simulate_run_does_not_import_numpy_ma(tmp_path):
     """A run and its refit stay off ``numpy.ma``, whose import alone costs about 18 ms.
 
-    Run in a subprocess, where no other test has imported it first.
+    Run in a subprocess, where no other test has imported it first, and with
+    ``jobs=1``, so that the seeds run in the process whose modules are checked.
     """
     config = {
         "horizon": 2048,
@@ -67,7 +68,7 @@ def test_simulate_run_does_not_import_numpy_ma(tmp_path):
     }
     code = (
         "import json, sys; sys.path.insert(0, sys.argv[1]); import driftlab; "
-        "record, _ = driftlab.run_config(driftlab.resolve_config(json.loads(sys.argv[2])), sys.argv[3]); "
+        "record, _ = driftlab.run_config(driftlab.resolve_config(json.loads(sys.argv[2])), sys.argv[3], jobs=1); "
         "driftlab.refit_rates(record.out_dir); print('numpy.ma' in sys.modules)"
     )
     done = subprocess.run(

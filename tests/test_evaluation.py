@@ -794,7 +794,7 @@ class TestCurveText:
             return result
 
         with mock.patch.object(evaluation, "_shortest_digits", spy):
-            run_config(resolve_config(config), tmp_path)
+            run_config(resolve_config(config), tmp_path, jobs=1)  # the spy counts calls in this process
         decided = np.concatenate(decided)
         # per seed risk and cum_excess, and four mean-curve columns, less the chunks written as one literal
         assert decided.size > 0.99 * (2 * 2 + 4) * 4096

@@ -15,9 +15,11 @@ its failure manifest.  A digest may change only with an intended change of the
 output bytes.
 """
 
+import concurrent.futures
 import hashlib
 import io
 import json
+import os
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -157,6 +159,22 @@ def output_digests(out_dir: Path) -> dict:
 def test_outputs_match_golden_digests(base, kind, tmp_path):
     record, _ = run_config(resolve_config(golden_config(base, kind)), tmp_path)
     assert output_digests(Path(record.out_dir)) == GOLDEN[(base, kind)]
+
+
+@pytest.mark.parametrize("cores", [1, 8])
+def test_default_jobs_follow_usable_cores(cores, tmp_path, monkeypatch):
+    pools = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    record, _ = run_config(resolve_config(golden_config("markov", "subsampled_erm")), tmp_path)
+    assert pools == ([] if cores == 1 else [2])  # one worker a seed at most
+    assert output_digests(Path(record.out_dir)) == GOLDEN[("markov", "subsampled_erm")]
 
 
 @pytest.mark.parametrize("kind", sorted(VERIFY_GOLDEN))

@@ -355,7 +355,7 @@ RUN_FILES = (
 def mini_run(tmp_path_factory):
     out_root = tmp_path_factory.mktemp("runs")
     resolved = resolve_config(base_config())
-    record, curve = run_config(resolved, out_root)
+    record, curve = run_config(resolved, out_root, jobs=1)  # the serial reference of the parallel tests
     return resolved, record, curve, out_root
 
 
@@ -593,7 +593,7 @@ class TestRunConfig:
         _, schedule = build_model(resolved)
         build_learner(resolved, schedule)
         assert calls == []
-        run_config(resolved, tmp_path)
+        run_config(resolved, tmp_path, jobs=1)  # in this process, where a call per seed would be counted
         assert len(calls) == 1  # one vectorised call shared by both seeds
 
 

@@ -15,7 +15,6 @@ from driftlab import (
     ThresholdHypothesis,
     erm,
     inf_risk,
-    initial_hypothesis,
     loss,
     risk,
     threshold_erm,
@@ -336,9 +335,5 @@ class TestRisk:
         assert inf_risk(fclass, marginal) == pytest.approx(float(expected.min()), abs=1e-12)
 
     def test_initial_hypotheses(self):
-        h = initial_hypothesis(ThresholdClass())
+        h = ThresholdHypothesis(0.0)
         assert isinstance(h, ThresholdHypothesis) and h.theta == 0.0
-        rng = np.random.default_rng(54)
-        fclass = _small_finite_class(rng)
-        with pytest.raises(TypeError, match="unsupported function class FiniteExplicitClass"):
-            initial_hypothesis(fclass)

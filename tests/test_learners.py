@@ -14,11 +14,8 @@ from driftlab import (
     ConceptPath,
     ConstantWindowLearner,
     DriftSchedule,
-    FiniteExplicitClass,
-    Observation,
     ProductProcess,
     SubsampledErmLearner,
-    ThresholdClass,
     ThresholdHypothesis,
     best_window,
     concept_path,
@@ -290,18 +287,11 @@ def _random_product_path(horizon: int, seed: int):
 class TestErmStep:
     def test_matches_manual_gather(self):
         _, path = _random_product_path(100, 3)
-        h = erm_step(ThresholdClass(), path, 100, 8, 27)
+        h = erm_step(path, 100, 8, 27)
         pos = np.array([92, 84, 76]) - 1
         theta, _ = threshold_erm(path.xs[pos], path.ys[pos])
         assert isinstance(h, ThresholdHypothesis)
         assert h.theta == theta
-
-    def test_finite_class_rejected(self):
-        _, path = _random_product_path(20, 3)
-        support = (Observation(0.2, 0), Observation(0.7, 1))
-        fclass = FiniteExplicitClass(support=support, tables=((0.0, 1.0), (1.0, 0.0)))
-        with pytest.raises(TypeError, match="unsupported function class FiniteExplicitClass"):
-            erm_step(fclass, path, 10, 1, 5)
 
     def test_noiseless_erm_localizes_threshold(self):
         # with eta = 0 the ERM threshold lands within the sample gap around
@@ -370,7 +360,7 @@ class TestPlan:
         assert [(g, w) for _, [g], [w] in calls] == list(zip(gaps[1:].tolist(), windows[1:].tolist()))
         for t, theta in enumerate(thetas, start=1):
             gap, window = int(gaps[t - 1]), int(windows[t - 1])
-            assert theta == (erm_step(ThresholdClass(), path, t, gap, window).theta if window else 0.0), t
+            assert theta == (erm_step(path, t, gap, window).theta if window else 0.0), t
 
 
 class TestLearnerEquivalences:
@@ -381,7 +371,7 @@ class TestLearnerEquivalences:
             h = learner.step(path, t)
             k, m = _plan_row(learner, t)
             assert (k, m) == subsample_schedule(t, 0.25, 2.0)
-            expected = erm_step(ThresholdClass(), path, t, k, m)
+            expected = erm_step(path, t, k, m)
             assert h.theta == expected.theta
 
     def test_adaptive_learner_matches_best_window(self):
@@ -391,7 +381,7 @@ class TestLearnerEquivalences:
             h, (gap, window) = learner.step(path, t), _plan_row(learner, t)
             assert gap == 1
             assert window == best_window(t, sched, 1)
-            expected = erm_step(ThresholdClass(), path, t, 1, window)
+            expected = erm_step(path, t, 1, window)
             assert h.theta == expected.theta
 
     def test_constant_learner_warmup_and_steady(self):
@@ -408,7 +398,7 @@ class TestLearnerEquivalences:
         for t in (m_bar + 1, 200, 400):
             h, (gap, window) = learner.step(path, t), _plan_row(learner, t)
             assert (gap, window) == (1, m_bar)
-            expected = erm_step(ThresholdClass(), path, t, 1, m_bar)
+            expected = erm_step(path, t, 1, m_bar)
             assert h.theta == expected.theta
 
     def test_baselines(self):
@@ -418,15 +408,15 @@ class TestLearnerEquivalences:
         for t in (2, 50, 120):
             h_full, (gap_f, win_f) = full.step(path, t), _plan_row(full, t)
             assert (gap_f, win_f) == (1, t - 1)
-            expected = erm_step(ThresholdClass(), path, t, 1, t - 1)
+            expected = erm_step(path, t, 1, t - 1)
             assert h_full.theta == expected.theta
 
             h_last, (gap_l, win_l) = last.step(path, t), _plan_row(last, t)
             assert (gap_l, win_l) == (1, 1)
-            expected_last = erm_step(ThresholdClass(), path, t, 1, 1)
+            expected_last = erm_step(path, t, 1, 1)
             assert h_last.theta == expected_last.theta
 
-        assert last.step(path, 5).theta == erm_step(ThresholdClass(), path, 5, 1, 1).theta
+        assert last.step(path, 5).theta == erm_step(path, 5, 1, 1).theta
 
     def test_all_learners_deploy_initial_at_t1(self):
         sched, path = _random_product_path(50, 15)
@@ -440,7 +430,7 @@ class TestLearnerEquivalences:
         for learner in learners:
             h, (gap, window) = learner.step(path, 1), _plan_row(learner, 1)
             assert (gap, window) == (0, 0)
-            assert h.theta == 0.0
+            assert h == ThresholdHypothesis(0.0)
 
     def test_unknown_baseline_rejected(self):
         with pytest.raises(ValueError, match="unknown baseline"):
