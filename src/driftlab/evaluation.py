@@ -135,6 +135,52 @@ def write_text_atomic(path: str | Path, text: str) -> None:
         fh.write(text)
 
 
+def _place_worker(counter, cores: list[int]) -> None:
+    """Pool initializer: pin the i-th worker started to cores[i mod len(cores)]."""
+    with counter.get_lock():
+        index = counter.value
+        counter.value += 1
+    with contextlib.suppress(OSError):  # a listed core that cannot be used leaves the worker unplaced
+        os.sched_setaffinity(0, {cores[index % len(cores)]})
+
+
+def _load_balance_off(root: Path = Path("/sys/fs/cgroup/cpuset"), own: Path = Path("/proc/self/cpuset")) -> bool:
+    """Whether the kernel leaves this process's cores unbalanced: its cgroup-v1
+    cpuset (``own`` names it under ``root``) and every ancestor read
+    ``cpuset.sched_load_balance`` 0.  False where that cannot be read."""
+    try:
+        cpuset = Path(own.read_text().strip())
+        return all(
+            (root / d.relative_to("/") / "cpuset.sched_load_balance").read_text().strip() == "0"
+            for d in (cpuset, *cpuset.parents)
+        )
+    except (OSError, ValueError):
+        return False
+
+
+def fork_map(fn: Callable, jobs: int, *iterables) -> list:
+    """``list(map(fn, *iterables))``, run by ``jobs`` forked workers when ``jobs`` > 1.
+
+    Where the kernel does not balance load across cores (``_load_balance_off``),
+    a forked worker stays on the core of its parent, so there worker i is
+    placed on the i-th core this process may use, cycling through them.
+    Elsewhere workers are left to the kernel.  The calling process itself is
+    never pinned.
+    """
+    if jobs <= 1:
+        return list(map(fn, *iterables))
+    import multiprocessing  # imported here, where the pool needs it: about 30 ms of `import driftlab`
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork: workers inherit the parent's modules as they stand, patched ones included
+    fork = multiprocessing.get_context("fork")
+    placement = {}
+    if _load_balance_off():
+        placement = {"initializer": _place_worker, "initargs": (fork.Value("i", 0), sorted(os.sched_getaffinity(0)))}
+    with ProcessPoolExecutor(max_workers=jobs, mp_context=fork, **placement) as pool:
+        return list(pool.map(fn, *iterables))
+
+
 def _shortest_digits(values: np.ndarray) -> tuple[np.ndarray, ...]:
     """Shortest round-trip decimal digits of float64 ``values``, as ``repr`` writes them.
 
@@ -769,11 +815,48 @@ def _threshold_sup_deviation(
     return best
 
 
+def _score_trials(paths: tuple[ConceptPath, ...], grid: tuple[int, ...], trials: int, seed: int, start: int, stop: int) -> np.ndarray:
+    """Sup-deviations of trials start..stop-1 of the (size, trial) sequence,
+    trial index s * trials + i for the i-th trial of grid[s]; a row per path.
+
+    The generator of ``seed`` is advanced past the 2 m doubles of every
+    earlier trial, so a trial draws the same values wherever a run starts.
+    """
+    rng = np.random.default_rng(seed)
+    first_size, first_trial = divmod(start, trials)
+    rng.bit_generator.advance(2 * (trials * sum(grid[:first_size]) + first_trial * grid[first_size]))
+    values = np.empty((len(paths), stop - start))
+    for s, m in enumerate(grid):
+        lo, hi = max(start, s * trials), min(stop, (s + 1) * trials)
+        if lo >= hi:
+            continue
+        tables = [(path.thetas[:m], path.eta, _averaged_risk(path.thetas[:m], path.eta)) for path in paths]
+        batch = max(1, SUP_DEVIATION_BATCH_ELEMENTS // m)
+        for done in range(lo, hi, batch):
+            # row r holds the xs and flip draws of one trial, in the order a trial draws them
+            draws = rng.random((min(batch, hi - done), 2, m))
+            xs, flips = draws[:, 0], draws[:, 1]
+            bits = 0
+            for thetas, eta, _ in tables:  # the first path's label ends up in the higher bit
+                bits = bits << 1 | ((xs >= thetas) ^ (flips < eta)).view(np.uint8)
+            keys = xs.view(np.uint64) << 2
+            keys |= bits
+            del draws, xs, flips, bits
+            keys.sort(axis=1)
+            x, low = (keys >> 2).view(float), keys.astype(np.uint8)  # the low byte holds the label bits
+            del keys
+            for p, (_, _, averaged) in enumerate(tables):
+                labels = (low >> (len(tables) - 1 - p)) & 1
+                values[p, done - start : done - start + x.shape[0]] = _threshold_sup_deviation(x, labels, *averaged)
+    return values
+
+
 def verify_uniform_deviation(
     paths: Sequence[Sequence[Marginal]],
     m_grid: Sequence[int],
     trials: int,
     seed: int,
+    jobs: int = 1,
 ) -> tuple[UniformDeviationReport, ...]:
     """Estimate E[sup-deviation] on independent draws Z'_i ~ P_i, i = 1..m,
     for one or two marginal paths, one report each.
@@ -791,6 +874,12 @@ def verify_uniform_deviation(
     uint64 key x_bits << 2 | y_a << 1 | y_b (x_bits << 2 | y_a for one path):
     non-negative doubles order like their bits, and x in [0, 1] leaves the top
     two of them clear, so a key holds the labels of at most two paths.
+
+    ``jobs`` > 1 cuts the run's (size, trial) sequence at trials into at most
+    ``jobs`` runs of near-equal sample points, scored by forked workers
+    (``fork_map``).  Each run draws from the seed's generator advanced past
+    the trials before it, and each size's trial values are added in trial
+    order, so the reports do not depend on ``jobs``.
     """
 
     def integral(value) -> bool:
@@ -818,35 +907,18 @@ def verify_uniform_deviation(
             raise ValueError(f"marginal path length {len(marginals)} < max m {grid[-1]}")
     if not all(isinstance(marginals, ConceptPath) for marginals in paths):
         raise ValueError("threshold classes require ThresholdConcept marginal paths")
+    if not integral(jobs) or jobs < 1:
+        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
 
-    rng = np.random.default_rng(seed)
-    estimates = [[] for _ in paths]
-    for m in grid:
-        tables = [(path.thetas[:m], path.eta, _averaged_risk(path.thetas[:m], path.eta)) for path in paths]
-        batch = max(1, SUP_DEVIATION_BATCH_ELEMENTS // m)
-        totals = [0.0] * len(paths)
-        for done in range(0, trials, batch):
-            # row r holds the xs and flip draws of one trial, in the order a trial draws them
-            draws = rng.random((min(batch, trials - done), 2, m))
-            xs, flips = draws[:, 0], draws[:, 1]
-            bits = 0
-            for thetas, eta, _ in tables:  # the first path's label ends up in the higher bit
-                bits = bits << 1 | ((xs >= thetas) ^ (flips < eta)).view(np.uint8)
-            keys = xs.view(np.uint64) << 2
-            keys |= bits
-            del draws, xs, flips, bits
-            keys.sort(axis=1)
-            x, low = (keys >> 2).view(float), keys.astype(np.uint8)  # the low byte holds the label bits
-            del keys
-            for p, (_, _, averaged) in enumerate(tables):
-                labels = (low >> (len(tables) - 1 - p)) & 1
-                for value in _threshold_sup_deviation(x, labels, *averaged).tolist():
-                    totals[p] += value
-        for p, total in enumerate(totals):
-            estimates[p].append(total / trials)
-
+    # the (size, trial) sequence cut at trials into at most `jobs` runs of near-equal sample points
+    ends = np.cumsum(np.repeat(grid, trials))
+    cuts = np.searchsorted(ends, ends[-1] * np.arange(1, jobs) / jobs) + 1
+    bounds = sorted({0, *cuts.tolist(), ends.size})
+    score = functools.partial(_score_trials, paths, grid, trials, seed)
+    values = np.concatenate(fork_map(score, len(bounds) - 1, bounds[:-1], bounds[1:]), axis=1)
+    # cumsum adds each size's trials in trial order, one at a time, as a serial loop does
+    est = np.cumsum(values.reshape(len(paths), len(grid), trials), axis=2)[:, :, -1] / trials  # a row per path
     ms = np.asarray(grid, dtype=float)
-    est = np.asarray(estimates)  # a row per path
     envelopes = np.max(est / np.sqrt(ThresholdClass.d / ms), axis=1)
     return tuple(
         UniformDeviationReport(

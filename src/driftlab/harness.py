@@ -56,6 +56,7 @@ from .evaluation import (
     RegretCurve,
     default_checkpoints,
     fit_growth_exponent,
+    fork_map,
     geometric_checkpoints,
     plan_group_starts,
     run_single,
@@ -100,6 +101,11 @@ __all__ = [
 
 # verify options set by a CLI flag are named by that flag in errors
 VERIFY_FLAGS = {"trials": "--trials", "pairs": "--pairs", "seed": "--seed", "m_grid": "--m-grid"}
+
+# sample points (trials x sizes, each scored in both settings) a uniform-deviation worker
+# must get: forking a two-worker pool and importing its modules took 21-34 ms (median
+# 23 ms of six fresh processes, 2 vCPU), and the serial kernel about 70 ns a point
+VERIFY_WORKER_POINTS = 3 * 10**5
 
 
 class ConfigError(ValueError):
@@ -444,8 +450,8 @@ def _resolve_jobs(jobs: int | None) -> int:
 def run_config(resolved: dict, out_root: str | Path, jobs: int | None = None) -> tuple[RunRecord, RegretCurve]:
     """Execute one experiment config; writes the content-addressed output directory.
 
-    ``jobs`` forked workers, at most one a seed, run the seeds; ``jobs`` defaults
-    to the usable cores, and 1 runs them all in this process.
+    ``jobs`` forked workers (``fork_map``), at most one a seed, run the seeds;
+    ``jobs`` defaults to the usable cores, and 1 runs them all in this process.
     """
     jobs = _resolve_jobs(jobs)
     start = time.monotonic()
@@ -464,16 +470,7 @@ def run_config(resolved: dict, out_root: str | Path, jobs: int | None = None) ->
     inf_risks = np.full(horizon, model.marginals.eta)
     curve_files = [str(out_dir / f"curve-{seed}.csv") for seed in seeds]
     run_seed = functools.partial(_run_seed_streaming, model, learner, horizon, inf_risks)
-    if jobs > 1 and len(seeds) > 1:
-        import multiprocessing  # imported here, where the pool needs it: about 30 ms of `import driftlab`
-        from concurrent.futures import ProcessPoolExecutor
-
-        # fork: workers inherit the parent's modules as they stand, patched ones included
-        fork = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=min(jobs, len(seeds)), mp_context=fork) as pool:
-            results = list(pool.map(run_seed, seeds, curve_files))
-    else:
-        results = list(map(run_seed, seeds, curve_files))
+    results = fork_map(run_seed, min(jobs, len(seeds)), seeds, curve_files)
 
     curve = RegretCurve(risks=np.stack(results), inf_risks=inf_risks, seeds=tuple(seeds))
     curve.to_csv(str(out_dir / "curve-mean.csv"))
@@ -706,7 +703,9 @@ def _verify_uniform_deviation(*, trials=2000, seed=0, m_grid=tuple(2**j for j in
     results = {}
     ok = True
     # both settings score the same draws: one draw and one sort a trial serve both
-    reports = verify_uniform_deviation((identical, drifting), m_grid, trials, seed)
+    # one worker a usable core, each with at least VERIFY_WORKER_POINTS sample points
+    jobs = min(len(os.sched_getaffinity(0)), max(1, trials * sum(m_grid) // VERIFY_WORKER_POINTS))
+    reports = verify_uniform_deviation((identical, drifting), m_grid, trials, seed, jobs=jobs)
     for name, report in zip(("identical", "drifting"), reports):
         entry = report.to_json()
         entry["slope_ok"] = abs(report.fitted_exponent + 0.5) <= 0.08

@@ -5,6 +5,9 @@ import io
 import itertools
 import json
 import math
+import multiprocessing
+import os
+import sys
 import time
 import tracemalloc
 from dataclasses import dataclass
@@ -1198,6 +1201,55 @@ def _sup_deviation_oracle(xs, ys, thetas, eta):
     return best
 
 
+_real_affinity = os.sched_getaffinity  # tests below patch os.sched_getaffinity; workers read the real one
+_barrier = None  # set before a pool forks, so its workers inherit it
+
+
+def _affinity_once_all_started(_):
+    _barrier.wait(timeout=60)  # each worker holds its task until all have one, so no worker takes two
+    return os.getpid(), sorted(_real_affinity(0))
+
+
+class TestForkMap:
+    def _run(self, monkeypatch, jobs, load_balance_off=True):
+        monkeypatch.setattr(evaluation, "_load_balance_off", lambda: load_balance_off)
+        monkeypatch.setattr(sys.modules[__name__], "_barrier", multiprocessing.get_context("fork").Barrier(jobs))
+        results = evaluation.fork_map(_affinity_once_all_started, jobs, range(jobs))
+        assert len({pid for pid, _ in results}) == jobs
+        return sorted(affinity for _, affinity in results)
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable cores")
+    def test_each_worker_is_placed_on_its_own_core(self, monkeypatch):
+        usable = _real_affinity(0)
+        assert self._run(monkeypatch, 2) == [[core] for core in sorted(usable)[:2]]
+        assert _real_affinity(0) == usable  # the caller is never pinned
+
+    def test_a_core_that_cannot_be_used_leaves_its_worker_unplaced(self, monkeypatch):
+        usable = _real_affinity(0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {min(usable), 4095})
+        assert self._run(monkeypatch, 2) == sorted([[min(usable)], sorted(usable)])
+
+    def test_workers_stay_unplaced_where_the_kernel_balances_load(self, monkeypatch):
+        usable = sorted(_real_affinity(0))
+        assert self._run(monkeypatch, 2, load_balance_off=False) == [usable, usable]
+
+    @pytest.mark.parametrize(
+        "flags,off",
+        [({"": "0", "a": "0", "a/b": "0"}, True), ({"": "0", "a": "1", "a/b": "0"}, False), ({"a": "0", "a/b": "0"}, False)],
+        ids=["all_off", "an_ancestor_balances", "root_unreadable"],
+    )
+    def test_load_balance_off_reads_the_cpuset_and_its_ancestors(self, tmp_path, flags, off):
+        for path, flag in flags.items():
+            (tmp_path / "cpuset" / path).mkdir(parents=True, exist_ok=True)
+            (tmp_path / "cpuset" / path / "cpuset.sched_load_balance").write_text(flag + "\n")
+        (tmp_path / "own").write_text("/a/b\n")
+        assert evaluation._load_balance_off(tmp_path / "cpuset", tmp_path / "own") is off
+        assert evaluation._load_balance_off(tmp_path / "cpuset", tmp_path / "missing") is False
+
+    def test_one_job_runs_in_this_process(self):
+        assert evaluation.fork_map(lambda a, b: (os.getpid(), a + b), 1, [1, 2], [3, 4]) == [(os.getpid(), 4), (os.getpid(), 6)]
+
+
 class TestVerifyUniformDeviation:
     def test_exact_supremum_matches_direct_counting(self):
         # drive the internal exact-sup computation through the public API with
@@ -1350,6 +1402,45 @@ class TestVerifyUniformDeviation:
             verify_uniform_deviation([], [4, 16], trials=2, seed=0)
         with pytest.raises(ValueError, match="marginal path length 8 < max m 16"):
             verify_uniform_deviation([path, short], [4, 16], trials=2, seed=0)
+
+    @pytest.mark.parametrize("n_paths", [1, 2])
+    def test_reports_do_not_depend_on_jobs(self, n_paths, monkeypatch):
+        monkeypatch.setattr(evaluation, "SUP_DEVIATION_BATCH_ELEMENTS", 64)
+        runs, fork_map = [], evaluation.fork_map
+
+        def recorded(fn, jobs, starts, stops):
+            runs.append((jobs, list(starts), list(stops)))
+            return fork_map(fn, jobs, starts, stops)
+
+        monkeypatch.setattr(evaluation, "fork_map", recorded)
+        rng = np.random.default_rng(106)
+        paths = [ConceptPath(_case_thetas(rng, 200, True), 0.1), ConceptPath(_case_thetas(rng, 230, False), 0.25)]
+        grid, trials = [1, 5, 16, 63, 64, 200], 30
+        reports = [verify_uniform_deviation(paths[:n_paths], grid, trials=trials, seed=8, jobs=jobs) for jobs in (1, 2, 3, 5)]
+        assert all(report == reports[0] for report in reports)
+        assert reports[0][0].estimates == self._replayed_estimates(paths[0], grid, trials, 8)
+        points = np.repeat(grid, trials)
+        for (jobs, starts, stops), expected in zip(runs, (1, 2, 3, 5)):
+            # contiguous runs cut at trials, each within one trial of an equal share of the points
+            assert jobs == len(starts) == expected
+            assert starts[0] == 0 and starts[1:] == stops[:-1] and stops[-1] == points.size
+            for start, stop in zip(starts, stops):
+                assert abs(points[start:stop].sum() - points.sum() / jobs) < max(grid)
+        assert runs[0] == (1, [0], [points.size])  # jobs=1: one run, in this process
+        assert any(start % trials for _, starts, _ in runs for start in starts)  # a worker starts mid-size
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 2 * 200 * 30 + 5])
+    def test_advanced_generator_draws_what_a_drawn_one_does(self, n):
+        drawn, advanced = np.random.default_rng(21), np.random.default_rng(21)
+        drawn.random(n)
+        advanced.bit_generator.advance(n)
+        assert advanced.random(1000).tobytes() == drawn.random(1000).tobytes()
+
+    def test_rejects_bad_jobs(self):
+        path = ConceptPath(np.full(16, 0.3), 0.1)
+        for jobs in (0, -1, 1.5, True):
+            with pytest.raises(ValueError, match="jobs must be an integer >= 1"):
+                verify_uniform_deviation([path], [4, 16], trials=2, seed=0, jobs=jobs)
 
     @staticmethod
     def _assert_rows_equal_reference(xs, ys, thetas, eta, averaged=None):

@@ -474,13 +474,14 @@ class TestRunConfig:
             b = (Path(record2.out_dir) / name).read_bytes()
             assert a == b, name
 
-    def test_worker_pool_capped_at_seed_count(self, mini_run, tmp_path):
+    def test_worker_pool_capped_at_seed_count(self, mini_run, tmp_path, monkeypatch):
         resolved, record, _, _ = mini_run
         pools = []
+        monkeypatch.setattr(evaluation_mod, "_load_balance_off", lambda: True)  # so the pool places its workers
 
         class SerialPool:
-            def __init__(self, max_workers, mp_context):
-                pools.append((max_workers, mp_context.get_start_method()))
+            def __init__(self, max_workers, mp_context, **placement):
+                pools.append((max_workers, mp_context.get_start_method(), placement["initializer"].__name__))
 
             def __enter__(self):
                 return self
@@ -493,7 +494,7 @@ class TestRunConfig:
 
         with mock.patch("concurrent.futures.ProcessPoolExecutor", SerialPool):
             record2, _ = run_config(resolved, tmp_path, jobs=64)
-        assert pools == [(len(resolved["seeds"]), "fork")]
+        assert pools == [(len(resolved["seeds"]), "fork", "_place_worker")]
         assert (Path(record2.out_dir) / "curve-mean.csv").read_bytes() == (Path(record.out_dir) / "curve-mean.csv").read_bytes()
 
     def test_one_seed_mean_curve_repeats_the_seed_text(self, tmp_path, monkeypatch):
