@@ -138,7 +138,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as err:
         # argparse exits 2 on usage errors, which matches the config-error code
         return int(err.code or 0)
-    # SIGTERM takes SIGINT's exit path, a KeyboardInterrupt, so --jobs workers are shut down first
+    # SIGTERM takes SIGINT's exit path, a KeyboardInterrupt; fork_map raises it once its children are reaped
     previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         return args.func(args)

@@ -15,6 +15,8 @@ import functools
 import math
 import numbers
 import os
+import pickle
+import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Iterator, Sequence, TextIO
@@ -135,15 +137,6 @@ def write_text_atomic(path: str | Path, text: str) -> None:
         fh.write(text)
 
 
-def _place_worker(counter, cores: list[int]) -> None:
-    """Pool initializer: pin the i-th worker started to cores[i mod len(cores)]."""
-    with counter.get_lock():
-        index = counter.value
-        counter.value += 1
-    with contextlib.suppress(OSError):  # a listed core that cannot be used leaves the worker unplaced
-        os.sched_setaffinity(0, {cores[index % len(cores)]})
-
-
 def _load_balance_off(root: Path = Path("/sys/fs/cgroup/cpuset"), own: Path = Path("/proc/self/cpuset")) -> bool:
     """Whether the kernel leaves this process's cores unbalanced: its cgroup-v1
     cpuset (``own`` names it under ``root``) and every ancestor read
@@ -159,26 +152,85 @@ def _load_balance_off(root: Path = Path("/sys/fs/cgroup/cpuset"), own: Path = Pa
 
 
 def fork_map(fn: Callable, jobs: int, *iterables) -> list:
-    """``list(map(fn, *iterables))``, run by ``jobs`` forked workers when ``jobs`` > 1.
+    """``[fn(*args) for args in zip(*iterables)]``, in ``min(jobs, calls)`` contiguous shares.
 
-    Where the kernel does not balance load across cores (``_load_balance_off``),
-    a forked worker stays on the core of its parent, so there worker i is
-    placed on the i-th core this process may use, cycling through them.
-    Elsewhere workers are left to the kernel.  The calling process itself is
-    never pinned.
+    This process runs share 0; forked child i runs share i and pipes back its
+    results, or the exception it raised, pickled.  Where ``_load_balance_off``,
+    share i runs on the i-th usable core, cycling (this process only while it
+    runs share 0).  On SIGINT or SIGTERM every share finishes its current call
+    and drops the rest, and the signal is raised again once every child is
+    reaped; an exception in this process stops the children the same way.
+    Call it from the main thread, which alone may set signal handlers.
     """
+    calls = list(zip(*iterables))
+    jobs = min(jobs, len(calls))
     if jobs <= 1:
-        return list(map(fn, *iterables))
-    import multiprocessing  # imported here, where the pool needs it: about 30 ms of `import driftlab`
-    from concurrent.futures import ProcessPoolExecutor
+        return [fn(*args) for args in calls]
+    import signal  # not loaded by `import driftlab`
 
-    # fork: workers inherit the parent's modules as they stand, patched ones included
-    fork = multiprocessing.get_context("fork")
-    placement = {}
-    if _load_balance_off():
-        placement = {"initializer": _place_worker, "initargs": (fork.Value("i", 0), sorted(os.sched_getaffinity(0)))}
-    with ProcessPoolExecutor(max_workers=jobs, mp_context=fork, **placement) as pool:
-        return list(pool.map(fn, *iterables))
+    affinity = os.sched_getaffinity(0)
+    cores = sorted(affinity) if _load_balance_off() else []
+    stopped, children = [], []  # children: (pid, read end of its pipe)
+
+    def run(i: int) -> list:
+        if cores:
+            with contextlib.suppress(OSError):  # a listed core that cannot be used leaves share i unplaced
+                os.sched_setaffinity(0, {cores[i % len(cores)]})
+        return [fn(*args) for args in calls[len(calls) * i // jobs : len(calls) * (i + 1) // jobs] if not stopped]
+
+    def stop(signum: int, frame) -> None:  # every share finishes its current call and drops the rest
+        stopped.append(signum)
+        for pid, _ in children:
+            os.kill(pid, signal.SIGTERM)
+
+    # forked children inherit the handler, so no share, here or there, is cut short mid-call
+    stops = [sig for sig in (signal.SIGINT, signal.SIGTERM) if signal.getsignal(sig) not in (signal.SIG_IGN, None)]
+    previous = {sig: signal.signal(sig, stop) for sig in stops}
+    try:
+        sys.stdout.flush(), sys.stderr.flush()  # or a child would write this process's buffered text again
+        for i in range(1, jobs):
+            read, write = os.pipe()
+            if (pid := os.fork()) == 0:  # child i: never returns into the caller's frames
+                try:
+                    for fd in (read, *(fd for _, fd in children)):  # only the caller reads a pipe
+                        os.close(fd)
+                    children.clear()  # a child's handler tells no other process to stop
+                    try:
+                        result = run(i)
+                    except Exception as exc:
+                        result = exc
+                    sys.stdout.flush(), sys.stderr.flush()
+                    with open(write, "wb") as fh:
+                        fh.write(pickle.dumps(result))
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write)
+            children.append((pid, read))
+        try:
+            results = run(0)
+        finally:
+            if cores:
+                os.sched_setaffinity(0, affinity)
+        sent = [open(read, "rb", closefd=False).read() for _, read in children]
+    finally:
+        for pid, read in children:
+            os.kill(pid, signal.SIGTERM)  # one still running finishes its current call and drops the rest
+            os.close(read)  # and one blocked writing to its pipe exits
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in children]
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
+        if stopped:  # the handler it replaced acts on the signal now; one that returns gets an error
+            signal.raise_signal(stopped[0])
+            raise InterruptedError(f"signal {stopped[0]} stopped fork_map before its last call")
+    for data, code in zip(sent, codes):
+        if not data or code != 0:
+            raise ChildProcessError(f"a fork_map child exited with status {code} and no result")
+        value = pickle.loads(data)
+        if not isinstance(value, list):
+            raise value
+        results += value
+    return results
 
 
 def _shortest_digits(values: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -876,10 +928,10 @@ def verify_uniform_deviation(
     two of them clear, so a key holds the labels of at most two paths.
 
     ``jobs`` > 1 cuts the run's (size, trial) sequence at trials into at most
-    ``jobs`` runs of near-equal sample points, scored by forked workers
-    (``fork_map``).  Each run draws from the seed's generator advanced past
-    the trials before it, and each size's trial values are added in trial
-    order, so the reports do not depend on ``jobs``.
+    ``jobs`` runs of near-equal sample points: this process scores the first
+    and a forked child each other one (``fork_map``).  Each run draws from the
+    seed's generator advanced past the trials before it, and each size's trial
+    values are added in trial order, so the reports do not depend on ``jobs``.
     """
 
     def integral(value) -> bool:

@@ -7,6 +7,8 @@ import json
 import math
 import multiprocessing
 import os
+import signal
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -1201,33 +1203,41 @@ def _sup_deviation_oracle(xs, ys, thetas, eta):
     return best
 
 
-_real_affinity = os.sched_getaffinity  # tests below patch os.sched_getaffinity; workers read the real one
-_barrier = None  # set before a pool forks, so its workers inherit it
+_real_affinity = os.sched_getaffinity  # tests below patch os.sched_getaffinity; shares read the real one
 
 
-def _affinity_once_all_started(_):
-    _barrier.wait(timeout=60)  # each worker holds its task until all have one, so no worker takes two
-    return os.getpid(), sorted(_real_affinity(0))
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):  # nothing left to reap, not even a zombie
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestForkMap:
     def _run(self, monkeypatch, jobs, load_balance_off=True):
         monkeypatch.setattr(evaluation, "_load_balance_off", lambda: load_balance_off)
-        monkeypatch.setattr(sys.modules[__name__], "_barrier", multiprocessing.get_context("fork").Barrier(jobs))
-        results = evaluation.fork_map(_affinity_once_all_started, jobs, range(jobs))
-        assert len({pid for pid, _ in results}) == jobs
+        barrier = multiprocessing.get_context("fork").Barrier(jobs)
+
+        def affinity_once_all_started(_):
+            barrier.wait(timeout=60)  # each share reads its affinity while every share is running
+            return os.getpid(), sorted(_real_affinity(0))
+
+        results = evaluation.fork_map(affinity_once_all_started, jobs, range(jobs))
+        assert len({pid for pid, _ in results}) == jobs and results[0][0] == os.getpid()
+        _assert_no_child_left()
         return sorted(affinity for _, affinity in results)
 
     @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable cores")
     def test_each_worker_is_placed_on_its_own_core(self, monkeypatch):
         usable = _real_affinity(0)
         assert self._run(monkeypatch, 2) == [[core] for core in sorted(usable)[:2]]
-        assert _real_affinity(0) == usable  # the caller is never pinned
+        assert _real_affinity(0) == usable  # the caller was pinned only while it ran its share
 
     def test_a_core_that_cannot_be_used_leaves_its_worker_unplaced(self, monkeypatch):
         usable = _real_affinity(0)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {min(usable), 4095})
-        assert self._run(monkeypatch, 2) == sorted([[min(usable)], sorted(usable)])
+        try:
+            assert self._run(monkeypatch, 2) == sorted([[min(usable)], sorted(usable)])
+        finally:
+            os.sched_setaffinity(0, usable)  # the caller got back the patched {min(usable), 4095}
 
     def test_workers_stay_unplaced_where_the_kernel_balances_load(self, monkeypatch):
         usable = sorted(_real_affinity(0))
@@ -1248,6 +1258,105 @@ class TestForkMap:
 
     def test_one_job_runs_in_this_process(self):
         assert evaluation.fork_map(lambda a, b: (os.getpid(), a + b), 1, [1, 2], [3, 4]) == [(os.getpid(), 4), (os.getpid(), 6)]
+
+    def test_results_keep_map_order_with_more_jobs_than_calls(self, forks):
+        results = evaluation.fork_map(lambda a, b: (a + b, os.getpid()), 8, range(3), [10, 20, 30])
+        assert [value for value, _ in results] == [10, 21, 32]
+        assert [pid for _, pid in results] == [os.getpid(), *forks]  # the caller runs the first share
+        assert len(forks) == 2
+        _assert_no_child_left()
+
+    def test_a_closure_runs_since_only_results_are_pickled(self):
+        scale = {"by": 3}
+        assert evaluation.fork_map(lambda a: a * scale["by"], 2, range(5)) == [0, 3, 6, 9, 12]
+
+    def test_a_child_exception_is_raised_with_its_message(self):
+        def fail_last(a):
+            if a == 3:
+                raise ValueError(f"no value for {a}")
+            return a
+
+        with pytest.raises(ValueError, match="^no value for 3$"):
+            evaluation.fork_map(fail_last, 2, range(4))
+        _assert_no_child_left()
+
+    def test_a_child_that_dies_without_a_result_raises(self):
+        with pytest.raises(ChildProcessError, match="exited with status 1 and no result"):
+            evaluation.fork_map(lambda a: os._exit(1) if a else a, 2, range(2))
+        _assert_no_child_left()
+
+    def test_buffered_text_is_written_once_and_a_child_s_text_is_not_lost(self):
+        code = "from driftlab.evaluation import fork_map\nprint('before')\nfork_map(print, 2, ['caller', 'child'])\n"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}  # stdout to a pipe is then block-buffered
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert sorted(done.stdout.splitlines()) == ["before", "caller", "child"]
+
+    def test_the_caller_gets_its_affinity_back_when_its_share_raises(self, monkeypatch):
+        usable = _real_affinity(0)
+        monkeypatch.setattr(evaluation, "_load_balance_off", lambda: True)
+
+        def fail_in_caller(a):
+            if a == 0:
+                assert _real_affinity(0) == {min(usable)}
+                raise ValueError("the caller's share failed")
+            return a
+
+        with pytest.raises(ValueError, match="the caller's share failed"):
+            evaluation.fork_map(fail_in_caller, 2, range(2))
+        assert _real_affinity(0) == usable
+        _assert_no_child_left()
+
+    @staticmethod
+    def _marked(tmp_path, per_share, in_caller):
+        """A call that marks its start and end; the caller's first call waits
+        until the child is inside its first call, then runs ``in_caller``."""
+
+        def mark(a):
+            if a == 0:
+                deadline = time.monotonic() + 60
+                while not (tmp_path / f"start-{per_share}").exists() and time.monotonic() < deadline:
+                    time.sleep(0.002)
+                in_caller()
+            (tmp_path / f"start-{a}").touch()
+            time.sleep(0.05)
+            (tmp_path / f"end-{a}").touch()
+            return a
+
+        return mark
+
+    @staticmethod
+    def _marks(tmp_path, kind):
+        return sorted(int(p.name.split("-")[1]) for p in tmp_path.glob(f"{kind}-*"))
+
+    def test_a_child_finishes_its_current_call_and_drops_the_rest_when_the_caller_raises(self, tmp_path):
+        per_share = 40  # the child's share alone would take 2 s
+
+        def fail():
+            raise RuntimeError("the caller's share failed")
+
+        with pytest.raises(RuntimeError, match="the caller's share failed"):
+            evaluation.fork_map(self._marked(tmp_path, per_share, fail), 2, range(2 * per_share))
+        started = self._marks(tmp_path, "start")
+        assert started[0] == per_share and len(started) < per_share
+        assert self._marks(tmp_path, "end") == started  # no call cut short
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("sig", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])
+    def test_a_stop_signal_lets_every_share_finish_its_call_and_is_raised_again(self, tmp_path, sig):
+        per_share = 40
+        previous = signal.signal(sig, signal.default_int_handler)  # as the CLI sets SIGTERM
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                evaluation.fork_map(self._marked(tmp_path, per_share, lambda: os.kill(os.getpid(), sig)), 2, range(2 * per_share))
+            assert signal.getsignal(sig) is signal.default_int_handler
+        finally:
+            signal.signal(sig, previous)
+        started = self._marks(tmp_path, "start")
+        assert started[:2] == [0, per_share] and len(started) < per_share  # the caller's own call ran on
+        assert self._marks(tmp_path, "end") == started
+        _assert_no_child_left()
 
 
 class TestVerifyUniformDeviation:

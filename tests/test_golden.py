@@ -15,7 +15,6 @@ its failure manifest.  A digest may change only with an intended change of the
 output bytes.
 """
 
-import concurrent.futures
 import hashlib
 import io
 import json
@@ -162,25 +161,11 @@ def test_outputs_match_golden_digests(base, kind, tmp_path):
     assert output_digests(Path(record.out_dir)) == GOLDEN[(base, kind)]
 
 
-@pytest.fixture
-def pools(monkeypatch):
-    """The worker count of every process pool started, in order."""
-    started = []
-
-    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers, **kwargs):
-            started.append(max_workers)
-            super().__init__(max_workers, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    return started
-
-
 @pytest.mark.parametrize("cores", [1, 8])
-def test_default_jobs_follow_usable_cores(cores, tmp_path, monkeypatch, pools):
+def test_default_jobs_follow_usable_cores(cores, tmp_path, monkeypatch, forks):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
     record, _ = run_config(resolve_config(golden_config("markov", "subsampled_erm")), tmp_path)
-    assert pools == ([] if cores == 1 else [2])  # one worker a seed at most
+    assert len(forks) == (0 if cores == 1 else 1)  # one share a seed at most: two shares, one forked
     assert output_digests(Path(record.out_dir)) == GOLDEN[("markov", "subsampled_erm")]
 
 
@@ -192,15 +177,15 @@ def test_verify_report_matches_golden_digest(kind):
     assert hashlib.sha256(json_text(report).encode()).hexdigest() == digest
 
 
-# core 4095 names no core of a test host, so the third worker of that list stays unplaced
+# core 4095 names no core of a test host, so the third share of that list stays unplaced
 @pytest.mark.parametrize("cores", [{0}, {0, 1, 4095}], ids=["one_core", "a_missing_core"])
-def test_verify_default_jobs_write_the_golden_digest(cores, monkeypatch, pools):
+def test_verify_default_jobs_write_the_golden_digest(cores, monkeypatch, forks):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
-    monkeypatch.setattr(evaluation_mod, "_load_balance_off", lambda: True)  # so the pool places its workers
-    monkeypatch.setattr(harness_mod, "VERIFY_WORKER_POINTS", 10**4)  # 8 trials are 26 workers' worth
+    monkeypatch.setattr(evaluation_mod, "_load_balance_off", lambda: True)  # so the shares are placed
+    monkeypatch.setattr(harness_mod, "VERIFY_WORKER_POINTS", 10**4)  # 8 trials are 26 shares' worth
     options, digest = VERIFY_GOLDEN["uniform_deviation"]
     report, ok = run_verify("uniform_deviation", dict(options))
-    assert pools == ([] if len(cores) == 1 else [3])
+    assert len(forks) == (0 if len(cores) == 1 else 2)  # three shares, two forked
     assert ok
     assert hashlib.sha256(json_text(report).encode()).hexdigest() == digest
 

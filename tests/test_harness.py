@@ -16,7 +16,6 @@ import subprocess
 import sys
 import time
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -474,27 +473,11 @@ class TestRunConfig:
             b = (Path(record2.out_dir) / name).read_bytes()
             assert a == b, name
 
-    def test_worker_pool_capped_at_seed_count(self, mini_run, tmp_path, monkeypatch):
+    def test_worker_pool_capped_at_seed_count(self, mini_run, tmp_path, monkeypatch, forks):
         resolved, record, _, _ = mini_run
-        pools = []
-        monkeypatch.setattr(evaluation_mod, "_load_balance_off", lambda: True)  # so the pool places its workers
-
-        class SerialPool:
-            def __init__(self, max_workers, mp_context, **placement):
-                pools.append((max_workers, mp_context.get_start_method(), placement["initializer"].__name__))
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        with mock.patch("concurrent.futures.ProcessPoolExecutor", SerialPool):
-            record2, _ = run_config(resolved, tmp_path, jobs=64)
-        assert pools == [(len(resolved["seeds"]), "fork", "_place_worker")]
+        monkeypatch.setattr(evaluation_mod, "_load_balance_off", lambda: True)  # so the shares are placed
+        record2, _ = run_config(resolved, tmp_path, jobs=64)
+        assert len(forks) == len(resolved["seeds"]) - 1  # one share a seed, the first run by this process
         assert (Path(record2.out_dir) / "curve-mean.csv").read_bytes() == (Path(record.out_dir) / "curve-mean.csv").read_bytes()
 
     def test_one_seed_mean_curve_repeats_the_seed_text(self, tmp_path, monkeypatch):
